@@ -4,8 +4,10 @@ Measures the flow's hot stages on the full (~12k cell) synthetic benchmark
 — logic simulation + power estimation, static timing, thermal-grid binning,
 the steady-state thermal solve — and the quickstart flow end-to-end, with
 the compiled engine against the reference per-object loops.  Results are
-written to ``BENCH_pipeline.json`` at the repository root so the perf
-trajectory is tracked as data, not anecdotes.
+written to ``.bench_out/BENCH_pipeline.json`` (untracked), so a test run
+never dirties the tree; copy that file over the committed
+``BENCH_pipeline.json`` at the repository root to record a new
+measurement.
 
 Thresholds (asserted at full size): >=3x on logic-sim + power, >=2.8x on
 the end-to-end quickstart flow, >=2x on STA, >=3x on binning, >=2.8x on a
@@ -113,7 +115,7 @@ def pipeline_circuit():
 
 @pytest.fixture(scope="module", autouse=True)
 def write_bench_json(pipeline_circuit):
-    """Persist whatever stages ran to BENCH_pipeline.json on teardown."""
+    """Persist whatever stages ran to .bench_out/BENCH_pipeline.json on teardown."""
     yield
     payload = {
         "benchmark": "pipeline_stages",
@@ -128,7 +130,8 @@ def write_bench_json(pipeline_circuit):
         },
         "stages": RESULTS,
     }
-    path = Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"
+    path = Path(__file__).resolve().parent.parent / ".bench_out" / "BENCH_pipeline.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {path}")
 

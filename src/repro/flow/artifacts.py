@@ -10,11 +10,15 @@ ingredients:
   a :meth:`~repro.netlist.netlist.Netlist.copy` or a canonical-spec
   re-parse produces the same digest, while any mutation through a netlist
   mutator, a cell move, a strategy-parameter change or a solver-method
-  change produces a new one.  Netlist and placement digests are memoised
-  against the :class:`~repro.netlist.netlist.Netlist` structural version
-  counter and the process-wide
-  :attr:`~repro.netlist.cell.CellInstance.placement_epoch`, so unchanged
-  objects are hashed once, not once per stage.
+  change produces a new one.  Netlist and placement digests encode each
+  per-cell / per-net attribute as one array column (length-prefixed string
+  lists, masked float64/int64 coordinate arrays) and are memoised against
+  :meth:`~repro.netlist.netlist.Netlist.placement_state` — the design's
+  structural version, its own placement stamp and the process-wide
+  raw-write generation — so an unchanged design is hashed once, however
+  many sibling copies move meanwhile.  :data:`FLOW_KEY_VERSION` 2 marks
+  this encoding: artifact and result stores written with version 1 keys
+  simply miss.
 
 * **Artifact dataclasses** — the frozen, typed value each stage produces
   (:class:`PlacementArtifact`, :class:`PowerArtifact`,
@@ -39,7 +43,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -54,7 +58,8 @@ from .cache import package_fingerprint
 
 #: Bump when a digest encoding or stage semantics change incompatibly, so
 #: on-disk stores written by older code can never satisfy new lookups.
-FLOW_KEY_VERSION = 1
+#: Version 2: netlist and placement digests switched to array encoding.
+FLOW_KEY_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -129,32 +134,86 @@ def array_digest(array: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _feed_strings(hasher, strings: List[Optional[str]]) -> None:
+    """Feed a list of optional strings as one length-prefixed column.
+
+    Encoded as ``count, is-set mask, per-string lengths, joined UTF-8``:
+    the lengths keep the join unambiguous (``["ab", "c"]`` and
+    ``["a", "bc"]`` join to the same text), the mask keeps ``None``
+    distinct from ``""``, and the whole column costs a handful of C-level
+    calls instead of one tagged update per string.
+    """
+    count = len(strings)
+    if None in strings:
+        mask = np.fromiter((s is not None for s in strings), dtype=bool, count=count)
+        strings = [s for s in strings if s is not None]
+    else:
+        mask = np.ones(count, dtype=bool)
+    lengths = np.fromiter(map(len, strings), dtype="<i8", count=len(strings))
+    data = "".join(strings).encode("utf-8")
+    hasher.update(b"C" + struct.pack("<qq", count, len(data)))
+    hasher.update(mask.tobytes())
+    hasher.update(lengths.tobytes())
+    hasher.update(data)
+
+
+def _feed_numbers(hasher, values: list, dtype: str) -> None:
+    """Feed a list of optional numbers as ``count, is-set mask, raw values``.
+
+    ``None`` entries are written as 0 under a cleared mask bit, so an unset
+    coordinate never collides with a real ``0.0``; ``"<f8"`` columns carry
+    raw IEEE-754 bytes, so hash-equal means bitwise-equal.
+    """
+    count = len(values)
+    if None in values:
+        mask = np.fromiter((v is not None for v in values), dtype=bool, count=count)
+        values = [0 if v is None else v for v in values]
+    else:
+        mask = np.ones(count, dtype=bool)
+    hasher.update(b"V" + struct.pack("<q", count) + dtype.encode("ascii"))
+    hasher.update(mask.tobytes())
+    hasher.update(np.asarray(values, dtype=dtype).tobytes())
+
+
 def netlist_digest(netlist: Netlist) -> str:
     """Structural content digest of a netlist (placement-independent).
 
     Covers cells (in insertion order — iteration order is observable
     through the placer), masters, units, connectivity with sink order, and
-    ports.  Memoised against the netlist's structural version counter, so
-    repeated stage-key computations on an unchanged design hash once.
+    ports, each as one array-encoded column.  Memoised against the
+    netlist's structural version counter, so repeated stage-key
+    computations on an unchanged design hash once.
     """
     version = netlist._version
     memo = getattr(netlist, "_content_digest_memo", None)
     if memo is not None and memo[0] == version:
         return memo[1]
+    cells = list(netlist.cells.values())
+    ports = list(netlist.ports.values())
+    nets = list(netlist.nets.values())
     hasher = _new_hasher()
     _feed(hasher, ("netlist", netlist.name))
-    for cell in netlist.cells.values():
-        _feed(hasher, (cell.name, cell.master.name, cell.unit, cell.fixed))
-    for port in netlist.ports.values():
-        _feed(hasher, (port.name, port.direction))
-    for net in netlist.nets.values():
-        _feed(hasher, net.name)
-        _feed(hasher, net.driver_pin.full_name if net.driver_pin is not None else None)
-        _feed(hasher, net.driver_port.name if net.driver_port is not None else None)
-        # Sink order is content: it shapes compiled gather order and the
-        # floating-point association of every downstream reduction.
-        _feed(hasher, [pin.full_name for pin in net.sink_pins])
-        _feed(hasher, [p.name for p in net.sink_ports])
+    _feed_strings(hasher, [cell.name for cell in cells])
+    _feed_strings(hasher, [cell.master.name for cell in cells])
+    _feed_strings(hasher, [cell.unit for cell in cells])
+    _feed_numbers(hasher, [cell.fixed for cell in cells], "?")
+    _feed_strings(hasher, [port.name for port in ports])
+    _feed_strings(hasher, [port.direction for port in ports])
+    _feed_strings(hasher, [net.name for net in nets])
+    drivers = [net.driver_pin for net in nets]
+    _feed_strings(hasher, [pin.cell.name if pin is not None else None for pin in drivers])
+    _feed_strings(hasher, [pin.name if pin is not None else None for pin in drivers])
+    _feed_strings(hasher, [
+        net.driver_port.name if net.driver_port is not None else None for net in nets
+    ])
+    # Sink order is content: it shapes compiled gather order and the
+    # floating-point association of every downstream reduction.
+    _feed_numbers(hasher, [len(net.sink_pins) for net in nets], "<i8")
+    sinks = [pin for net in nets for pin in net.sink_pins]
+    _feed_strings(hasher, [pin.cell.name for pin in sinks])
+    _feed_strings(hasher, [pin.name for pin in sinks])
+    _feed_numbers(hasher, [len(net.sink_ports) for net in nets], "<i8")
+    _feed_strings(hasher, [port.name for net in nets for port in net.sink_ports])
     digest = hasher.hexdigest()
     netlist._content_digest_memo = (version, digest)
     return digest
@@ -163,31 +222,34 @@ def netlist_digest(netlist: Netlist) -> str:
 def placement_digest(placement: Placement) -> str:
     """Content digest of a placed design: structure + geometry + coordinates.
 
-    Memoised against ``(netlist version, placement epoch)``; the epoch is
-    process-wide, so *any* cell move anywhere invalidates the memo — a
-    conservative over-invalidation that costs a re-hash, never a stale key.
+    Cell x/y/row and port x/y are hashed as masked arrays.  Memoised
+    against :meth:`~repro.netlist.netlist.Netlist.placement_state`: a move
+    in this design (or a process-wide raw-write bump) re-hashes, while
+    moves in any other design leave the memo valid.
     """
-    from ..netlist.cell import CellInstance
-
     netlist = placement.netlist
-    state = (netlist._version, CellInstance.placement_epoch)
+    state = netlist.placement_state()
     memo = getattr(placement, "_content_digest_memo", None)
     if memo is not None and memo[0] == state:
         return memo[1]
     floorplan = placement.floorplan
+    cells = list(netlist.cells.values())
+    ports = list(netlist.ports.values())
     hasher = _new_hasher()
     _feed(hasher, ("placement", netlist_digest(netlist)))
     _feed(hasher, (
         floorplan.core_width, floorplan.core_height, floorplan.row_height,
         floorplan.site_width, floorplan.die_margin,
     ))
-    for cell in netlist.cells.values():
-        _feed(hasher, (cell.x, cell.y, cell.row))
-    for port in netlist.ports.values():
-        _feed(hasher, (port.x, port.y))
-    for unit in sorted(placement.regions):
-        rect = placement.regions[unit]
-        _feed(hasher, (unit, rect.x0, rect.y0, rect.x1, rect.y1))
+    _feed_numbers(hasher, [cell.x for cell in cells], "<f8")
+    _feed_numbers(hasher, [cell.y for cell in cells], "<f8")
+    _feed_numbers(hasher, [cell.row for cell in cells], "<i8")
+    _feed_numbers(hasher, [port.x for port in ports], "<f8")
+    _feed_numbers(hasher, [port.y for port in ports], "<f8")
+    units = sorted(placement.regions)
+    rects = [placement.regions[unit] for unit in units]
+    _feed_strings(hasher, units)
+    _feed_numbers(hasher, [v for r in rects for v in (r.x0, r.y0, r.x1, r.y1)], "<f8")
     digest = hasher.hexdigest()
     placement._content_digest_memo = (state, digest)
     return digest

@@ -26,9 +26,10 @@ Instances are obtained through :meth:`Netlist.compiled`, which caches the
 compiled form and rebuilds it when the netlist's structural version changes
 (any mutation through the ``Netlist`` API bumps the version).  Placement
 coordinates are *not* baked in: coordinate-dependent arrays are gathered on
-demand and cached against the process-wide
-:attr:`CellInstance.placement_epoch`, so moving cells never stales a
-compiled netlist.
+demand and cached against :meth:`Netlist.placement_state` — the design's own
+placement stamp plus the process-wide raw-write generation — so moving cells
+never stales a compiled netlist, and moves in another design never evict
+this one's coordinates.
 """
 
 from __future__ import annotations
@@ -138,8 +139,8 @@ class CompiledNetlist:
         self._sta_arrays: Optional[Tuple[np.ndarray, np.ndarray, List[str], np.ndarray, np.ndarray]] = None
         self._terminals_built = False
 
-        # -- coordinate cache (placement-epoch keyed) ---------------------
-        self._coords_epoch = -1
+        # -- coordinate cache (placement-state keyed) ---------------------
+        self._coords_state: Optional[Tuple[int, int, int]] = None
         self._coords: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
@@ -556,7 +557,7 @@ class CompiledNetlist:
                 self._eval_group(group, values)
 
     # ------------------------------------------------------------------
-    # Coordinate-dependent arrays (placement-epoch cached)
+    # Coordinate-dependent arrays (placement-state cached)
     # ------------------------------------------------------------------
 
     def cell_center_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -564,11 +565,11 @@ class CompiledNetlist:
 
         Arrays are aligned with :attr:`cell_names`; unplaced cells carry
         ``NaN`` coordinates and ``False`` in the mask.  The gather is cached
-        against :attr:`CellInstance.placement_epoch`, so repeated calls with
-        no intervening cell movement are free.
+        against :meth:`Netlist.placement_state`, so repeated calls with no
+        intervening move in this design are free.
         """
-        epoch = CellInstance.placement_epoch
-        if self._coords is not None and self._coords_epoch == epoch:
+        state = self.netlist.placement_state()
+        if self._coords is not None and self._coords_state == state:
             return self._coords
         n = self.num_cells
         cx = np.full(n, np.nan)
@@ -583,7 +584,7 @@ class CompiledNetlist:
             cy[i] = cell.y + half_h
             placed[i] = True
         self._coords = (cx, cy, placed)
-        self._coords_epoch = epoch
+        self._coords_state = state
         return self._coords
 
     # ------------------------------------------------------------------

@@ -9,9 +9,9 @@ net/fanout statistics.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from .cell import CellInstance, Pin
+from .cell import CellInstance, Pin, next_stamp
 from .library import CellLibrary, MasterCell
 from .net import Net, Port
 
@@ -34,9 +34,39 @@ class Netlist:
         #: array form (:meth:`compiled`) is cached against it.
         self._version = 0
         self._compiled = None
+        #: Placement stamp: a process-unique value rewritten by every move
+        #: of one of this design's cells or ports (see
+        #: :meth:`placement_state`).
+        self._placement_stamp = next_stamp()
 
     def _invalidate(self) -> None:
         self._version += 1
+
+    def mark_placement_changed(self) -> None:
+        """Record that this design's cell or port coordinates changed.
+
+        :meth:`CellInstance.place` and :meth:`place_port` advance the stamp
+        themselves; call this after assigning ``cell.x`` / ``cell.y`` /
+        ``cell.row`` directly.
+        """
+        self._placement_stamp = next_stamp()
+
+    def placement_state(self) -> Tuple[int, int, int]:
+        """The state every coordinate-derived cache is keyed on.
+
+        ``(structural version, placement stamp, process-wide raw-write
+        generation)``: it changes when the structure changes, when a cell
+        or port of *this* design moves, or when
+        :meth:`CellInstance.bump_placement_epoch` is called.  Stamps are
+        unique across designs, so two netlists never share a state.
+        """
+        return (self._version, self._placement_stamp, CellInstance.placement_epoch)
+
+    def place_port(self, port: Port, x: float, y: float) -> None:
+        """Move a primary port to ``(x, y)`` and advance the placement stamp."""
+        port.x = x
+        port.y = y
+        self.mark_placement_changed()
 
     def invalidate_compiled(self) -> None:
         """Force recompilation of the cached array form.
@@ -83,7 +113,7 @@ class Netlist:
         if name in self.cells:
             raise ValueError(f"duplicate cell instance {name!r}")
         master_cell = self.library[master] if isinstance(master, str) else master
-        inst = CellInstance(name, master_cell, unit=unit)
+        inst = CellInstance(name, master_cell, unit=unit, owner=self)
         self.cells[name] = inst
         self._invalidate()
         return inst
@@ -322,7 +352,7 @@ class Netlist:
         # once per strategy evaluation on the full design.
         clone_cells = clone.cells
         for inst in self.cells.values():
-            new = CellInstance(inst.name, inst.master, unit=inst.unit)
+            new = CellInstance(inst.name, inst.master, unit=inst.unit, owner=clone)
             new.x = inst.x
             new.y = inst.y
             new.row = inst.row
@@ -442,7 +472,7 @@ def _netlist_from_state(name, library, cells, ports, nets) -> Netlist:
     netlist = Netlist(name, library)
     clone_cells = netlist.cells
     for cell_name, master_name, unit, x, y, row, fixed in cells:
-        inst = CellInstance(cell_name, library[master_name], unit=unit)
+        inst = CellInstance(cell_name, library[master_name], unit=unit, owner=netlist)
         inst.x = x
         inst.y = y
         inst.row = row

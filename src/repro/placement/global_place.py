@@ -44,7 +44,8 @@ def assign_port_positions(netlist: Netlist, floorplan: Floorplan) -> None:
 
     Ports are ordered by name and distributed clockwise along the core
     perimeter starting at the lower-left corner.  Positions are stored on
-    the ports themselves (``port.x``, ``port.y``).
+    the ports themselves (``port.x``, ``port.y``) through
+    :meth:`Netlist.place_port`, so the design's placement stamp advances.
     """
     ports = sorted(netlist.ports.values(), key=lambda p: p.name)
     if not ports:
@@ -56,13 +57,13 @@ def assign_port_positions(netlist: Netlist, floorplan: Floorplan) -> None:
     for i, port in enumerate(ports):
         distance = (i + 0.5) * step
         if distance < width:
-            port.x, port.y = distance, 0.0
+            netlist.place_port(port, distance, 0.0)
         elif distance < width + height:
-            port.x, port.y = width, distance - width
+            netlist.place_port(port, width, distance - width)
         elif distance < 2.0 * width + height:
-            port.x, port.y = 2.0 * width + height - distance, height
+            netlist.place_port(port, 2.0 * width + height - distance, height)
         else:
-            port.x, port.y = 0.0, perimeter - distance
+            netlist.place_port(port, 0.0, perimeter - distance)
 
 
 class QuadraticPlacer:

@@ -199,8 +199,8 @@ class Placement:
 
         This is the supported entry point after assigning ``cell.x`` /
         ``cell.y`` directly (bypassing :meth:`CellInstance.place`), so it
-        also advances the placement epoch — cached coordinate arrays must
-        see the moves.
+        also advances the design's placement stamp — cached coordinate
+        arrays and digests must see the moves.
         """
         for row in self.rows:
             row.cells.clear()
@@ -213,7 +213,7 @@ class Placement:
             self.rows[index].cells.append(cell)
         for row in self.rows:
             row.sort()
-        CellInstance.bump_placement_epoch()
+        self.netlist.mark_placement_changed()
 
     def placed_cells(self, include_fillers: bool = True) -> List[CellInstance]:
         """All placed cells, optionally excluding fillers."""
@@ -252,10 +252,10 @@ class Placement:
         """Per-cell centre coordinate arrays ``(cx, cy, placed_mask)``.
 
         Aligned with the netlist's compiled cell order and cached against
-        the process-wide placement epoch (see
+        :meth:`Netlist.placement_state` (see
         :meth:`repro.netlist.compiled.CompiledNetlist.cell_center_arrays`),
         so the thermal-grid binning and temperature lookups pay the gather
-        only when cells have actually moved.
+        only when this design's cells have actually moved.
         """
         return self.netlist.compiled().cell_center_arrays()
 

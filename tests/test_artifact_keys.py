@@ -18,14 +18,22 @@ from __future__ import annotations
 
 import math
 import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.flow import ArtifactStore, FlowGraph, netlist_digest, placement_digest
+from repro.flow import (
+    ArtifactStore, Campaign, ExperimentSetup, FlowGraph, netlist_digest, placement_digest,
+)
+from repro.flow import artifacts
 from repro.flow.artifacts import hash_parts, power_digest, thermal_map_digest
+from repro.netlist import Netlist
 from repro.netlist.cell import CellInstance
+from repro.placement import assign_port_positions
 
 _SETTINGS = dict(max_examples=20, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -34,6 +42,20 @@ _SETTINGS = dict(max_examples=20, deadline=None,
 def _clone(placement):
     """An independent, content-equal copy of a placement."""
     return pickle.loads(pickle.dumps(placement))
+
+
+@pytest.fixture
+def hash_calls(monkeypatch):
+    """Names of the functions that open a content hash, in call order."""
+    calls = []
+    real = artifacts._new_hasher
+
+    def counting():
+        calls.append(sys._getframe(1).f_code.co_name)
+        return real()
+
+    monkeypatch.setattr(artifacts, "_new_hasher", counting)
+    return calls
 
 
 class TestHashParts:
@@ -227,3 +249,184 @@ class TestStageKeySensitivity:
         hot = flow.sta(small_placement, temperature=math.nextafter(40.0, math.inf))
         assert cold.key != hot.key
         assert flow.stage_executions["sta"] == 2
+
+
+class TestPortMoves:
+    def test_moving_one_port_changes_placement_digest(self, small_placement):
+        clone = _clone(small_placement)
+        before = placement_digest(clone)
+        port = next(iter(clone.netlist.ports.values()))
+        clone.netlist.place_port(port, port.x + 1.0, port.y)
+        assert placement_digest(clone) != before
+
+    def test_reassigning_port_positions_changes_placement_digest(self, small_placement):
+        """The global placer's port spreading must not leave a stale key."""
+        clone = _clone(small_placement)
+        before = placement_digest(clone)
+        assign_port_positions(clone.netlist, clone.floorplan.with_extra_rows(4))
+        assert placement_digest(clone) != before
+
+
+class TestPlacementStamps:
+    def test_move_in_another_design_keeps_memo(self, small_placement, hash_calls):
+        a, b = _clone(small_placement), _clone(small_placement)
+        digest = placement_digest(a)
+        cell = next(iter(b.netlist.cells.values()))
+        cell.place(cell.x + 1.0, cell.y, cell.row)
+        hash_calls.clear()
+        assert placement_digest(a) == digest
+        assert hash_calls == []
+
+    def test_move_in_same_design_invalidates_memo(self, small_placement, hash_calls):
+        a = _clone(small_placement)
+        digest = placement_digest(a)
+        cell = next(iter(a.netlist.cells.values()))
+        cell.place(cell.x + 1.0, cell.y, cell.row)
+        hash_calls.clear()
+        assert placement_digest(a) != digest
+        assert hash_calls == ["placement_digest"]
+
+    def test_move_in_another_design_keeps_compiled_coordinates(self, small_placement):
+        a, b = _clone(small_placement), _clone(small_placement)
+        coords = a.cell_center_arrays()
+        cell = next(iter(b.netlist.cells.values()))
+        cell.place(cell.x + 1.0, cell.y, cell.row)
+        assert a.cell_center_arrays() is coords
+        moved = next(iter(a.netlist.cells.values()))
+        moved.place(moved.x + 1.0, moved.y, moved.row)
+        refreshed = a.cell_center_arrays()
+        assert refreshed is not coords
+        assert refreshed[0][0] == coords[0][0] + 1.0
+
+    def test_concurrent_moves_never_leave_a_stale_digest(self, small_placement):
+        """One mover and one hasher thread per design, four threads on
+        fewer cores with a tiny switch interval: once the movers finish,
+        every memoised digest and coordinate gather matches a fresh one."""
+        designs = [_clone(small_placement) for _ in range(2)]
+        done = [threading.Event() for _ in designs]
+
+        def move(index):
+            cells = list(designs[index].netlist.cells.values())[:100]
+            for _ in range(30):
+                for cell in cells:
+                    cell.place(cell.x + 0.25, cell.y, cell.row)
+            done[index].set()
+
+        def hash_until_done(index):
+            while not done[index].is_set():
+                placement_digest(designs[index])
+                designs[index].cell_center_arrays()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(fn, i) for i in range(2) for fn in (move, hash_until_done)]
+                for future in futures:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        for design in designs:
+            fresh = _clone(design)
+            assert placement_digest(design) == placement_digest(fresh)
+            for got, want in zip(design.cell_center_arrays(), fresh.cell_center_arrays()):
+                np.testing.assert_array_equal(got, want)
+
+    def test_copied_and_unpickled_cells_are_owned_by_the_new_design(self, small_placement):
+        netlist = small_placement.netlist
+        for clone in (netlist.copy(), pickle.loads(pickle.dumps(netlist))):
+            assert all(cell.owner is clone for cell in clone.cells.values())
+        assert all(cell.owner is netlist for cell in netlist.cells.values())
+
+    def test_standalone_cell_pickle_leaves_its_design_behind(self, small_circuit):
+        """A pickled cell carries its own slots (and, if connected, the net
+        objects its pins reach) but never the owning netlist."""
+        design = small_circuit.copy()
+        cell = design.add_cell("lonely", "INV_X1")
+        cell.place(1.0, 2.0, 0)
+        blob = pickle.dumps(cell)
+        assert b"_netlist_from_state" not in blob
+        assert len(blob) < 2048
+        restored = pickle.loads(blob)
+        assert restored.owner is None
+        assert (restored.name, restored.x, restored.y, restored.row) == ("lonely", 1.0, 2.0, 0)
+        restored.place(3.0, 2.0, 0)  # a free-standing cell still moves
+
+
+class TestEncodingBoundaries:
+    def _netlist(self, library, cell_names, sinks_per_net=()):
+        netlist = Netlist("enc", library)
+        for name in cell_names:
+            netlist.add_cell(name, "INV_X1")
+        for net, sinks in sinks_per_net:
+            for name in sinks:
+                netlist.connect(net, netlist.cells[name].pin("A"))
+        return netlist
+
+    def test_cell_name_boundaries(self, library):
+        assert netlist_digest(self._netlist(library, ["ab", "c"])) != netlist_digest(
+            self._netlist(library, ["a", "bc"])
+        )
+
+    def test_sink_list_boundaries(self, library):
+        names = ["x", "y", "z"]
+        first = self._netlist(library, names, [("n1", ["x", "y"]), ("n2", ["z"])])
+        second = self._netlist(library, names, [("n1", ["x"]), ("n2", ["y", "z"])])
+        assert netlist_digest(first) != netlist_digest(second)
+
+    def test_string_columns_separate_joins_and_none(self):
+        def column(values):
+            hasher = artifacts._new_hasher()
+            artifacts._feed_strings(hasher, values)
+            return hasher.hexdigest()
+
+        assert column(["ab", "c"]) != column(["a", "bc"])
+        assert column([None]) != column([""])
+        assert column(["a", None]) != column([None, "a"])
+
+    def test_unplaced_cell_differs_from_one_at_zero(self, small_placement):
+        at_zero, unplaced = _clone(small_placement), _clone(small_placement)
+        next(iter(at_zero.netlist.cells.values())).x = 0.0
+        next(iter(unplaced.netlist.cells.values())).x = None
+        at_zero.netlist.mark_placement_changed()
+        unplaced.netlist.mark_placement_changed()
+        assert placement_digest(at_zero) != placement_digest(unplaced)
+
+    def test_signed_zero_is_a_different_coordinate(self, small_placement):
+        """Raw float64 bytes: ``-0.0`` and ``0.0`` hash apart."""
+        pos, neg = _clone(small_placement), _clone(small_placement)
+        next(iter(pos.netlist.cells.values())).x = 0.0
+        next(iter(neg.netlist.cells.values())).x = -0.0
+        pos.netlist.mark_placement_changed()
+        neg.netlist.mark_placement_changed()
+        assert placement_digest(pos) != placement_digest(neg)
+
+
+@pytest.fixture(scope="module")
+def sweep_setup(small_circuit, small_workload):
+    return ExperimentSetup.prepare(
+        small_circuit.copy(), small_workload, num_cycles=10, batch_size=8, seed=7,
+    )
+
+
+class TestHashCounts:
+    """A batched sweep hashes each placement exactly once (a count gate,
+    not a wall-clock floor)."""
+
+    STRATEGIES = ("default", "eri", "hw", "hybrid", "gradient")
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_one_placement_hash_per_transformed_placement(
+        self, sweep_setup, hash_calls, max_workers
+    ):
+        placement_digest(sweep_setup.placement)  # the baseline is already hashed
+        hash_calls.clear()
+        flow = FlowGraph()
+        campaign = Campaign(
+            sweep_setup, strategies=self.STRATEGIES, overheads=(0.1, 0.2),
+            analyze_timing=True, cache=flow.solver_cache, batch_solves=True, flow=flow,
+        )
+        result = campaign.run(max_workers=max_workers)
+        assert len(result.records) == 10
+        assert flow.stage_executions["whitespace"] == 10
+        assert hash_calls.count("placement_digest") == 10
