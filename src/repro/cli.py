@@ -327,8 +327,8 @@ def run_sweep(args: argparse.Namespace) -> int:
     flow = _build_flow(args)
     setup = _prepare_setup(args, scattered_hotspots_workload, flow)
     store = ResultStore(root=args.result_store) if args.result_store else None
-    # The process executor is incompatible with batched solves and the
-    # artifact graph (both are per-process); it brings its own parallelism.
+    # The process executor is incompatible with the artifact graph (it is
+    # per-process); it brings its own parallelism.
     sharded = args.executor == "process"
     if args.max_point_retries < 0:
         raise ValueError("--max-point-retries must be >= 0")
@@ -340,7 +340,6 @@ def run_sweep(args: argparse.Namespace) -> int:
         analyze_timing=args.timing,
         cache=flow.solver_cache,
         name="figure6-sweep",
-        batch_solves=not sharded,
         flow=None if sharded else flow,
         result_store=store,
         executor=args.executor,

@@ -2,19 +2,21 @@
 
 One figure of the paper is a grid of experiment points — Figure 6 sweeps
 three strategies over eight overheads, Table I pairs Default and ERI rows.
-:class:`Campaign` executes such a grid as a unit: every point is one
-:func:`~repro.flow.experiment.evaluate_strategy` call, all points share one
-:class:`~repro.flow.cache.SolverCache` (so die outlines revisited by
-different points pay the solver setup once), and the grid can be executed
-by a thread pool — the sparse solver kernels release the GIL inside
-SciPy, so thermal-bound campaigns scale with cores.  With
-``batch_solves=True`` the runner additionally groups the grid points by
-transformed die geometry and solves each group's power maps as one
-warm-started multi-RHS block
-(:meth:`~repro.thermal.solver.ThermalSolver.solve_many`).
+:class:`Campaign` executes such a grid as a unit, in three phases: every
+point's transform (:func:`~repro.flow.experiment.prepare_evaluation`) runs
+on a thread pool — the sparse kernels release the GIL inside SciPy, so
+campaigns scale with cores — then the points are grouped by transformed
+die geometry and each group's power maps are solved as one warm-started
+multi-RHS block (:meth:`~repro.thermal.solver.ThermalSolver.solve_many`)
+on a solver from the shared :class:`~repro.flow.cache.SolverCache`, and
+finally each point's outcome is extracted
+(:func:`~repro.flow.experiment.finish_evaluation`).
 
 Results are deterministic: records are returned in grid order (workload,
 then strategy, then overhead) regardless of worker scheduling, and every
+batched lane is bitwise identical to a one-point solve, so a record never
+depends on which points shared its batch — it equals
+:func:`~repro.flow.experiment.evaluate_strategy` of the same point.  Every
 record carries the full :class:`~repro.flow.experiment.StrategyOutcome`
 plus its wall-clock cost.  :class:`CampaignResult` persists to JSON or CSV
 and round-trips back, which is what the ``repro`` command line uses to
@@ -30,6 +32,7 @@ import os
 import signal
 import threading
 import time
+import warnings
 from collections import OrderedDict
 from contextlib import nullcontext
 from concurrent.futures import ThreadPoolExecutor
@@ -52,7 +55,6 @@ from .experiment import (
     ExperimentSetup,
     PreparedEvaluation,
     StrategyOutcome,
-    evaluate_strategy,
     finish_evaluation,
     prepare_evaluation,
 )
@@ -384,23 +386,17 @@ class Campaign:
         cache: Solver cache shared by all points; a fresh unbounded
             :class:`SolverCache` is created when omitted.
         name: Campaign name recorded in the result metadata.
-        batch_solves: Group the grid points by transformed die geometry and
-            solve each group's power maps as one batched multi-RHS block
-            (:meth:`~repro.thermal.solver.ThermalSolver.solve_many`), warm-
-            started from the baseline temperature fields.  Results match
-            the per-point path to better than 1e-12 relative but are not
-            bit-for-bit identical to it (per-lane iterates round
-            differently), which is why batching is opt-in.
-        flow: Optional :class:`~repro.flow.graph.FlowGraph`; every point
-            then runs its stages against the graph's content-addressed
-            store, so points (or whole re-runs) whose stage inputs are
-            unchanged re-execute nothing.  When given and ``cache`` is
-            omitted, the graph's solver cache becomes the campaign's.  With
-            ``batch_solves`` the transform stages still go through the
-            graph but the grouped multi-RHS solves stay outside the
-            artifact store — batched temperature fields are not bitwise
-            reproducible per-point, so caching them would poison
-            content-addressed reuse.
+        batch_solves: Deprecated and ignored: every thread-executed run
+            groups its points by die geometry and solves each group as one
+            multi-RHS block, whose lanes are bitwise identical to one-point
+            solves.  Passing it emits a :class:`DeprecationWarning`.
+        flow: Optional :class:`~repro.flow.graph.FlowGraph`; the transform
+            and timing stages of every point then run against the graph's
+            content-addressed store, so points (or whole re-runs) whose
+            stage inputs are unchanged re-execute nothing.  When given and
+            ``cache`` is omitted, the graph's solver cache becomes the
+            campaign's.  The grouped multi-RHS solves stay outside the
+            artifact store.
         result_store: Optional :class:`~repro.flow.store.ResultStore`.
             Every completed point is published to it as soon as the point
             finishes, and every run starts by sweeping the grid against it
@@ -413,8 +409,8 @@ class Campaign:
             (:mod:`repro.flow.shard`) whose baselines share power-map and
             temperature-field arrays via ``multiprocessing.shared_memory``.
             Both produce records bitwise-identical to a serial run.  The
-            process executor is incompatible with ``batch_solves`` and
-            ``flow`` (per-process artifact stores would defeat both).
+            process executor evaluates point by point and is incompatible
+            with ``flow`` (per-process artifact stores would defeat it).
         retry_policy: Per-point :class:`~repro.faults.RetryPolicy`.  The
             default never retries; a policy with ``max_attempts > 1``
             re-runs a point that raised a retryable exception, with
@@ -446,7 +442,7 @@ class Campaign:
         analyze_timing: bool = False,
         cache: Optional[SolverCache] = None,
         name: str = "campaign",
-        batch_solves: bool = False,
+        batch_solves: Optional[bool] = None,
         flow: Optional[FlowGraph] = None,
         result_store: Optional[ResultStore] = None,
         executor: str = "thread",
@@ -462,8 +458,13 @@ class Campaign:
             raise ValueError(
                 f"executor must be one of {EXECUTORS}, got {executor!r}"
             )
-        if executor == "process" and batch_solves:
-            raise ValueError("executor='process' is incompatible with batch_solves")
+        if batch_solves is not None:
+            warnings.warn(
+                "Campaign(batch_solves=...) is deprecated and ignored: "
+                "points sharing a die geometry are always solved as one batch",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         if executor == "process" and flow is not None:
             raise ValueError("executor='process' is incompatible with flow")
         self.setups: Dict[str, ExperimentSetup] = dict(setups)
@@ -475,7 +476,6 @@ class Campaign:
             cache = flow.solver_cache if flow is not None else SolverCache()
         self.cache = cache
         self.name = name
-        self.batch_solves = batch_solves
         self.result_store = result_store
         self.executor = executor
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
@@ -545,12 +545,12 @@ class Campaign:
         )
 
     def stop(self) -> None:
-        """Ask a running campaign to stop after the points already started.
+        """Ask a running campaign to stop at the next point or group boundary.
 
-        Finished points keep their records (and are flushed to the result
-        store when one is attached); unstarted points are skipped and the
-        result's metadata gets ``interrupted: True``.  This is what the
-        SIGINT handler installed by :meth:`run` calls.
+        Finished points keep their records (and are already published to
+        the result store when one is attached); unfinished points are
+        skipped and the result's metadata gets ``interrupted: True``.
+        This is what the SIGINT handler installed by :meth:`run` calls.
         """
         self._stop_event.set()
 
@@ -620,50 +620,13 @@ class Campaign:
         )
         return FailedPoint(point=point, error=repr(error), attempts=attempts)
 
-    # ------------------------------------------------------------------
-
-    def _evaluate(
-        self, index: int, total: int, point: CampaignPoint, attempt: int = 0
-    ) -> CampaignRecord:
-        with self._point_scope():
-            inject(
-                "point.evaluate",
-                {
-                    "workload": point.workload,
-                    "strategy": point.strategy,
-                    "overhead": point.overhead,
-                    "attempt": attempt,
-                },
-            )
-            start = time.perf_counter()
-            outcome = evaluate_strategy(
-                self.setups[point.workload],
-                point.strategy,
-                point.overhead,
-                analyze_timing=self.analyze_timing,
-                cache=self.cache,
-                flow=self.flow,
-            )
-            elapsed = time.perf_counter() - start
-        logger.info(
-            "[%d/%d] %s %s @ %.1f%%: reduction %.2f%% in %.2fs",
-            index + 1,
-            total,
-            point.workload,
-            point.strategy,
-            point.overhead * 100.0,
-            outcome.temperature_reduction * 100.0,
-            elapsed,
-        )
-        return CampaignRecord(point=point, outcome=outcome, elapsed_s=elapsed)
-
-    # -- batched execution ---------------------------------------------------
+    # -- execution -----------------------------------------------------------
 
     def _prepare(
         self, point: CampaignPoint, attempt: int = 0
     ) -> Tuple[PreparedEvaluation, float]:
-        # Same site and context as :meth:`_evaluate`: a rule targeting a
-        # point fires regardless of which execution path runs it.
+        # Same site and context as a process-executor worker: a rule
+        # targeting a point fires regardless of which executor runs it.
         with self._point_scope():
             inject(
                 "point.evaluate",
@@ -770,7 +733,7 @@ class Campaign:
             )
         elapsed = elapsed_so_far + (time.perf_counter() - start)
         logger.info(
-            "[%d/%d] %s %s @ %.1f%%: reduction %.2f%% in %.2fs (batched)",
+            "[%d/%d] %s %s @ %.1f%%: reduction %.2f%% in %.2fs",
             index + 1,
             total,
             point.workload,
@@ -781,9 +744,18 @@ class Campaign:
         )
         return CampaignRecord(point=point, outcome=outcome, elapsed_s=elapsed)
 
-    def _run_batched(self, points: List[CampaignPoint], max_workers: int) -> List:
+    def _execute(
+        self,
+        points: List[CampaignPoint],
+        max_workers: int,
+        keys: Optional[Sequence[str]] = None,
+    ) -> List:
         """Three-phase execution: transform all points, solve by geometry
         group, then extract outcomes.
+
+        With ``keys`` (aligned with ``points``) every record is published
+        to the result store the moment its point finishes, so a crash
+        loses only the points still in flight.
 
         Interruption-aware: a stop request skips the points not yet
         prepared, breaks out between solve groups, and leaves ``None`` in
@@ -835,6 +807,8 @@ class Campaign:
                     prep_time[pos] + solve_time[pos],
                 ),
             )
+            if keys is not None and isinstance(record, CampaignRecord):
+                self.result_store.put(keys[live[pos]], record)
             # Backpressure for huge served batches: a finished point's
             # prepared evaluation and thermal map are released immediately
             # instead of pinning the whole batch's peak until it returns.
@@ -853,11 +827,11 @@ class Campaign:
         """Evaluate an explicit point list (not the campaign's own grid).
 
         This is the batching entry the ``repro serve`` daemon uses: it
-        collects points from *different client requests*, and — with
-        ``batch_solves`` — this method groups them by transformed die
-        geometry and solves each group as one warm-started multi-RHS
-        block, regardless of which request each point came from.  Points
-        must reference workloads present in ``setups``.
+        collects points from *different client requests*, and this method
+        groups them by transformed die geometry and solves each group as
+        one warm-started multi-RHS block, regardless of which request each
+        point came from.  Points must reference workloads present in
+        ``setups``.  Nothing is published to the result store.
 
         Returns:
             One entry per point, in the given order: a
@@ -871,46 +845,7 @@ class Campaign:
         if max_workers is None:
             max_workers = max(1, min(len(points) or 1, os.cpu_count() or 1))
         self._num_solve_groups = 0
-        if self.batch_solves:
-            return self._run_batched(points, max_workers)
-        total = len(points)
-        return _map_indexed(
-            lambda index, point: self._guarded_point(
-                point,
-                lambda attempt, index=index, point=point: self._evaluate(
-                    index, total, point, attempt=attempt
-                ),
-            ),
-            points,
-            max_workers,
-        )
-
-    def _evaluate_pending(
-        self, index: int, total: int, point: CampaignPoint, key: Optional[str]
-    ):
-        """Evaluate one not-yet-stored point (thread/serial executor).
-
-        Skips (returns ``None``) after a stop request.  With a result
-        store attached the evaluation goes through cross-process
-        single-flight, so two campaigns (or a campaign and the serve
-        daemon) racing on the same point compute it once between them.
-        An evaluation that raises is retried under the campaign's policy
-        *around* the store transaction (a failed attempt publishes
-        nothing); exhaustion quarantines the point as a
-        :class:`FailedPoint`.
-        """
-        if self._stop_event.is_set():
-            return None
-
-        def attempt_once(attempt: int):
-            if self.result_store is None or key is None:
-                return self._evaluate(index, total, point, attempt=attempt)
-            record, _computed = self.result_store.compute_if_missing(
-                key, lambda: self._evaluate(index, total, point, attempt=attempt)
-            )
-            return record
-
-        return self._guarded_point(point, attempt_once)
+        return self._execute(points, max_workers)
 
     def run(self, max_workers: Optional[int] = None) -> CampaignResult:
         """Execute every grid point and collect the records in grid order.
@@ -921,11 +856,12 @@ class Campaign:
         repeated sweeps incremental and interrupted sweeps resumable.
 
         When called from the main thread, a SIGINT handler is installed
-        for the duration of the run: the first Ctrl-C stops scheduling new
-        points, lets in-flight ones finish and flush to the store, and
-        returns a partial result whose metadata carries
-        ``interrupted: True`` (no exception is raised).  A rerun with the
-        same store recomputes none of the finished points.
+        for the duration of the run: the first Ctrl-C stops at the next
+        point or solve-group boundary, keeps every finished point (each
+        already published to the store), and returns a partial result
+        whose metadata carries ``interrupted: True`` (no exception is
+        raised).  A rerun with the same store recomputes none of the
+        finished points.
 
         Args:
             max_workers: Worker threads (or processes, with
@@ -1029,16 +965,11 @@ class Campaign:
                     self._retries += shard_run.retries
                     self._respawns += shard_run.respawns
                     self._timeouts += shard_run.timeouts
-            elif self.batch_solves:
-                computed = self._run_batched(pending_points, max_workers)
             else:
-                computed = _map_indexed(
-                    lambda pos, point: self._evaluate_pending(
-                        pending[pos], total, point,
-                        keys[pending[pos]] if keys is not None else None,
-                    ),
+                computed = self._execute(
                     pending_points,
                     max_workers,
+                    keys=[keys[i] for i in pending] if keys is not None else None,
                 )
         finally:
             for signum, handler in previous_handlers:
@@ -1052,13 +983,6 @@ class Campaign:
         num_evaluated = 0
         failed: List[FailedPoint] = []
         failed_indices: set = set()
-        publish = (
-            self.result_store is not None
-            and keys is not None
-            # The thread executor already published through
-            # compute_if_missing; batched and sharded paths publish here.
-            and (self.batch_solves or self.executor == "process")
-        )
         for pos, entry in enumerate(computed):
             if entry is None:
                 continue
@@ -1071,8 +995,6 @@ class Campaign:
                 continue
             records[index] = entry
             num_evaluated += 1
-            if publish:
-                self.result_store.put(keys[index], entry)
 
         elapsed = time.perf_counter() - start
         logger.info("campaign %r: finished in %.2fs", self.name, elapsed)
@@ -1114,7 +1036,6 @@ class Campaign:
             "elapsed_s": elapsed,
             "solver_cache": self.cache.stats().as_dict(),
             "thermal_solver": self.cache.method,
-            "batch_solves": self.batch_solves,
             "num_solve_groups": self._num_solve_groups,
             "executor": self.executor,
             "interrupted": interrupted,

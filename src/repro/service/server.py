@@ -18,9 +18,10 @@ every point against three tiers, cheapest first:
    big batched solves, with ``num_solve_groups`` < total points.
 
 Records are computed by the same :class:`~repro.flow.runner.Campaign`
-machinery clients would run locally, so server-side results are
-bitwise-identical to an in-process sweep (on the LU backend; multigrid
-batches agree to ~1e-12, exactly as ``Campaign(batch_solves=True)``).
+machinery clients would run locally, and a batched lane is bitwise
+identical to a one-point solve under either solver backend, so server-side
+results are bitwise-identical to an in-process sweep whatever requests
+shared their batch.
 
 The wire protocol is newline-delimited JSON over a plain socket — one
 request object per line, one response object per line, stdlib only.
@@ -494,7 +495,6 @@ class SweepServer:
                     analyze_timing=analyze_timing,
                     cache=self.cache,
                     name=f"serve-batch{'-timing' if analyze_timing else ''}",
-                    batch_solves=True,
                     point_timeout_s=self.point_timeout_s,
                 )
                 self._campaigns[analyze_timing] = campaign

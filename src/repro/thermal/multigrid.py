@@ -456,9 +456,17 @@ class MultigridSolver:
 
     @staticmethod
     def _lane_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # einsum keeps the per-lane summation order independent of the
-        # number of lanes, so a batched solve reproduces one-lane solves.
-        return np.einsum("nk,nk->k", a, b)
+        # One dot product per lane over contiguous copies of its columns:
+        # a lane's summation order then never depends on how many lanes
+        # share the block, so a batched solve reproduces one-lane solves
+        # bitwise (a single einsum/BLAS call over the whole block orders
+        # the sums differently for one lane than for several).
+        return np.array([
+            np.dot(
+                np.ascontiguousarray(a[:, lane]), np.ascontiguousarray(b[:, lane])
+            )
+            for lane in range(a.shape[1])
+        ])
 
     def solve(
         self,

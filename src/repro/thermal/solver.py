@@ -196,14 +196,24 @@ class ThermalSolver:
         of the solve that produced ``x0`` is exactly its package-node rise
         ``(coupling @ x0) / package_diagonal``, so the base field is
         recovered without any extra solve.
+
+        A ``(num_nodes, k)`` stack is converted lane by lane with exactly
+        the 1-D operations, so a lane's starting guess never depends on
+        the batch it shares (one dense product across lanes would round
+        the dot products differently).
         """
         if self._package_solve is None:
             return x0
+        if x0.ndim == 2:
+            base = np.empty_like(x0)
+            for lane in range(x0.shape[1]):
+                base[:, lane] = self._base_from_physical(
+                    np.ascontiguousarray(x0[:, lane])
+                )
+            return base
         coupling = self.network.package_coupling
         gamma = (coupling @ x0) / self.network.package_diagonal
-        if x0.ndim == 1:
-            return x0 - gamma * self._package_solve
-        return x0 - self._package_solve[:, None] * gamma[None, :]
+        return x0 - gamma * self._package_solve
 
     def _solve_grid(
         self, rhs: np.ndarray, x0: Optional[np.ndarray] = None
@@ -282,8 +292,15 @@ class ThermalSolver:
         if buffer is None:
             buffer = self._rhs_local.rhs = np.zeros(self.grid.num_nodes)
         rhs = self.network.fill_grid_rhs(power_per_cell, buffer)
-        base = self._solve_grid(rhs, x0=x0)
+        return self._lane_map(self._solve_grid(rhs, x0=x0))
 
+    def _lane_map(self, base: np.ndarray) -> ThermalMap:
+        """One lane's :class:`ThermalMap` from its grid-only solution.
+
+        Applies the package-node rank-1 (Sherman-Morrison) correction with
+        1-D operations only, so :meth:`solve` and every lane of
+        :meth:`solve_many` round identically.
+        """
         if self._package_solve is None:
             solution = base
         else:
@@ -292,7 +309,6 @@ class ThermalSolver:
             grid_temps = base + correction * self._package_solve
             package_temp = (coupling @ grid_temps) / self.network.package_diagonal
             solution = np.concatenate([grid_temps, [package_temp]])
-
         return map_from_solution(
             self.grid,
             solution,
@@ -316,19 +332,19 @@ class ThermalSolver:
 
         All smoother/residual arrays of the multigrid backend carry a
         trailing lane axis, so the whole stack is iterated simultaneously
-        (per-lane step sizes keep every lane's result identical to a
-        sequential :meth:`solve` up to rounding, and converged lanes are
-        frozen); the LU backend solves the stacked RHS with one batched
-        triangular solve.  This is what :class:`~repro.flow.runner.Campaign`
-        uses to solve all records sharing a die geometry as one block.
+        (per-lane step sizes, converged lanes frozen); the LU backend
+        solves the stacked RHS with one batched triangular solve.  This is
+        what :class:`~repro.flow.runner.Campaign` uses to solve all records
+        sharing a die geometry as one block.
 
-        The package-node rank-1 correction is applied lane by lane with
-        exactly the 1-D operations of :meth:`solve` (SuperLU's batched
-        triangular solve is already per-column exact), so an LU lane is
-        *bitwise* identical to a sequential :meth:`solve` of the same
-        power map — regardless of which other lanes share the batch.  The
-        campaign service relies on this: cross-request batches regroup
-        points arbitrarily without perturbing any record.
+        Every lane is *bitwise* identical to a sequential :meth:`solve` of
+        the same power map and warm start, under either backend and
+        whichever lanes share the batch: the multigrid reductions, the
+        warm-start conversion and the package-node correction all run lane
+        by lane with the 1-D operations of :meth:`solve`, and SuperLU's
+        batched triangular solve is per-column exact.  Campaigns and the
+        campaign service rely on this: batches regroup points arbitrarily
+        without perturbing any record.
 
         Args:
             power_maps: Power maps (or bare ``(ny, nx)`` arrays) to solve.
@@ -350,34 +366,9 @@ class ThermalSolver:
         for lane, power in enumerate(arrays):
             self.network.fill_grid_rhs(power, rhs[:, lane])
         base = self._solve_grid(rhs, x0=x0)
-
-        maps: List[ThermalMap] = []
-        for lane in range(k):
-            lane_base = np.ascontiguousarray(base[:, lane]) if base.ndim == 2 else base
-            if self._package_solve is None:
-                solution = lane_base
-            else:
-                # Per-lane 1-D correction, operation-for-operation the same
-                # as :meth:`solve`: this keeps every LU lane bitwise equal
-                # to a sequential solve (a lane-batched dgemv would round
-                # the dot products differently).
-                coupling = self.network.package_coupling
-                correction = (coupling @ lane_base) / self._package_denominator
-                grid_temps = lane_base + correction * self._package_solve
-                package_temp = (
-                    coupling @ grid_temps
-                ) / self.network.package_diagonal
-                solution = np.concatenate([grid_temps, [package_temp]])
-            maps.append(
-                map_from_solution(
-                    self.grid,
-                    solution,
-                    package_node=self.network.package_node,
-                    keep_full_field=self.keep_full_field,
-                    fallback_used=self.last_fallback_used,
-                )
-            )
-        return maps
+        return [
+            self._lane_map(np.ascontiguousarray(base[:, lane])) for lane in range(k)
+        ]
 
 
 def grid_for_placement(

@@ -424,7 +424,7 @@ class TestHashCounts:
         flow = FlowGraph()
         campaign = Campaign(
             sweep_setup, strategies=self.STRATEGIES, overheads=(0.1, 0.2),
-            analyze_timing=True, cache=flow.solver_cache, batch_solves=True, flow=flow,
+            analyze_timing=True, cache=flow.solver_cache, flow=flow,
         )
         result = campaign.run(max_workers=max_workers)
         assert len(result.records) == 10

@@ -54,9 +54,9 @@ def served_setup():
 @pytest.fixture(scope="module")
 def reference_result(served_setup):
     """Unloaded in-process sweep the served records must match bitwise."""
-    return Campaign(
-        served_setup, STRATEGIES, OVERHEADS, name="ref", batch_solves=True
-    ).run(max_workers=1)
+    return Campaign(served_setup, STRATEGIES, OVERHEADS, name="ref").run(
+        max_workers=1
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -145,6 +145,12 @@ class TestServerOverloadPaths:
         name = served_setup.workload.name
         with instance:
             host, port = instance.address
+            # Compute the point under a separate client (its own bucket) so
+            # the hasty pair below are store hits: back-to-back must mean a
+            # few ms apart, not a cold solve that can outlast the 0.2 s refill.
+            SweepClient(host=host, port=port, client_id="warmup").sweep(
+                name, ("default",), (0.1,)
+            )
             fail_fast = SweepClient(
                 host=host, port=port, client_id="hasty",
                 retry_policy=RetryPolicy(max_attempts=1),
@@ -258,11 +264,11 @@ class TestFairness:
         reference = {
             "big": Campaign(
                 served_setup, big_grid["strategies"], big_grid["overheads"],
-                name="ref-big", batch_solves=True,
+                name="ref-big",
             ).run(max_workers=1),
             "small": Campaign(
                 served_setup, small_grid["strategies"],
-                small_grid["overheads"], name="ref-small", batch_solves=True,
+                small_grid["overheads"], name="ref-small",
             ).run(max_workers=1),
         }
         instance = SweepServer(

@@ -432,49 +432,9 @@ class TestCampaignResume:
             r.outcome for r in reference.records
         ]
 
-    def test_sigint_flushes_and_resumes(self, store_setup, tmp_path, monkeypatch):
-        """Interrupt mid-run: finished points persist, rerun computes the rest."""
-        from repro.flow import runner as runner_module
-
-        real_evaluate = runner_module.evaluate_strategy
-        calls = {"count": 0}
-
-        def interrupting_evaluate(*args, **kwargs):
-            calls["count"] += 1
-            outcome = real_evaluate(*args, **kwargs)
-            if calls["count"] == 2:
-                # Raise SIGINT in ourselves mid-campaign: the handler the
-                # run installed must flip the stop flag, not kill pytest.
-                os.kill(os.getpid(), signal.SIGINT)
-            return outcome
-
-        monkeypatch.setattr(
-            runner_module, "evaluate_strategy", interrupting_evaluate
-        )
-        store = ResultStore(root=tmp_path / "results")
-        partial = self._campaign(store_setup, store).run(max_workers=1)
-        assert partial.metadata["interrupted"] is True
-        assert len(partial.records) == 2
-        assert partial.metadata["num_evaluated"] == 2
-
-        monkeypatch.setattr(runner_module, "evaluate_strategy", real_evaluate)
-        resumed = self._campaign(
-            store_setup, ResultStore(root=tmp_path / "results")
-        ).run(max_workers=1)
-        assert resumed.metadata["interrupted"] is False
-        assert resumed.metadata["store_hits"] == 2
-        assert resumed.metadata["num_evaluated"] == 2
-        assert len(resumed.records) == 4
-
-        reference = Campaign(
-            store_setup, self.STRATEGIES, self.OVERHEADS, name="ref"
-        ).run(max_workers=1)
-        assert [r.outcome for r in resumed.records] == [
-            r.outcome for r in reference.records
-        ]
-
     def test_sigint_batched_path(self, store_setup, tmp_path, monkeypatch):
-        """The batched executor also stops cleanly and resumes."""
+        """Interrupt mid-run: the run stops cleanly, a rerun computes the
+        rest and the merged records match an uninterrupted sweep."""
         from repro.flow import runner as runner_module
 
         real_prepare = runner_module.prepare_evaluation
@@ -491,19 +451,24 @@ class TestCampaignResume:
             runner_module, "prepare_evaluation", interrupting_prepare
         )
         store = ResultStore(root=tmp_path / "results")
-        partial = self._campaign(store_setup, store, batch_solves=True).run(
-            max_workers=1
-        )
+        partial = self._campaign(store_setup, store).run(max_workers=1)
         assert partial.metadata["interrupted"] is True
         assert len(partial.records) < 4
 
         monkeypatch.setattr(runner_module, "prepare_evaluation", real_prepare)
         resumed = self._campaign(
             store_setup, ResultStore(root=tmp_path / "results"),
-            batch_solves=True,
         ).run(max_workers=1)
+        assert resumed.metadata["interrupted"] is False
         assert len(resumed.records) == 4
         assert resumed.metadata["store_hits"] == len(partial.records)
+
+        reference = Campaign(
+            store_setup, self.STRATEGIES, self.OVERHEADS, name="ref"
+        ).run(max_workers=1)
+        assert [r.outcome for r in resumed.records] == [
+            r.outcome for r in reference.records
+        ]
 
 
 class TestBlobHelpers:

@@ -32,10 +32,10 @@ def served_setup():
 
 @pytest.fixture(scope="module")
 def reference_result(served_setup):
-    """In-process batched campaign the served records must match bitwise."""
-    return Campaign(
-        served_setup, STRATEGIES, OVERHEADS, name="ref", batch_solves=True
-    ).run(max_workers=1)
+    """In-process campaign the served records must match bitwise."""
+    return Campaign(served_setup, STRATEGIES, OVERHEADS, name="ref").run(
+        max_workers=1
+    )
 
 
 @pytest.fixture()

@@ -91,11 +91,6 @@ class TestShardedCampaign:
     def test_constructor_validation(self, shard_setup):
         with pytest.raises(ValueError, match="executor"):
             Campaign(shard_setup, STRATEGIES, OVERHEADS, executor="mpi")
-        with pytest.raises(ValueError, match="batch_solves"):
-            Campaign(
-                shard_setup, STRATEGIES, OVERHEADS,
-                executor="process", batch_solves=True,
-            )
         with pytest.raises(ValueError, match="flow"):
             Campaign(
                 shard_setup, STRATEGIES, OVERHEADS,
