@@ -39,7 +39,6 @@ from .area_manager import (
     AreaManagementConfig,
     AreaManagementResult,
     AreaManager,
-    Strategy,
 )
 
 __all__ = [
@@ -82,5 +81,4 @@ __all__ = [
     "AreaManagementConfig",
     "AreaManagementResult",
     "AreaManager",
-    "Strategy",
 ]

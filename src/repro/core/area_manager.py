@@ -18,86 +18,20 @@ proportional whitespace) — and anything registered via
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from enum import Enum
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from ..placement import Placement
 from ..power import PowerReport
 from ..thermal import Package, ThermalMap, simulate_placement
 from .builtin_strategies import ERI_HOTSPOT_THRESHOLD, HW_HOTSPOT_THRESHOLD
-from .hotspot import Hotspot, detect_hotspots, project_hotspots
+from .hotspot import Hotspot, detect_hotspots
 from .strategy import (
     StrategyContext,
     StrategySpec,
     WhitespaceStrategy,
-    available_strategies,
     resolve_strategy,
 )
-
-_DEPRECATION_MESSAGE = (
-    "the Strategy enum is deprecated; pass a strategy spec string such as "
-    "'eri' or 'hw:ring_um=8' (see repro.core.strategy.resolve_strategy)"
-)
-
-
-class Strategy(str, Enum):
-    """Deprecated closed enum of the paper's three strategies.
-
-    Kept as a thin shim so old call sites keep working: members are plain
-    strings, so anywhere a spec is accepted a member resolves through the
-    open registry.  New strategies (``hybrid``, ``gradient``, third-party
-    plugins) are *not* members — address them by spec string instead.
-    """
-
-    DEFAULT = "default"
-    EMPTY_ROW_INSERTION = "eri"
-    HOTSPOT_WRAPPER = "hw"
-
-    @classmethod
-    def parse(cls, value: "Strategy | str") -> "Strategy":
-        """Accept either a :class:`Strategy` or its string value.
-
-        .. deprecated:: use :func:`repro.core.strategy.resolve_strategy`,
-           which also understands parameterized specs and registered
-           third-party strategies.
-
-        Raises:
-            TypeError: If ``value`` is neither a str nor a Strategy.
-            ValueError: If the name is not a registered strategy, or is
-                registered but not representable as this closed enum.
-        """
-        warnings.warn(_DEPRECATION_MESSAGE, DeprecationWarning, stacklevel=2)
-        if isinstance(value, Strategy):
-            return value
-        if not isinstance(value, str):
-            raise TypeError(
-                f"strategy must be a str or Strategy, got {type(value).__name__}"
-            )
-        name = value.lower()
-        try:
-            return cls(name)
-        except ValueError:
-            registered = available_strategies()
-            if name in registered:
-                raise ValueError(
-                    f"strategy {value!r} is registered but has no Strategy enum "
-                    f"member; resolve it with repro.core.resolve_strategy instead"
-                ) from None
-            raise ValueError(
-                f"unknown strategy {value!r}; registered strategies: "
-                f"{', '.join(registered)}"
-            ) from None
-
-
-def _as_enum_or_name(name: str) -> "Strategy | str":
-    """The enum member for builtin names, the plain name otherwise."""
-    try:
-        return Strategy(name)
-    except ValueError:
-        return name
-
 
 @dataclass
 class AreaManagementConfig:
@@ -107,11 +41,10 @@ class AreaManagementConfig:
         area_overhead: User-specified fractional area overhead.
         strategy: Whitespace-allocation strategy spec — a registered name
             (``"eri"``), a parameterized spec (``"hw:ring_um=8"``), a
-            mapping, a resolved :class:`WhitespaceStrategy`, or (deprecated)
-            a :class:`Strategy` member.  After construction this field
-            holds the :class:`Strategy` member for built-in names and the
-            plain name string otherwise; the resolved instance is
-            :attr:`strategy_impl`.
+            mapping or a resolved :class:`WhitespaceStrategy`.  After
+            construction this field holds the plain strategy name (the
+            canonical spec when parameters are bound); the resolved
+            instance is :attr:`strategy_impl`.
         hotspot_threshold: Fraction of the lateral temperature range above
             which a thermal cell belongs to a hotspot.  ``None`` (the
             default) selects the strategy's own default: empty row
@@ -127,7 +60,7 @@ class AreaManagementConfig:
     """
 
     area_overhead: float = 0.15
-    strategy: Union[StrategySpec, Strategy] = "eri"
+    strategy: StrategySpec = "eri"
     hotspot_threshold: Optional[float] = None
     max_hotspots: Optional[int] = None
     wrapper_ring_um: float = 6.0
@@ -135,19 +68,10 @@ class AreaManagementConfig:
     add_fillers: bool = True
 
     def __post_init__(self) -> None:
-        # Enum members are plain strings and resolve silently: the config
-        # itself stores the enum back for bare built-in names, so warning
-        # here would also fire on dataclasses.replace() round-trips the
-        # caller never earned.  The deprecation warning lives in
-        # Strategy.parse, the enum's own entry point.
         self.strategy_impl: WhitespaceStrategy = resolve_strategy(self.strategy)
-        # The field keeps the full canonical spec when parameters are bound
-        # (so dataclasses.replace()/equality preserve them); bare built-in
-        # names stay enum members for backward compatibility.
-        if self.strategy_impl.overrides:
-            self.strategy = self.strategy_impl.spec
-        else:
-            self.strategy = _as_enum_or_name(self.strategy_impl.name)
+        # The field keeps the full canonical spec (so dataclasses.replace()
+        # and equality preserve bound parameters); bare names stay bare.
+        self.strategy = self.strategy_impl.spec
         if self.area_overhead < 0.0:
             raise ValueError("area_overhead must be non-negative")
         if self.hotspot_threshold is not None and not 0.0 < self.hotspot_threshold <= 1.0:
@@ -167,8 +91,7 @@ class AreaManagementResult:
 
     Attributes:
         placement: The new placement.
-        strategy: Strategy that produced it — the :class:`Strategy` member
-            for built-in names, the registered name string otherwise.
+        strategy: Name (canonical spec) of the strategy that produced it.
         hotspots: Hotspots detected on the input thermal map.
         requested_overhead: Overhead requested by the user.
         actual_overhead: Core-area overhead actually introduced (0.0 for the
@@ -179,7 +102,7 @@ class AreaManagementResult:
     """
 
     placement: Placement
-    strategy: "Strategy | str"
+    strategy: str
     hotspots: List[Hotspot]
     requested_overhead: float
     actual_overhead: float
@@ -258,10 +181,6 @@ class AreaManager:
 
     # ------------------------------------------------------------------
 
-    #: Retained for backward compatibility; strategies use the module-level
-    #: :func:`repro.core.hotspot.project_hotspots`.
-    _project_hotspots = staticmethod(project_hotspots)
-
     def optimize_and_resimulate(
         self,
         placement: Placement,
@@ -272,7 +191,6 @@ class AreaManager:
         ny: int = 40,
         cache=None,
         method: Optional[str] = None,
-        flow=None,
     ) -> tuple:
         """Run :meth:`optimize` and re-run the thermal simulation on the result.
 
@@ -291,26 +209,10 @@ class AreaManager:
             cache: Optional :class:`repro.flow.cache.SolverCache` to share
                 the prepared solver with other simulations.
             method: Thermal solver backend (``"lu"``/``"multigrid"``/``"auto"``).
-            flow: Optional :class:`repro.flow.graph.FlowGraph` (duck-typed,
-                so this module stays independent of :mod:`repro.flow`).
-                The transform, binning and solve then run as ``whitespace``
-                / ``legalize`` / ``thermal`` stages against its artifact
-                store, and the returned result is the stage's
-                :class:`~repro.flow.artifacts.WhitespaceArtifact` — it
-                carries the placement and overhead bookkeeping but not the
-                ``hotspots``/``details`` objects of a full
-                :class:`AreaManagementResult`.
 
         Returns:
             ``(result, new_thermal_map)``.
         """
-        if flow is not None:
-            ws = flow.whitespace(placement, power, thermal_map, config=self.config)
-            legal = flow.legalize(ws.placement, power, nx=nx, ny=ny, package=package)
-            new_map = flow.thermal(
-                legal.power_map, legal.grid, warm_start=thermal_map, method=method
-            ).thermal_map
-            return ws, new_map
         result = self.optimize(placement, power, thermal_map)
         new_map = simulate_placement(
             result.placement, power, package=package, nx=nx, ny=ny,
@@ -325,5 +227,4 @@ __all__ = [
     "AreaManagementConfig",
     "AreaManagementResult",
     "AreaManager",
-    "Strategy",
 ]

@@ -446,8 +446,7 @@ def resolve_strategy(spec: StrategySpec) -> WhitespaceStrategy:
 
     Args:
         spec: A name, parameterized string, mapping, or instance (returned
-            as-is).  :class:`~repro.core.area_manager.Strategy` enum members
-            are plain strings and resolve through the string branch.
+            as-is).
 
     Returns:
         A validated, parameter-bound :class:`WhitespaceStrategy`.

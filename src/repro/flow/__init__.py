@@ -15,12 +15,10 @@ sweep, across processes and across the ``repro serve`` daemon.
 """
 
 from .artifacts import (
-    ArtifactStore,
     LegalizedArtifact,
     PlacementArtifact,
     PowerArtifact,
     StaArtifact,
-    StoreStats,
     ThermalArtifact,
     WhitespaceArtifact,
     netlist_digest,
@@ -50,9 +48,10 @@ from .runner import (
 )
 from .recover import FsckReport, fsck_store, recover_store
 from .store import (
+    ArtifactStore,
     PruneReport,
     ResultStore,
-    ResultStoreStats,
+    StoreStats,
     StoreUsage,
     prune_store,
     result_key,
@@ -64,7 +63,6 @@ __all__ = [
     "ArtifactStore",
     "StoreStats",
     "ResultStore",
-    "ResultStoreStats",
     "StoreUsage",
     "PruneReport",
     "setup_digest",

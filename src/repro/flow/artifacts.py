@@ -1,8 +1,10 @@
-"""Typed flow artifacts, content digests and the content-addressed store.
+"""Typed flow artifacts and the content digests that key them.
 
 The staged flow graph (:mod:`repro.flow.graph`) re-runs a stage only when
-the content hash of its inputs changed.  This module supplies the three
-ingredients:
+the content hash of its inputs changed.  This module supplies two of the
+ingredients; the third, the :class:`~repro.flow.store.ArtifactStore` that
+holds the artifacts, lives in :mod:`repro.flow.store` next to the result
+store it shares its tiered core and on-disk format with.
 
 * **Content digests** — deterministic hashes of the domain objects a stage
   consumes (netlists, placements, power reports, power maps, thermal maps,
@@ -25,29 +27,17 @@ ingredients:
   :class:`WhitespaceArtifact`, :class:`LegalizedArtifact`,
   :class:`ThermalArtifact`, :class:`StaArtifact`), each carrying the stage
   input ``key`` it was computed for.
-
-* **:class:`ArtifactStore`** — a thread-safe content-addressed store with
-  an in-memory LRU tier and an optional on-disk tier.  Disk entries embed
-  a SHA-256 of their payload; a truncated or corrupted entry fails the
-  check, is evicted, and the stage recomputes — a stale or damaged
-  artifact is never deserialized blindly.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
 import struct
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional
 
 import numpy as np
 
-from ..faults import inject
 from ..netlist import Netlist
 from ..placement import Placement
 from ..power.power_map import PowerMap
@@ -402,265 +392,6 @@ class StaArtifact:
     timing: TimingReport
 
 
-# ---------------------------------------------------------------------------
-# Content-addressed store
-# ---------------------------------------------------------------------------
-
-#: On-disk entry header magic; the version participates so format changes
-#: invalidate old entries instead of misparsing them.
-_MAGIC = b"repro-artifact/1\n"
-
-
-class BlobIntegrityError(Exception):
-    """An on-disk entry exists but its payload failed verification.
-
-    Raised by :func:`read_blob` for truncated, bit-flipped or otherwise
-    damaged entries — anything whose SHA-256 does not match its header, or
-    that matches but does not deserialize.  Callers evict and recompute.
-    """
-
-
-def write_blob(path: Path, obj) -> None:
-    """Atomically publish ``obj`` to ``path`` as a verified pickle blob.
-
-    The entry is ``magic + sha256(payload) + payload``, written to a
-    process/thread-unique temp file and :func:`os.replace`d into place — a
-    concurrent reader sees the old entry or the new one, never a
-    half-written file.  Both :class:`ArtifactStore` and
-    :class:`~repro.flow.store.ResultStore` persist entries this way.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    blob = _MAGIC + hashlib.sha256(payload).hexdigest().encode("ascii") + b"\n" + payload
-    tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-    tmp.write_bytes(blob)
-    # Crash seam: an injected ``kind="exit"`` here simulates a kill -9
-    # between staging and publication — the ``.tmp.*`` debris left behind
-    # is what ``repro fsck`` audits and repairs.
-    inject("store.publish", {"path": path.name})
-    os.replace(tmp, path)
-
-
-def read_blob(path: Path):
-    """Read and verify a blob written by :func:`write_blob`.
-
-    Returns:
-        The deserialized object.
-
-    Raises:
-        OSError: The entry does not exist (or cannot be read).
-        BlobIntegrityError: The entry exists but fails the integrity check
-            or does not unpickle.
-    """
-    blob = path.read_bytes()
-    if not blob.startswith(_MAGIC):
-        raise BlobIntegrityError(f"{path}: bad magic")
-    header_end = len(_MAGIC) + 64 + 1
-    expected = blob[len(_MAGIC):header_end - 1].decode("ascii", "replace")
-    payload = blob[header_end:]
-    if hashlib.sha256(payload).hexdigest() != expected:
-        raise BlobIntegrityError(f"{path}: payload digest mismatch")
-    try:
-        return pickle.loads(payload)
-    except Exception as error:
-        # A payload that hashes correctly but does not deserialize (e.g.
-        # written by an incompatible code version despite the magic) is
-        # treated exactly like corruption.
-        raise BlobIntegrityError(f"{path}: payload does not deserialize") from error
-
-
-@dataclass(frozen=True)
-class StoreStats:
-    """Artifact-store counters at one point in time.
-
-    Attributes:
-        hits: Lookups answered from the store (memory or disk).
-        misses: Lookups that found nothing usable.
-        disk_hits: Subset of ``hits`` that were read (and verified) from disk.
-        writes: Artifacts inserted.
-        corrupt_evictions: On-disk entries evicted because their payload
-            failed the integrity check or did not deserialize.
-        memory_size: Entries currently held in memory.
-    """
-
-    hits: int
-    misses: int
-    disk_hits: int
-    writes: int
-    corrupt_evictions: int
-    memory_size: int
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the store (0 when unused)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict form for JSON metadata."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "disk_hits": self.disk_hits,
-            "writes": self.writes,
-            "corrupt_evictions": self.corrupt_evictions,
-            "memory_size": self.memory_size,
-            "hit_rate": self.hit_rate,
-        }
-
-
-class ArtifactStore:
-    """Thread-safe content-addressed artifact store (memory + optional disk).
-
-    Entries are addressed by ``(stage, key)`` where ``key`` is the stage's
-    input content hash; the store never interprets keys.  The in-memory
-    tier is an LRU bounded by ``maxsize``; when ``root`` is given, every
-    insert is also persisted to ``<root>/<stage>/<key>.art`` so later
-    processes resume sweeps incrementally.
-
-    Disk entries are ``magic + sha256(payload) + payload``; a read verifies
-    the digest before unpickling.  Truncated, bit-flipped or garbage
-    entries fail the check, are deleted, and the lookup reports a miss —
-    the stage recomputes instead of deserializing a damaged artifact.
-
-    Args:
-        root: Directory of the on-disk tier; ``None`` keeps the store
-            memory-only.
-        maxsize: In-memory LRU bound (``None`` = unbounded).
-    """
-
-    def __init__(
-        self, root: Optional[Union[str, Path]] = None, maxsize: Optional[int] = None
-    ) -> None:
-        if maxsize is not None and maxsize < 0:
-            raise ValueError("maxsize must be None or >= 0")
-        self.root = Path(root) if root is not None else None
-        self.maxsize = maxsize
-        self._lock = threading.Lock()
-        self._memory: "OrderedDict[Tuple[str, str], object]" = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._disk_hits = 0
-        self._writes = 0
-        self._corrupt_evictions = 0
-
-    # -- lookup --------------------------------------------------------------
-
-    def _path(self, stage: str, key: str) -> Path:
-        assert self.root is not None
-        return self.root / stage / f"{key}.art"
-
-    def get(self, stage: str, key: str):
-        """The stored artifact for ``(stage, key)``, or ``None`` on a miss."""
-        entry = (stage, key)
-        with self._lock:
-            cached = self._memory.get(entry)
-            if cached is not None:
-                self._hits += 1
-                self._memory.move_to_end(entry)
-                return cached
-        if self.root is not None:
-            artifact = self._read_disk(stage, key)
-            if artifact is not None:
-                with self._lock:
-                    self._hits += 1
-                    self._disk_hits += 1
-                    self._insert_memory(entry, artifact)
-                return artifact
-        with self._lock:
-            self._misses += 1
-        return None
-
-    def put(self, stage: str, key: str, artifact) -> None:
-        """Insert an artifact (memory, and disk when configured)."""
-        entry = (stage, key)
-        with self._lock:
-            self._writes += 1
-            self._insert_memory(entry, artifact)
-        if self.root is not None:
-            self._write_disk(stage, key, artifact)
-
-    def _insert_memory(self, entry: Tuple[str, str], artifact) -> None:
-        """Insert under the held lock, enforcing the LRU bound."""
-        if self.maxsize == 0:
-            return
-        self._memory[entry] = artifact
-        self._memory.move_to_end(entry)
-        while self.maxsize is not None and len(self._memory) > self.maxsize:
-            self._memory.popitem(last=False)
-
-    # -- disk tier -----------------------------------------------------------
-
-    def _write_disk(self, stage: str, key: str, artifact) -> None:
-        write_blob(self._path(stage, key), artifact)
-
-    def _read_disk(self, stage: str, key: str):
-        path = self._path(stage, key)
-        try:
-            return read_blob(path)
-        except OSError:
-            return None
-        except BlobIntegrityError:
-            self._evict_corrupt(path)
-            return None
-
-    def _evict_corrupt(self, path: Path) -> None:
-        with self._lock:
-            self._corrupt_evictions += 1
-        try:
-            path.unlink()
-        except OSError:
-            pass
-
-    # -- bookkeeping ---------------------------------------------------------
-
-    def stats(self) -> StoreStats:
-        """Snapshot of the store counters."""
-        with self._lock:
-            return StoreStats(
-                hits=self._hits,
-                misses=self._misses,
-                disk_hits=self._disk_hits,
-                writes=self._writes,
-                corrupt_evictions=self._corrupt_evictions,
-                memory_size=len(self._memory),
-            )
-
-    def clear_memory(self) -> None:
-        """Drop the in-memory tier (disk entries and counters are kept).
-
-        A cleared store followed by re-lookups exercises the disk tier —
-        which is exactly what the corruption tests do.
-        """
-        with self._lock:
-            self._memory.clear()
-
-    def shrink(self, max_entries: int) -> int:
-        """Evict least-recently-used entries until at most ``max_entries``.
-
-        The LRU shrink hook for the service tier's resource governor:
-        under memory pressure it trims the memory tier in place without
-        touching the disk tier or ``maxsize`` (set ``maxsize`` separately
-        to stop re-growth).  Returns the number of entries evicted.
-        """
-        if max_entries < 0:
-            raise ValueError(f"max_entries must be >= 0, got {max_entries}")
-        evicted = 0
-        with self._lock:
-            while len(self._memory) > max_entries:
-                self._memory.popitem(last=False)
-                evicted += 1
-        return evicted
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._memory)
-
-    def __contains__(self, entry: Tuple[str, str]) -> bool:
-        with self._lock:
-            return entry in self._memory
-
-
 __all__ = [
     "FLOW_KEY_VERSION",
     "hash_parts",
@@ -679,9 +410,4 @@ __all__ = [
     "LegalizedArtifact",
     "ThermalArtifact",
     "StaArtifact",
-    "ArtifactStore",
-    "StoreStats",
-    "BlobIntegrityError",
-    "write_blob",
-    "read_blob",
 ]

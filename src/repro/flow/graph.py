@@ -9,7 +9,7 @@
 
 Each stage method computes a deterministic content hash of its inputs
 (:mod:`repro.flow.artifacts`), looks the result up in the
-:class:`~repro.flow.artifacts.ArtifactStore`, and executes only on a miss —
+:class:`~repro.flow.store.ArtifactStore`, and executes only on a miss —
 so a multi-strategy sweep pays for the shared prefix (``synth``, ``power``)
 once and re-runs only the ``whitespace -> thermal -> sta`` suffix per
 strategy, and a repeated sweep against an on-disk store re-runs nothing at
@@ -43,7 +43,6 @@ from ..thermal.solver import grid_for_placement, resolve_thermal_method
 from ..timing import DelayModel, StaticTimingAnalyzer
 from .artifacts import (
     FLOW_KEY_VERSION,
-    ArtifactStore,
     LegalizedArtifact,
     PlacementArtifact,
     PowerArtifact,
@@ -61,6 +60,7 @@ from .artifacts import (
     workload_digest,
 )
 from .cache import SolverCache
+from .store import ArtifactStore
 
 #: Stage names in pipeline order.
 STAGES = ("synth", "power", "whitespace", "legalize", "thermal", "sta")
@@ -221,7 +221,6 @@ class FlowGraph:
         area_overhead: float = 0.15,
         hotspot_threshold: Optional[float] = None,
         wrapper_ring_um: float = 6.0,
-        config: Optional[AreaManagementConfig] = None,
     ) -> WhitespaceArtifact:
         """``whitespace``: apply one area-management strategy.
 
@@ -230,19 +229,13 @@ class FlowGraph:
         plus every knob of the resolved config — so ``"hw:ring_um=8"`` and
         ``"hw:ring_um=8.0"`` share an artifact while any real parameter
         change invalidates it.
-
-        Args:
-            config: Pre-built :class:`AreaManagementConfig`; overrides the
-                individual strategy arguments (used by
-                :meth:`AreaManager.optimize_and_resimulate`).
         """
-        if config is None:
-            config = AreaManagementConfig(
-                area_overhead=area_overhead,
-                strategy=strategy,
-                hotspot_threshold=hotspot_threshold,
-                wrapper_ring_um=wrapper_ring_um,
-            )
+        config = AreaManagementConfig(
+            area_overhead=area_overhead,
+            strategy=strategy,
+            hotspot_threshold=hotspot_threshold,
+            wrapper_ring_um=wrapper_ring_um,
+        )
         key = hash_parts(
             FLOW_KEY_VERSION, "whitespace",
             placement_digest(placement), power_digest(power),

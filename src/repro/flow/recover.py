@@ -27,6 +27,10 @@ Two entry points:
   whose writer process is verifiably gone and claims older than the
   stale threshold; blob payloads are not verified (corrupt entries
   self-heal on first read).
+
+The on-disk layout, and the one walker that classifies store files as
+entries, claims or staging files, live in :mod:`repro.flow.store`; this
+module holds only the audit and repair policy on top of them.
 """
 
 from __future__ import annotations
@@ -38,17 +42,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Union
 
-from .artifacts import BlobIntegrityError, read_blob
-from .store import STALE_CLAIM_S, _ENTRY_SUFFIXES
+from .store import (
+    QUARANTINE_DIR,
+    STALE_CLAIM_S,
+    BlobIntegrityError,
+    is_store_key,
+    iter_store_files,
+    read_blob,
+    tmp_writer_pid,
+)
 
 logger = logging.getLogger(__name__)
-
-#: Directory (under the store root) damaged entries are quarantined into.
-QUARANTINE_DIR = ".quarantine"
-
-#: Length of a store key: :func:`~repro.flow.artifacts.hash_parts` is a
-#: 16-byte blake2b, hex-encoded.
-_KEY_HEX_LEN = 32
 
 
 @dataclass
@@ -108,30 +112,15 @@ class FsckReport:
         return f"{self.root}: {', '.join(parts)} - {action}"
 
 
-def _iter_store_files(root: Path):
-    """Every regular file under ``root``, quarantine excluded."""
-    for path in sorted(root.rglob("*")):
-        if QUARANTINE_DIR in path.parts:
-            continue
-        if path.is_file():
-            yield path
-
-
 def _writer_alive(path: Path) -> Optional[bool]:
     """Whether the process that staged a ``.tmp.<pid>.<tid>`` file lives.
 
     Returns ``None`` when the name carries no parseable pid (treated as
     abandoned debris by callers that must stay conservative elsewhere).
     """
-    name = path.name
-    marker = ".tmp."
-    start = name.find(marker)
-    if start < 0:
+    pid = tmp_writer_pid(path)
+    if pid is None:
         return None
-    fields = name[start + len(marker):].split(".")
-    if not fields or not fields[0].isdigit():
-        return None
-    pid = int(fields[0])
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
@@ -202,23 +191,14 @@ def fsck_store(
     report = FsckReport(root=root)
     if not root.exists():
         return report
-    for path in _iter_store_files(root):
-        if path.suffix == ".lock":
-            report.orphaned_claims.append(path)
+    for path, kind in iter_store_files(root):
+        if kind != "entry":
+            found = report.orphaned_claims if kind == "claim" else report.stale_tmp
+            found.append(path)
             if repair:
                 _remove(path, report)
             continue
-        if ".tmp." in path.name:
-            report.stale_tmp.append(path)
-            if repair:
-                _remove(path, report)
-            continue
-        if path.suffix not in _ENTRY_SUFFIXES:
-            continue  # not ours (README drops, operator notes, ...)
-        stem = path.stem
-        if len(stem) != _KEY_HEX_LEN or any(
-            c not in "0123456789abcdef" for c in stem
-        ):
+        if not is_store_key(path.stem):
             report.bad_keys.append(path)
             if repair:
                 _quarantine(root, path, report)
@@ -266,13 +246,12 @@ def recover_store(
     if not root.exists():
         return report
     reference = time.time() if now is None else now
-    for path in _iter_store_files(root):
-        if ".tmp." in path.name:
+    for path, kind in iter_store_files(root):
+        if kind == "tmp":
             if _writer_alive(path) is False:
                 report.stale_tmp.append(path)
                 _remove(path, report)
-            continue
-        if path.suffix == ".lock":
+        elif kind == "claim":
             try:
                 age = reference - path.stat().st_mtime
             except OSError:
@@ -285,7 +264,6 @@ def recover_store(
 
 __all__ = [
     "FsckReport",
-    "QUARANTINE_DIR",
     "fsck_store",
     "recover_store",
 ]

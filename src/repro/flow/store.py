@@ -1,72 +1,195 @@
-"""Persistent campaign-result store: resumable, shareable, single-flight.
+"""The flow's two persistent stores, their shared tiered core and on-disk format.
 
-:class:`ResultStore` persists one :class:`~repro.flow.runner.CampaignRecord`
-per evaluated grid point, keyed by the content of everything the record
-depends on — the experiment baseline (netlist, placement, power, thermal
-map, package, grid resolution, timing reference), the canonical strategy
-spec, the requested overhead, the *resolved* thermal-solver backend, the
-active execution engine and whether timing was analysed.  Two consequences:
+Both stores are a thread-safe in-memory LRU over an optional on-disk tier
+of verified blobs, and share one implementation of it:
 
-* **Incremental sweeps** — a repeated campaign against the same store
-  recomputes nothing; a sweep extended with new strategies or overheads
-  computes only the new points.
-* **Free resume** — records are published as each point completes, so an
-  interrupted run (Ctrl-C, crash, OOM-kill) leaves every finished point on
-  disk and a rerun picks up exactly where it stopped.
+* :class:`ArtifactStore` — content-addressed stage artifacts for the
+  staged :class:`~repro.flow.graph.FlowGraph`, addressed by
+  ``(stage, key)`` where ``key`` is the stage's input content hash.
+* :class:`ResultStore` — one :class:`~repro.flow.runner.CampaignRecord`
+  per evaluated grid point, keyed by :func:`result_key` over everything
+  the record depends on (the :func:`setup_digest` of the experiment
+  baseline, the canonical strategy spec, the requested overhead, the
+  *resolved* thermal-solver backend, the execution engine and whether
+  timing was analysed).  Records are published as each point completes,
+  so a repeated sweep recomputes nothing, an extended sweep computes only
+  the new points, and an interrupted run resumes where it stopped.
 
-Entries use the same verified on-disk format as the artifact store
-(``magic + sha256(payload) + payload``, atomically published), so damaged
-or truncated entries are detected, evicted and recomputed — never
-deserialized blindly.  The store is safe to share between threads,
-sharded worker processes and the ``repro serve`` daemon simultaneously:
-writers racing on one key all publish the same content through atomic
-renames, and :meth:`ResultStore.compute_if_missing` adds *cross-process*
-single-flight via ``O_EXCL`` claim files, so exactly one process computes
-a missing point while the others wait and then hit.
+The two differ only in where an entry lives on disk and in
+:meth:`ResultStore.compute_if_missing`, which adds *cross-process*
+single-flight via ``O_EXCL`` claim files so exactly one process computes
+a missing point while the others wait and then hit.  Both count the same
+:class:`StoreStats`.
 
-The module also houses the disk-usage helpers behind ``repro cache``:
-:func:`scan_store` and :func:`prune_store` operate uniformly on artifact
-stores and result stores (both lay entries out as ``<root>/<shard>/<key>``
-files).
+On-disk format (shared, and owned by this module)::
+
+    <root>/<stage>/<key>.art            artifact entry
+    <root>/<key[:2]>/<key>.res          result entry
+    <root>/<key[:2]>/<key>.lock         single-flight claim
+    <entry path stem>.tmp.<pid>.<tid>   staging file of an unpublished write
+    <root>/.quarantine/                 entries ``repro fsck`` set aside
+
+An entry is ``magic + sha256(payload) + "\\n" + payload`` (a pickle),
+published by an atomic rename, so a reader sees the old entry or the new
+one and a damaged or truncated entry is detected, evicted and recomputed
+— never deserialized blindly.  Disk writes are best-effort: a failed
+write is logged and counted in ``write_errors`` and the value stays
+served from memory.  :func:`iter_store_files` is the one walker that
+classifies the files of either layout; :func:`scan_store` and
+:func:`prune_store` (``repro cache``) and :mod:`repro.flow.recover`
+(``repro fsck`` and startup recovery) all use it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import os
+import pickle
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple, Union
 
 from ..faults import InjectedFault, inject
 from .artifacts import (
     FLOW_KEY_VERSION,
-    BlobIntegrityError,
     hash_parts,
     netlist_digest,
     package_digest,
     placement_digest,
     power_digest,
-    read_blob,
     thermal_map_digest,
-    write_blob,
 )
 
 logger = logging.getLogger(__name__)
 
-#: Filename suffix of result entries (artifact stores use ``.art``).
+
+# ---------------------------------------------------------------------------
+# On-disk format
+# ---------------------------------------------------------------------------
+
+#: Entry header magic; the version participates so format changes
+#: invalidate old entries instead of misparsing them.
+_MAGIC = b"repro-artifact/1\n"
+
+#: Filename suffix of artifact-store entries.
+ARTIFACT_SUFFIX = ".art"
+
+#: Filename suffix of result-store entries.
 RESULT_SUFFIX = ".res"
+
+_ENTRY_SUFFIXES = (ARTIFACT_SUFFIX, RESULT_SUFFIX)
+
+#: Filename suffix of single-flight claim files.
+CLAIM_SUFFIX = ".lock"
+
+#: Marker of a staging file: ``<stem>.tmp.<pid>.<thread id>``.
+_TMP_MARKER = ".tmp."
+
+#: Directory (under the store root) damaged entries are quarantined into.
+QUARANTINE_DIR = ".quarantine"
+
+#: Length of a store key: :func:`~repro.flow.artifacts.hash_parts` is a
+#: 16-byte blake2b, hex-encoded.
+_KEY_HEX_LEN = 32
 
 #: A single-flight claim older than this is considered abandoned (its
 #: owner crashed without unlinking) and is broken by the next writer.
 STALE_CLAIM_S = 600.0
 
 
+class BlobIntegrityError(Exception):
+    """An on-disk entry exists but its payload failed verification.
+
+    Raised by :func:`read_blob` for truncated, bit-flipped or otherwise
+    damaged entries — anything whose SHA-256 does not match its header, or
+    that matches but does not deserialize.  Callers evict and recompute.
+    """
+
+
+def write_blob(path: Path, obj) -> None:
+    """Atomically publish ``obj`` to ``path`` as a verified pickle blob.
+
+    The blob is written to a process/thread-unique staging file and
+    :func:`os.replace`\\ d into place — a concurrent reader sees the old
+    entry or the new one, never a half-written file.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    blob = _MAGIC + hashlib.sha256(payload).hexdigest().encode("ascii") + b"\n" + payload
+    tmp = path.with_suffix(f"{_TMP_MARKER}{os.getpid()}.{threading.get_ident()}")
+    tmp.write_bytes(blob)
+    # Crash seam: an injected ``kind="exit"`` here simulates a kill -9
+    # between staging and publication — the ``.tmp.*`` debris left behind
+    # is what ``repro fsck`` audits and repairs.
+    inject("store.publish", {"path": path.name})
+    os.replace(tmp, path)
+
+
+def read_blob(path: Path):
+    """Read and verify a blob written by :func:`write_blob`.
+
+    Returns:
+        The deserialized object.
+
+    Raises:
+        OSError: The entry does not exist (or cannot be read).
+        BlobIntegrityError: The entry exists but fails the integrity check
+            or does not unpickle.
+    """
+    blob = path.read_bytes()
+    if not blob.startswith(_MAGIC):
+        raise BlobIntegrityError(f"{path}: bad magic")
+    header_end = len(_MAGIC) + 64 + 1
+    expected = blob[len(_MAGIC):header_end - 1].decode("ascii", "replace")
+    payload = blob[header_end:]
+    if hashlib.sha256(payload).hexdigest() != expected:
+        raise BlobIntegrityError(f"{path}: payload digest mismatch")
+    try:
+        return pickle.loads(payload)
+    except Exception as error:
+        # A payload that hashes correctly but does not deserialize (e.g.
+        # written by an incompatible code version despite the magic) is
+        # treated exactly like corruption.
+        raise BlobIntegrityError(f"{path}: payload does not deserialize") from error
+
+
+def is_store_key(text: str) -> bool:
+    """Whether ``text`` (an entry's file stem) is a well-formed store key."""
+    return len(text) == _KEY_HEX_LEN and all(c in "0123456789abcdef" for c in text)
+
+
+def tmp_writer_pid(path: Path) -> Optional[int]:
+    """The pid in a staging file's name, or ``None`` when it carries none."""
+    _, marker, rest = path.name.partition(_TMP_MARKER)
+    pid = rest.split(".")[0]
+    return int(pid) if marker and pid.isdigit() else None
+
+
+def iter_store_files(root: Path) -> Iterator[Tuple[Path, str]]:
+    """Yield ``(path, kind)`` for every store file under ``root``, sorted.
+
+    ``kind`` is ``"entry"`` (a published ``.art``/``.res`` blob),
+    ``"claim"`` (a ``.lock`` single-flight claim) or ``"tmp"`` (a staging
+    file).  The quarantine directory and foreign files (README drops,
+    operator notes, ...) are skipped.
+    """
+    for path in sorted(root.rglob("*")):
+        if QUARANTINE_DIR in path.relative_to(root).parts or not path.is_file():
+            continue
+        if path.suffix == CLAIM_SUFFIX:
+            yield path, "claim"
+        elif _TMP_MARKER in path.name:
+            yield path, "tmp"
+        elif path.suffix in _ENTRY_SUFFIXES:
+            yield path, "entry"
+
+
 # ---------------------------------------------------------------------------
-# Keys
+# Result keys
 # ---------------------------------------------------------------------------
 
 
@@ -127,25 +250,28 @@ def result_key(
 
 
 # ---------------------------------------------------------------------------
-# Store
+# Tiered store
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ResultStoreStats:
-    """Result-store counters at one point in time.
+class StoreStats:
+    """Store counters at one point in time.
 
     Attributes:
         hits: Lookups answered from the store (memory or disk).
         misses: Lookups that found nothing usable.
         disk_hits: Subset of ``hits`` read (and verified) from disk.
-        writes: Records published.
-        corrupt_evictions: Disk entries evicted as damaged.
+        writes: Values inserted.
+        corrupt_evictions: Disk entries evicted because their payload
+            failed the integrity check, did not deserialize, or hit an
+            injected ``store.read`` fault.
         single_flight_waits: ``compute_if_missing`` calls that waited on
-            another process's computation instead of computing.
-        memory_size: Records currently held in memory.
-        write_errors: Disk publications that failed (the record stayed in
-            memory and the campaign continued; durability only degrades).
+            another process's computation instead of computing (always 0
+            for an artifact store).
+        memory_size: Entries currently held in memory.
+        write_errors: Disk publications that failed (the value stayed in
+            memory and the caller continued; durability only degrades).
     """
 
     hits: int
@@ -155,7 +281,7 @@ class ResultStoreStats:
     corrupt_evictions: int
     single_flight_waits: int
     memory_size: int
-    write_errors: int = 0
+    write_errors: int
 
     @property
     def hit_rate(self) -> float:
@@ -165,35 +291,22 @@ class ResultStoreStats:
 
     def as_dict(self) -> Dict[str, float]:
         """Plain-dict form for JSON metadata."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "disk_hits": self.disk_hits,
-            "writes": self.writes,
-            "corrupt_evictions": self.corrupt_evictions,
-            "single_flight_waits": self.single_flight_waits,
-            "memory_size": self.memory_size,
-            "write_errors": self.write_errors,
-            "hit_rate": self.hit_rate,
-        }
+        return {**asdict(self), "hit_rate": self.hit_rate}
 
 
-class ResultStore:
-    """Persistent, shareable store of evaluated campaign records.
+class _TieredStore:
+    """Memory LRU over an optional verified disk tier.
 
-    Layout: ``<root>/<key[:2]>/<key>.res`` — the two-character shard keeps
-    directories small for million-record stores.  With ``root=None`` the
-    store is memory-only (still single-flight across threads), which is
-    what short-lived in-process campaigns use.
-
+    Subclasses map an in-memory entry to its file with :meth:`_path`.
     Instances pickle by configuration (root + bound), not contents: a
-    sharded worker process that receives one attaches to the same on-disk
-    tier with fresh counters, which is exactly how workers publish
-    completed records the parent (and any concurrent reader) then sees.
+    worker process that receives one attaches to the same on-disk tier
+    with fresh counters.
 
     Args:
-        root: Directory of the on-disk tier, created on first write.
-        maxsize: In-memory LRU bound (``None`` = unbounded).
+        root: Directory of the on-disk tier, created on first write;
+            ``None`` keeps the store memory-only.
+        maxsize: In-memory LRU bound (``None`` = unbounded, 0 = keep
+            nothing in memory).
     """
 
     def __init__(
@@ -204,8 +317,7 @@ class ResultStore:
         self.root = Path(root) if root is not None else None
         self.maxsize = maxsize
         self._lock = threading.Lock()
-        self._memory: "OrderedDict[str, object]" = OrderedDict()
-        self._inflight: Dict[str, threading.Lock] = {}
+        self._memory: "OrderedDict[Hashable, object]" = OrderedDict()
         self._hits = 0
         self._misses = 0
         self._disk_hits = 0
@@ -214,84 +326,74 @@ class ResultStore:
         self._single_flight_waits = 0
         self._write_errors = 0
 
-    # -- pickling (for sharded workers) --------------------------------------
-
     def __getstate__(self):
         return {"root": self.root, "maxsize": self.maxsize}
 
     def __setstate__(self, state):
         self.__init__(root=state["root"], maxsize=state["maxsize"])
 
-    # -- paths ---------------------------------------------------------------
-
-    def _path(self, key: str) -> Path:
-        assert self.root is not None
-        return self.root / key[:2] / f"{key}{RESULT_SUFFIX}"
-
-    def _claim_path(self, key: str) -> Path:
-        assert self.root is not None
-        return self.root / key[:2] / f"{key}.lock"
+    def _path(self, entry: Hashable) -> Path:
+        raise NotImplementedError
 
     # -- lookup / publish ----------------------------------------------------
 
-    def get(self, key: str):
-        """The stored record for ``key``, or ``None`` on a miss."""
+    def _get(self, entry: Hashable):
         with self._lock:
-            cached = self._memory.get(key)
+            cached = self._memory.get(entry)
             if cached is not None:
                 self._hits += 1
-                self._memory.move_to_end(key)
+                self._memory.move_to_end(entry)
                 return cached
         if self.root is not None:
-            record = self._read_disk(key)
-            if record is not None:
-                with self._lock:
-                    self._hits += 1
-                    self._disk_hits += 1
-                    self._insert_memory(key, record)
-                return record
+            value = self._read_disk(entry)
+            if value is not None:
+                self._adopt_disk_hit(entry, value)
+                return value
         with self._lock:
             self._misses += 1
         return None
 
-    def put(self, key: str, record) -> None:
-        """Publish a record (memory, and disk when configured).
-
-        Concurrent writers of the same key are safe: both publish the same
-        content through an atomic rename, so readers see one intact entry.
-        The disk tier is best-effort: an I/O failure (disk full, permission
-        flip, injected ``store.write`` fault) is counted and logged, and
-        the record stays served from memory — a later run just recomputes.
-        """
+    def _put(self, entry: Hashable, value) -> None:
         with self._lock:
             self._writes += 1
-            self._insert_memory(key, record)
-        if self.root is not None:
-            try:
-                inject("store.write", {"key": key})
-                write_blob(self._path(key), record)
-            except (OSError, InjectedFault) as error:
-                with self._lock:
-                    self._write_errors += 1
-                logger.warning(
-                    "result store: failed to persist %s (%r); record kept "
-                    "in memory only", key, error,
-                )
+            self._insert_memory(entry, value)
+        if self.root is None:
+            return
+        path = self._path(entry)
+        try:
+            inject("store.write", {"key": path.stem})
+            write_blob(path, value)
+        except (OSError, InjectedFault) as error:
+            with self._lock:
+                self._write_errors += 1
+            logger.warning(
+                "%s: failed to persist %s (%r); kept in memory only",
+                type(self).__name__, path, error,
+            )
 
-    def _insert_memory(self, key: str, record) -> None:
+    def _insert_memory(self, entry: Hashable, value) -> None:
+        """Insert under the held lock, enforcing the LRU bound."""
         if self.maxsize == 0:
             return
-        self._memory[key] = record
-        self._memory.move_to_end(key)
+        self._memory[entry] = value
+        self._memory.move_to_end(entry)
         while self.maxsize is not None and len(self._memory) > self.maxsize:
             self._memory.popitem(last=False)
 
-    def _read_disk(self, key: str):
-        path = self._path(key)
+    def _adopt_disk_hit(self, entry: Hashable, value, waited: bool = False) -> None:
+        with self._lock:
+            self._hits += 1
+            self._disk_hits += 1
+            self._single_flight_waits += waited
+            self._insert_memory(entry, value)
+
+    def _read_disk(self, entry: Hashable):
+        """The verified disk value of ``entry``; damaged entries are evicted."""
+        path = self._path(entry)
         try:
             # An injected ``store.read`` fault models a damaged entry:
             # evicted and recomputed, exactly like an integrity failure.
-            inject("store.read", {"key": key})
+            inject("store.read", {"key": path.stem})
             return read_blob(path)
         except OSError:
             return None
@@ -303,6 +405,106 @@ class ResultStore:
             except OSError:
                 pass
             return None
+
+    # -- bookkeeping ---------------------------------------------------------
+
+    def stats(self) -> StoreStats:
+        """Snapshot of the store counters."""
+        with self._lock:
+            return StoreStats(
+                hits=self._hits,
+                misses=self._misses,
+                disk_hits=self._disk_hits,
+                writes=self._writes,
+                corrupt_evictions=self._corrupt_evictions,
+                single_flight_waits=self._single_flight_waits,
+                memory_size=len(self._memory),
+                write_errors=self._write_errors,
+            )
+
+    def clear_memory(self) -> None:
+        """Drop the in-memory tier (disk entries and counters are kept)."""
+        with self._lock:
+            self._memory.clear()
+
+    def shrink(self, max_entries: int) -> int:
+        """Evict least-recently-used entries until at most ``max_entries``.
+
+        The LRU shrink hook for the service tier's resource governor:
+        under memory pressure it trims the memory tier without touching
+        disk entries or ``maxsize`` (set ``maxsize=0`` separately to stop
+        re-growth).  Returns the number of entries evicted.
+        """
+        if max_entries < 0:
+            raise ValueError(f"max_entries must be >= 0, got {max_entries}")
+        evicted = 0
+        with self._lock:
+            while len(self._memory) > max_entries:
+                self._memory.popitem(last=False)
+                evicted += 1
+        return evicted
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._memory)
+
+    def __contains__(self, entry: Hashable) -> bool:
+        with self._lock:
+            return entry in self._memory
+
+
+class ArtifactStore(_TieredStore):
+    """Content-addressed store of flow-stage artifacts (memory + optional disk).
+
+    Entries are addressed by ``(stage, key)`` where ``key`` is the stage's
+    input content hash; the store never interprets keys.  With ``root``
+    every insert is also persisted to ``<root>/<stage>/<key>.art`` so
+    later processes resume sweeps incrementally.
+    """
+
+    def _path(self, entry: Tuple[str, str]) -> Path:
+        stage, key = entry
+        return self.root / stage / f"{key}{ARTIFACT_SUFFIX}"
+
+    def get(self, stage: str, key: str):
+        """The stored artifact for ``(stage, key)``, or ``None`` on a miss."""
+        return self._get((stage, key))
+
+    def put(self, stage: str, key: str, artifact) -> None:
+        """Insert an artifact (memory, and disk when configured)."""
+        self._put((stage, key), artifact)
+
+
+class ResultStore(_TieredStore):
+    """Persistent, shareable store of evaluated campaign records.
+
+    Layout: ``<root>/<key[:2]>/<key>.res`` — the two-character shard keeps
+    directories small for million-record stores.  With ``root=None`` the
+    store is memory-only (still single-flight across threads), which is
+    what short-lived in-process campaigns use.  Threads, sharded worker
+    processes and the ``repro serve`` daemon may share one root: writers
+    racing on a key all publish the same content through atomic renames.
+    """
+
+    def __init__(
+        self, root: Optional[Union[str, Path]] = None, maxsize: Optional[int] = None
+    ) -> None:
+        super().__init__(root, maxsize)
+        self._inflight: Dict[str, threading.Lock] = {}
+
+    def _path(self, key: str) -> Path:
+        return self.root / key[:2] / f"{key}{RESULT_SUFFIX}"
+
+    def _claim_path(self, key: str) -> Path:
+        return self.root / key[:2] / f"{key}{CLAIM_SUFFIX}"
+
+    def get(self, key: str):
+        """The stored record for ``key``, or ``None`` on a miss."""
+        return self._get(key)
+
+    def put(self, key: str, record) -> None:
+        """Publish a record (memory, and disk when configured)."""
+        self._put(key, record)
 
     # -- single-flight -------------------------------------------------------
 
@@ -375,11 +577,7 @@ class ResultStore:
                 waited = True
                 record = self._read_disk(key)
                 if record is not None:
-                    with self._lock:
-                        self._hits += 1
-                        self._disk_hits += 1
-                        self._single_flight_waits += 1
-                        self._insert_memory(key, record)
+                    self._adopt_disk_hit(key, record, waited=True)
                     return record, False
                 try:
                     age = time.time() - claim.stat().st_mtime
@@ -405,12 +603,7 @@ class ResultStore:
                 inject("store.claim", {"key": key})
                 record = self._read_disk(key)
                 if record is not None:
-                    with self._lock:
-                        self._hits += 1
-                        self._disk_hits += 1
-                        if waited:
-                            self._single_flight_waits += 1
-                        self._insert_memory(key, record)
+                    self._adopt_disk_hit(key, record, waited=waited)
                     return record, False
                 record = compute()
                 self.put(key, record)
@@ -424,55 +617,10 @@ class ResultStore:
         self.put(key, record)
         return record, True
 
-    # -- bookkeeping ---------------------------------------------------------
-
-    def stats(self) -> ResultStoreStats:
-        """Snapshot of the store counters."""
-        with self._lock:
-            return ResultStoreStats(
-                hits=self._hits,
-                misses=self._misses,
-                disk_hits=self._disk_hits,
-                writes=self._writes,
-                corrupt_evictions=self._corrupt_evictions,
-                single_flight_waits=self._single_flight_waits,
-                memory_size=len(self._memory),
-                write_errors=self._write_errors,
-            )
-
-    def clear_memory(self) -> None:
-        """Drop the in-memory tier (disk entries and counters are kept)."""
-        with self._lock:
-            self._memory.clear()
-
-    def shrink(self, max_entries: int) -> int:
-        """Evict least-recently-used entries until at most ``max_entries``.
-
-        The LRU shrink hook for the service tier's resource governor:
-        under memory pressure it trims the memory tier without touching
-        disk entries or ``maxsize`` (pass ``maxsize=0`` separately to
-        stop re-growth).  Returns the number of entries evicted.
-        """
-        if max_entries < 0:
-            raise ValueError(f"max_entries must be >= 0, got {max_entries}")
-        evicted = 0
-        with self._lock:
-            while len(self._memory) > max_entries:
-                self._memory.popitem(last=False)
-                evicted += 1
-        return evicted
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._memory)
-
 
 # ---------------------------------------------------------------------------
 # Disk usage & pruning (``repro cache``)
 # ---------------------------------------------------------------------------
-
-#: Entry suffixes the scanner recognises, with human labels.
-_ENTRY_SUFFIXES = (".art", RESULT_SUFFIX)
 
 
 @dataclass
@@ -514,37 +662,24 @@ class PruneReport:
     strays_removed: int = 0
 
 
-def _store_group(root: Path, path: Path) -> str:
-    """Display group of one entry: stage directory or ``results``."""
-    parent = path.parent
-    if parent == root:
-        return "results" if path.suffix == RESULT_SUFFIX else parent.name
-    name = parent.name
-    # Result-store shards are two-hex-character directories.
-    if path.suffix == RESULT_SUFFIX and len(name) == 2:
-        return "results"
-    return name
+def _store_group(path: Path) -> str:
+    """Display group of one entry: its stage directory, or ``results``."""
+    return "results" if path.suffix == RESULT_SUFFIX else path.parent.name
 
 
-def _iter_entries(root: Path):
-    """Yield ``(path, stat)`` for every entry file under ``root``."""
-    for path in sorted(root.rglob("*")):
-        if not path.is_file() or ".quarantine" in path.parts:
+def _walk(root: Path) -> Tuple[List[Tuple[Path, os.stat_result]], List[Path]]:
+    """``(entries with their stat, stray claim/tmp files)`` under ``root``."""
+    entries: List[Tuple[Path, os.stat_result]] = []
+    strays: List[Path] = []
+    for path, kind in iter_store_files(root):
+        if kind != "entry":
+            strays.append(path)
             continue
-        if path.suffix in _ENTRY_SUFFIXES:
-            try:
-                yield path, path.stat()
-            except OSError:
-                continue
-
-
-def _iter_strays(root: Path):
-    """Yield leftover temp/claim files (crashed writers leave these)."""
-    for path in sorted(root.rglob("*")):
-        if not path.is_file() or ".quarantine" in path.parts:
+        try:
+            entries.append((path, path.stat()))
+        except OSError:
             continue
-        if path.suffix == ".lock" or ".tmp." in path.name:
-            yield path
+    return entries, strays
 
 
 def scan_store(root: Union[str, Path]) -> StoreUsage:
@@ -553,13 +688,14 @@ def scan_store(root: Union[str, Path]) -> StoreUsage:
     usage = StoreUsage(root=root)
     if not root.exists():
         return usage
-    for path, stat in _iter_entries(root):
+    entries, strays = _walk(root)
+    for path, stat in entries:
         usage.entries += 1
         usage.total_bytes += stat.st_size
-        group = _store_group(root, path)
+        group = _store_group(path)
         count, size = usage.by_group.get(group, (0, 0))
         usage.by_group[group] = (count + 1, size + stat.st_size)
-    usage.stray_files = sum(1 for _ in _iter_strays(root))
+    usage.stray_files = len(strays)
     return usage
 
 
@@ -599,8 +735,9 @@ def prune_store(
     reference = time.time() if now is None else now
     fresh_after = reference - min_age_s
 
+    walked, strays = _walk(root)
     entries: List[Tuple[Path, float, int]] = [
-        (path, stat.st_mtime, stat.st_size) for path, stat in _iter_entries(root)
+        (path, stat.st_mtime, stat.st_size) for path, stat in walked
     ]
     entries.sort(key=lambda item: item[1])  # oldest first
 
@@ -641,7 +778,7 @@ def prune_store(
         report.freed_bytes += size
     report.kept = len(survivors)
 
-    for path in _iter_strays(root):
+    for path in strays:
         try:
             if reference - path.stat().st_mtime <= STALE_CLAIM_S:
                 continue
@@ -657,14 +794,22 @@ def prune_store(
 
 
 __all__ = [
+    "ArtifactStore",
     "ResultStore",
-    "ResultStoreStats",
+    "StoreStats",
     "setup_digest",
     "result_key",
     "scan_store",
     "prune_store",
     "StoreUsage",
     "PruneReport",
+    "BlobIntegrityError",
+    "write_blob",
+    "read_blob",
+    "iter_store_files",
+    "ARTIFACT_SUFFIX",
     "RESULT_SUFFIX",
+    "CLAIM_SUFFIX",
+    "QUARANTINE_DIR",
     "STALE_CLAIM_S",
 ]

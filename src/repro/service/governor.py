@@ -2,7 +2,7 @@
 
 A long-lived ``repro serve`` accumulates memory in three places: the
 in-memory tiers of the :class:`~repro.flow.store.ResultStore` and
-:class:`~repro.flow.artifacts.ArtifactStore` (unbounded by default), the
+:class:`~repro.flow.store.ArtifactStore` (unbounded by default), the
 factorised-solver cache, and transient batch state.  Left alone, the
 kernel OOM-killer is the backstop — which takes every in-flight request
 down with it.  :class:`ResourceGovernor` degrades *gracefully* instead,

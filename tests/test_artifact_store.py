@@ -14,8 +14,9 @@ import threading
 
 import pytest
 
-from repro.flow import ArtifactStore, FlowGraph
-from repro.flow.artifacts import _MAGIC
+from repro.bench import scattered_hotspots_workload, small_synthetic_circuit
+from repro.flow import ArtifactStore, ExperimentSetup, FlowGraph, evaluate_strategy
+from repro.flow.store import _MAGIC
 
 
 def _entry_path(store: ArtifactStore, stage: str, key: str):
@@ -96,6 +97,35 @@ class TestDiskTier:
         assert blob.startswith(_MAGIC)
         assert blob[len(_MAGIC) + 64:len(_MAGIC) + 65] == b"\n"
         assert pickle.loads(blob[len(_MAGIC) + 65:]) == [1, 2, 3]
+
+
+class TestUnwritableRoot:
+    def test_staged_flow_degrades_to_memory(self, tmp_path):
+        """A root under a regular file cannot be created: every disk write
+        fails, is counted, and the flow runs on from the memory tier."""
+
+        def staged_run(store):
+            flow = FlowGraph(store=store)
+            circuit = small_synthetic_circuit()
+            setup = ExperimentSetup.prepare(
+                circuit, scattered_hotspots_workload(circuit),
+                grid_nx=16, grid_ny=16, num_cycles=6, flow=flow,
+            )
+            outcome = evaluate_strategy(
+                setup, "eri", 0.15, analyze_timing=True, flow=flow
+            )
+            return setup, outcome, flow
+
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("a regular file")
+        setup, outcome, flow = staged_run(ArtifactStore(root=blocker / "store"))
+        reference_setup, reference, _ = staged_run(ArtifactStore())
+
+        assert outcome == reference
+        assert (
+            setup.thermal_map.temperatures == reference_setup.thermal_map.temperatures
+        ).all()
+        assert flow.store.stats().write_errors >= 1
 
 
 class TestDiskCorruption:

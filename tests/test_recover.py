@@ -42,9 +42,14 @@ from repro.flow import (
     prune_store,
     recover_store,
 )
-from repro.flow.artifacts import BlobIntegrityError, read_blob, write_blob
-from repro.flow.recover import QUARANTINE_DIR
-from repro.flow.store import RESULT_SUFFIX, STALE_CLAIM_S
+from repro.flow.store import (
+    QUARANTINE_DIR,
+    RESULT_SUFFIX,
+    STALE_CLAIM_S,
+    BlobIntegrityError,
+    read_blob,
+    write_blob,
+)
 
 #: A syntactically valid store key (32 lowercase hex chars).
 KEY = "ab" * 16

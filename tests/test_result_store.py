@@ -22,8 +22,7 @@ from repro.flow import (
     scan_store,
     setup_digest,
 )
-from repro.flow.artifacts import read_blob, write_blob
-from repro.flow.store import RESULT_SUFFIX, STALE_CLAIM_S
+from repro.flow.store import RESULT_SUFFIX, STALE_CLAIM_S, read_blob, write_blob
 
 NX = NY = 16
 

@@ -1,8 +1,8 @@
 """Tests for the pluggable whitespace-strategy API.
 
 Covers the registry (registration, duplicate rejection, resolution with
-parameters), the spec grammar round-trips, the deprecated ``Strategy``
-enum shim, and outcome sanity for the two new built-in strategies
+parameters), the spec grammar round-trips, config resolution, and
+outcome sanity for the two new built-in strategies
 (``hybrid`` and ``gradient``) on the quickstart circuit.
 """
 
@@ -13,8 +13,6 @@ from repro.core import (
     AreaManagementConfig,
     AreaManager,
     ERI_HOTSPOT_THRESHOLD,
-    HW_HOTSPOT_THRESHOLD,
-    Strategy,
     StrategyContext,
     StrategyResult,
     WhitespaceStrategy,
@@ -188,50 +186,10 @@ class TestSpecGrammar:
         assert split_spec_list(" default , eri ") == ["default", "eri"]
 
 
-class TestDeprecatedEnumShim:
-    def test_parse_still_resolves_builtins(self):
-        with pytest.warns(DeprecationWarning):
-            assert Strategy.parse("ERI") is Strategy.EMPTY_ROW_INSERTION
-
-    def test_parse_raises_type_error_on_non_string(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="str or Strategy"):
-                Strategy.parse(3.14)
-
-    def test_parse_error_lists_registered_names(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="hybrid"):
-                Strategy.parse("bogus")
-
-    def test_parse_points_registered_non_enum_names_at_resolver(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="resolve_strategy"):
-                Strategy.parse("hybrid")
-
-    def test_config_accepts_enum_silently(self):
-        # Enum members are plain strings; the deprecation warning lives in
-        # Strategy.parse, so config construction (and replace() round-trips
-        # of the canonicalised enum field) must not warn.
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            config = AreaManagementConfig(strategy=Strategy.HOTSPOT_WRAPPER)
-            import dataclasses
-
-            dataclasses.replace(config, area_overhead=0.3)
-        assert config.strategy is Strategy.HOTSPOT_WRAPPER
-        assert config.effective_hotspot_threshold == HW_HOTSPOT_THRESHOLD
-
-    def test_enum_members_are_plain_specs(self):
-        resolved = resolve_strategy(Strategy.DEFAULT)
-        assert resolved.name == "default"
-
-
 class TestConfigResolution:
-    def test_bare_builtin_names_resolve_to_enum(self):
+    def test_bare_builtin_names_stay_plain_names(self):
         config = AreaManagementConfig(strategy="hw")
-        assert config.strategy is Strategy.HOTSPOT_WRAPPER
+        assert config.strategy == "hw" and type(config.strategy) is str
         assert config.strategy_impl.overrides == {}
 
     def test_parameterized_spec(self):
