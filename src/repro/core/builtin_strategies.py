@@ -32,7 +32,7 @@ from .strategy import (
     WhitespaceStrategy,
     register_strategy,
 )
-from .wrapper import apply_hotspot_wrapper
+from .wrapper import apply_hotspot_wrapper_in_place
 
 #: Default hotspot-detection threshold for empty row insertion: the method
 #: acts on "the area around a given hotspot", so a generous fraction of the
@@ -111,8 +111,12 @@ class _WrapperMixin(WhitespaceStrategy):
         return validated
 
     def _wrap(self, ctx: StrategyContext, placement, hotspots):
+        """Wrap ``placement`` in place: it is a transform's fresh result,
+        owned by this call, so the wrapper skips its defensive copy.  Rows
+        are rebuilt first so the result equals the copying wrapper's."""
         config = ctx.config
-        return apply_hotspot_wrapper(
+        placement.rebuild_rows()
+        return apply_hotspot_wrapper_in_place(
             placement,
             project_hotspots(hotspots, ctx.placement, placement),
             ring_width_um=float(
@@ -160,7 +164,9 @@ class HybridStrategy(_WrapperMixin):
     placement's whitespace around the tight concentrated peaks (hotspots
     re-detected at ``tight_threshold``, projected onto the grown core).
     Targets scenarios with both a wide warm region and a sharp peak, where
-    neither ERI nor HW alone is a good fit.
+    neither ERI nor HW alone is a good fit.  The wrapper transforms the ERI
+    placement in place, so ``details["eri"].placement`` is the final
+    (wrapped) placement.
     """
 
     name = "hybrid"

@@ -65,7 +65,9 @@ class HotspotWrapperResult:
     """Outcome of the hotspot-wrapper transformation.
 
     Attributes:
-        placement: The transformed placement (cloned netlist).
+        placement: The transformed placement: a copy of the input for
+            :func:`apply_hotspot_wrapper`, the input placement itself for
+            :func:`apply_hotspot_wrapper_in_place`.
         wrapped: Per-hotspot book-keeping.
         num_fillers: Filler cells inserted after the transformation.
     """
@@ -115,16 +117,37 @@ def apply_hotspot_wrapper(
         add_fillers: Fill the resulting whitespace with dummy cells.
 
     Returns:
-        A :class:`HotspotWrapperResult` on a cloned netlist.
+        A :class:`HotspotWrapperResult` on a copy of ``baseline``.
 
     Raises:
         ValueError: If ``ring_width_um`` is negative.
     """
+    return apply_hotspot_wrapper_in_place(
+        baseline.copy(), hotspots, ring_width_um=ring_width_um,
+        max_source_units=max_source_units, max_hotspots=max_hotspots,
+        add_fillers=add_fillers,
+    )
+
+
+def apply_hotspot_wrapper_in_place(
+    placement: Placement,
+    hotspots: Sequence[Hotspot],
+    ring_width_um: float = 6.0,
+    max_source_units: int = 2,
+    max_hotspots: Optional[int] = None,
+    add_fillers: bool = True,
+) -> HotspotWrapperResult:
+    """:func:`apply_hotspot_wrapper` transforming ``placement`` itself.
+
+    For callers that own a placement nobody else reads, such as one a
+    transform just built, which saves the netlist copy.  Its row lists must
+    be in :meth:`~repro.placement.Placement.rebuild_rows` order for the
+    result to equal the copying form's bitwise.
+    """
     if ring_width_um < 0.0:
         raise ValueError(f"ring_width_um must be non-negative, got {ring_width_um}")
 
-    placement = baseline.copy()
-    # Any fillers present in the baseline (e.g. a Default placement that was
+    # Any fillers present in the input (e.g. a Default placement that was
     # already filled) are removed first; whitespace is re-filled at the end.
     remove_fillers(placement)
     selected = list(hotspots if max_hotspots is None else hotspots[:max_hotspots])

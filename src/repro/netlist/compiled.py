@@ -3,7 +3,7 @@
 The flow's hot paths — logic simulation, power estimation, thermal-grid
 binning and static timing — are all "for every gate / cell / net" loops.
 :class:`CompiledNetlist` lowers a :class:`~repro.netlist.netlist.Netlist`
-once into levelized NumPy index arrays so those loops become whole-array
+into levelized NumPy index arrays so those loops become whole-array
 expressions:
 
 * every cell and net gets a dense integer index (in ``netlist.cells`` /
@@ -22,9 +22,18 @@ Value slots: net ``i`` lives in row ``i`` of a values array; one extra
 ``zero`` row models unconnected/undriven inputs (always ``False``/arrival
 ``0``), and one ``trash`` row absorbs writes from unconnected output pins.
 
-Instances are obtained through :meth:`Netlist.compiled`, which caches the
-compiled form and rebuilds it when the netlist's structural version changes
-(any mutation through the ``Netlist`` API bumps the version).  Placement
+The lowering is split in two.  A :class:`Connectivity` holds everything
+that depends only on the design's connectivity (levels, net loads, terminal
+segments, STA launch/endpoint arrays, ...); it is immutable and shared *by
+reference* between a netlist and its :meth:`~Netlist.copy` clones, so a
+whitespace transform that only moves cells and appends unconnected fillers
+never recompiles it.  A :class:`CompiledNetlist` is the per-netlist view on
+top: per-cell vectors (the shared prefix extended by the netlist's own
+filler suffix) and the coordinate cache.
+
+Views are obtained through :meth:`Netlist.compiled`, which caches the view
+against the netlist's structural version and hands it the netlist's shared
+connectivity (see :meth:`Netlist.copy` for the sharing rules).  Placement
 coordinates are *not* baked in: coordinate-dependent arrays are gathered on
 demand and cached against :meth:`Netlist.placement_state` — the design's own
 placement stamp plus the process-wide raw-write generation — so moving cells
@@ -34,12 +43,13 @@ this one's coordinates.
 
 from __future__ import annotations
 
+import threading
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .cell import CellInstance
 from .library import ROW_HEIGHT, VECTOR_OP_CODES, MasterCell
 from .netlist import Netlist
 
@@ -65,250 +75,211 @@ class GateGroup:
     out: np.ndarray
 
 
-class CompiledNetlist:
-    """Levelized structure-of-arrays lowering of one netlist.
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only array: shared sections must never be written through."""
+    array = np.array(values, dtype=dtype)
+    array.setflags(write=False)
+    return array
 
-    Build via :meth:`Netlist.compiled` (cached) rather than directly.
+
+class _Names(NamedTuple):
+    cell_names: List[str]
+    cell_index: Dict[str, int]
+    net_names: List[str]
+    net_index: Dict[str, int]
+    pi_ports: List[Tuple[str, int]]
+
+
+class _CellVectors(NamedTuple):
+    width_um: np.ndarray
+    area_um2: np.ndarray
+    is_filler: np.ndarray
+    unit_code_of: Dict[str, int]
+    unit_codes: np.ndarray
+
+
+class _Terminals(NamedTuple):
+    is_cell: np.ndarray
+    #: Cell index for cell terminals, index into ``netlist.ports`` order for
+    #: port terminals (ports are per-netlist objects; ERI moves the copy's).
+    ref: np.ndarray
+    offsets: np.ndarray
+
+
+class Connectivity:
+    """The immutable, connectivity-only sections of a compiled netlist.
+
+    One object covers the first :attr:`num_cells` cells (the *prefix*) and
+    all nets and ports of every netlist holding it; those netlists agree on
+    the prefix cells' names, masters and units, on every net's terminals in
+    order, and on the ports, and any cells past the prefix are unconnected
+    fillers.  :class:`~repro.netlist.netlist.Netlist` maintains that
+    invariant: a structural edit other than appending or removing a suffix
+    filler drops the netlist's reference.
+
+    Sections are built lazily from whichever holder asks first, at most
+    once per object even under concurrent requests, and reference no cell,
+    net, pin or port object — only indices, names and (immutable) master
+    cells — so holders never see each other's objects.  Arrays are
+    read-only.
     """
 
-    def __init__(self, netlist: Netlist) -> None:
-        self.netlist = netlist
-        self.version = netlist._version
+    def __init__(self, num_cells: int) -> None:
+        self.num_cells = num_cells
+        self._lock = threading.RLock()
+        self._sections: Dict[str, object] = {}
 
-        cells = list(netlist.cells.values())
-        nets = list(netlist.nets.values())
-        self._cells = cells
-        self.cell_names: List[str] = [c.name for c in cells]
-        self.cell_index: Dict[str, int] = {n: i for i, n in enumerate(self.cell_names)}
-        self.net_names: List[str] = [n.name for n in nets]
-        self.net_index: Dict[str, int] = {n: i for i, n in enumerate(self.net_names)}
-        self.num_cells = len(cells)
-        self.num_nets = len(nets)
-        #: Value slot that is always ``False`` / arrival ``0.0``.
-        self.zero_slot = self.num_nets
-        #: Value slot that absorbs writes from unconnected output pins.
-        self.trash_slot = self.num_nets + 1
-        self.num_slots = self.num_nets + 2
+    def _section(self, name: str, netlist: Netlist, build: Callable[[Netlist], object]):
+        section = self._sections.get(name)
+        if section is None:
+            with self._lock:
+                section = self._sections.get(name)
+                if section is None:
+                    section = build(netlist)
+                    self._sections[name] = section
+        return section
 
-        # -- per-cell geometry vectors -----------------------------------
-        masters = [c.master for c in cells]
-        self._masters = masters
-        self.cell_width_um = np.array([c.width for c in cells], dtype=float)
-        self.cell_area_um2 = np.array([c.area for c in cells], dtype=float)
-        self.is_filler = np.array([m.is_filler for m in masters], dtype=bool)
-        # Electrical vectors (leakage, energies, delays) are built lazily —
-        # see the properties below — so consumers that only need geometry
-        # (power binning, hotspot attribution on a freshly transformed
-        # netlist) skip the master-cell gathers entirely.
-        self._electrical: Optional[Tuple[np.ndarray, ...]] = None
+    def _prefix(self, netlist: Netlist) -> list:
+        return list(netlist.cells.values())[: self.num_cells]
 
-        # -- per-cell unit codes -----------------------------------------
+    # -- names ---------------------------------------------------------------
+
+    def names(self, netlist: Netlist) -> _Names:
+        """Prefix cell names/index, net names/index and primary-input slots."""
+        return self._section("names", netlist, self._build_names)
+
+    def _build_names(self, netlist: Netlist) -> _Names:
+        cell_names = [c.name for c in self._prefix(netlist)]
+        net_names = list(netlist.nets)
+        net_index = {n: i for i, n in enumerate(net_names)}
+        pi_ports = [
+            (p.name, net_index[p.net.name] if p.net is not None else -1)
+            for p in netlist.primary_inputs
+        ]
+        return _Names(
+            cell_names, {n: i for i, n in enumerate(cell_names)},
+            net_names, net_index, pi_ports,
+        )
+
+    # -- per-cell vectors of the prefix ----------------------------------------
+
+    def cell_vectors(self, netlist: Netlist) -> _CellVectors:
+        """Prefix geometry vectors and first-seen unit codes."""
+        return self._section("cell_vectors", netlist, self._build_cell_vectors)
+
+    def _build_cell_vectors(self, netlist: Netlist) -> _CellVectors:
+        cells = self._prefix(netlist)
         # Dense integer codes for the logical unit each cell belongs to, in
         # first-seen cell order; lets hotspot attribution and other
         # per-unit reductions run as one np.bincount instead of a Python
         # dict accumulation.
         unit_code_of: Dict[str, int] = {}
-        codes = np.empty(self.num_cells, dtype=np.int64)
-        for i, cell in enumerate(cells):
-            code = unit_code_of.setdefault(cell.unit, len(unit_code_of))
-            codes[i] = code
-        self.unit_names: List[str] = list(unit_code_of)
-        self.unit_codes = codes
-        self.num_units = len(self.unit_names)
+        codes = [unit_code_of.setdefault(c.unit, len(unit_code_of)) for c in cells]
+        return _CellVectors(
+            _frozen([c.width for c in cells], float),
+            _frozen([c.area for c in cells], float),
+            _frozen([c.master.is_filler for c in cells], bool),
+            unit_code_of,
+            _frozen(codes, np.int64),
+        )
 
-        # -- per-net load vectors (lazy, see properties below) -----------
-        self._net_loads: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._outpins: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._sequential: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+    def electrical(self, netlist: Netlist) -> Tuple[np.ndarray, ...]:
+        """Prefix leakage, internal energy, delay, drive and sequential flags."""
+        return self._section("electrical", netlist, self._build_electrical)
 
-        # -- primary ports -----------------------------------------------
-        net_index = self.net_index
-        self.pi_ports: List[Tuple[str, int]] = [
-            (p.name, net_index[p.net.name] if p.net is not None else -1)
-            for p in netlist.primary_inputs
+    def _build_electrical(self, netlist: Netlist) -> Tuple[np.ndarray, ...]:
+        return _electrical([c.master for c in self._prefix(netlist)])
+
+    # -- per-net loads ---------------------------------------------------------
+
+    def net_loads(self, netlist: Netlist) -> Tuple[np.ndarray, np.ndarray]:
+        """Summed sink-pin capacitance and sink count per net."""
+        return self._section("net_loads", netlist, self._build_net_loads)
+
+    def _build_net_loads(self, netlist: Netlist) -> Tuple[np.ndarray, np.ndarray]:
+        nets = list(netlist.nets.values())
+        # Summed in sink-pin order, matching the reference loop exactly.
+        sink_pin_cap = [
+            sum(p.cell.master.input_cap_ff for p in net.sink_pins) for net in nets
         ]
+        return (
+            _frozen(sink_pin_cap, float),
+            _frozen([net.num_sinks for net in nets], np.int64),
+        )
 
-        # -- lazily built sections ----------------------------------------
-        # Levelization, STA launch/endpoint structure and the flattened
-        # net-terminal arrays are each built on first use: consumers that
-        # only need the cheap per-cell/per-net vectors (e.g. power binning
-        # on a freshly copied netlist) skip their cost entirely.
-        self._nets = nets
-        self._levels: Optional[List[List[GateGroup]]] = None
-        self._driven_slots: Optional[np.ndarray] = None
-        self._sta_arrays: Optional[Tuple[np.ndarray, np.ndarray, List[str], np.ndarray, np.ndarray]] = None
-        self._terminals_built = False
+    # -- output pins, flip-flops, driven slots --------------------------------
 
-        # -- coordinate cache (placement-state keyed) ---------------------
-        self._coords_state: Optional[Tuple[int, int, int]] = None
-        self._coords: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+    def outpins(self, netlist: Netlist) -> Tuple[np.ndarray, np.ndarray]:
+        """Cell and net index of every connected non-filler output pin."""
+        return self._section("outpins", netlist, self._build_outpins)
 
-    # ------------------------------------------------------------------
-    # Lazy sections
-    # ------------------------------------------------------------------
+    def _build_outpins(self, netlist: Netlist) -> Tuple[np.ndarray, np.ndarray]:
+        net_index = self.names(netlist).net_index
+        outpin_cell: List[int] = []
+        outpin_net: List[int] = []
+        for ci, cell in enumerate(self._prefix(netlist)):
+            if cell.is_filler:
+                continue
+            for pin in cell.output_pins:
+                if pin.net is not None:
+                    outpin_cell.append(ci)
+                    outpin_net.append(net_index[pin.net.name])
+        return _frozen(outpin_cell, np.int64), _frozen(outpin_net, np.int64)
 
-    def _ensure_electrical(self) -> Tuple[np.ndarray, ...]:
-        if self._electrical is None:
-            masters = self._masters
-            self._electrical = (
-                np.array([m.leakage_nw for m in masters], dtype=float),
-                np.array([m.internal_energy_fj for m in masters], dtype=float),
-                np.array([m.intrinsic_delay_ps for m in masters], dtype=float),
-                np.array([m.drive_res_kohm for m in masters], dtype=float),
-                np.array([m.is_sequential for m in masters], dtype=bool),
-            )
-        return self._electrical
+    def sequential(self, netlist: Netlist) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flip-flop cell indices with their D-input and Q-output slots."""
+        return self._section("sequential", netlist, self._build_sequential)
 
-    @property
-    def leakage_nw(self) -> np.ndarray:
-        """Per-cell leakage in nanowatts (built on first use)."""
-        return self._ensure_electrical()[0]
+    def _build_sequential(self, netlist: Netlist) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        net_index = self.names(netlist).net_index
+        zero, trash = len(net_index), len(net_index) + 1
+        seq_cells: List[int] = []
+        seq_d_slot: List[int] = []
+        seq_q_slot: List[int] = []
+        for ci, cell in enumerate(self._prefix(netlist)):
+            if not cell.is_sequential:
+                continue
+            in_pins = cell.input_pins
+            out_pins = cell.output_pins
+            d = in_pins[0].net if in_pins else None
+            q = out_pins[0].net if out_pins else None
+            seq_cells.append(ci)
+            seq_d_slot.append(net_index[d.name] if d is not None else zero)
+            seq_q_slot.append(net_index[q.name] if q is not None else trash)
+        return (
+            _frozen(seq_cells, np.int64),
+            _frozen(seq_d_slot, np.int64),
+            _frozen(seq_q_slot, np.int64),
+        )
 
-    @property
-    def internal_energy_fj(self) -> np.ndarray:
-        """Per-cell internal switching energy in femtojoules."""
-        return self._ensure_electrical()[1]
-
-    @property
-    def intrinsic_delay_ps(self) -> np.ndarray:
-        """Per-cell intrinsic delay in picoseconds."""
-        return self._ensure_electrical()[2]
-
-    @property
-    def drive_res_kohm(self) -> np.ndarray:
-        """Per-cell drive resistance in kiloohms."""
-        return self._ensure_electrical()[3]
-
-    @property
-    def is_sequential(self) -> np.ndarray:
-        """Per-cell sequential-master flags."""
-        return self._ensure_electrical()[4]
-
-    def _ensure_net_loads(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self._net_loads is None:
-            sink_pin_cap = np.zeros(self.num_nets)
-            num_sinks = np.zeros(self.num_nets, dtype=np.int64)
-            for i, net in enumerate(self._nets):
-                # Summed in sink-pin order, matching the reference loop
-                # exactly.
-                sink_pin_cap[i] = sum(
-                    p.cell.master.input_cap_ff for p in net.sink_pins
-                )
-                num_sinks[i] = net.num_sinks
-            self._net_loads = (sink_pin_cap, num_sinks)
-        return self._net_loads
-
-    @property
-    def sink_pin_cap_ff(self) -> np.ndarray:
-        """Summed sink-pin input capacitance per net (built on first use)."""
-        return self._ensure_net_loads()[0]
-
-    @property
-    def num_sinks(self) -> np.ndarray:
-        """Sink count per net (built on first use)."""
-        return self._ensure_net_loads()[1]
-
-    def _ensure_outpins(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self._outpins is None:
-            outpin_cell: List[int] = []
-            outpin_net: List[int] = []
-            net_index = self.net_index
-            for ci, cell in enumerate(self._cells):
-                if cell.is_filler:
-                    continue
-                for pin in cell.output_pins:
-                    if pin.net is not None:
-                        outpin_cell.append(ci)
-                        outpin_net.append(net_index[pin.net.name])
-            self._outpins = (
-                np.array(outpin_cell, dtype=np.int64),
-                np.array(outpin_net, dtype=np.int64),
-            )
-        return self._outpins
-
-    @property
-    def outpin_cell(self) -> np.ndarray:
-        """Cell index of every connected non-filler output pin."""
-        return self._ensure_outpins()[0]
-
-    @property
-    def outpin_net(self) -> np.ndarray:
-        """Net index of every connected non-filler output pin."""
-        return self._ensure_outpins()[1]
-
-    def _ensure_sequential(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._sequential is None:
-            net_index = self.net_index
-            seq_cells: List[int] = []
-            seq_d_slot: List[int] = []
-            seq_q_slot: List[int] = []
-            for ci, cell in enumerate(self._cells):
-                if not cell.is_sequential:
-                    continue
-                in_pins = cell.input_pins
-                out_pins = cell.output_pins
-                d = in_pins[0].net if in_pins else None
-                q = out_pins[0].net if out_pins else None
-                seq_cells.append(ci)
-                seq_d_slot.append(
-                    net_index[d.name] if d is not None else self.zero_slot
-                )
-                seq_q_slot.append(
-                    net_index[q.name] if q is not None else self.trash_slot
-                )
-            self._sequential = (
-                np.array(seq_cells, dtype=np.int64),
-                np.array(seq_d_slot, dtype=np.int64),
-                np.array(seq_q_slot, dtype=np.int64),
-            )
-        return self._sequential
-
-    @property
-    def seq_cells(self) -> np.ndarray:
-        """Cell indices of sequential cells (built on first use)."""
-        return self._ensure_sequential()[0]
-
-    @property
-    def seq_d_slot(self) -> np.ndarray:
-        """Per-flop D-input value slot."""
-        return self._ensure_sequential()[1]
-
-    @property
-    def seq_q_slot(self) -> np.ndarray:
-        """Per-flop Q-output value slot."""
-        return self._ensure_sequential()[2]
-
-    @property
-    def levels(self) -> List[List[GateGroup]]:
-        """Levelized gate groups (built on first use)."""
-        if self._levels is None:
-            self._levels = self._levelize(self._cells)
-        return self._levels
-
-    @property
-    def driven_slots(self) -> np.ndarray:
+    def driven_slots(self, netlist: Netlist) -> np.ndarray:
         """Value slots written by PIs, flip-flop Qs and gate outputs."""
-        if self._driven_slots is None:
-            driven: List[int] = [s for _, s in self.pi_ports if s >= 0]
-            driven.extend(int(s) for s in self.seq_q_slot if s < self.num_nets)
-            for level in self.levels:
-                for group in level:
-                    driven.extend(
-                        int(s) for s in group.out.ravel() if s < self.num_nets
-                    )
-            self._driven_slots = np.array(driven, dtype=np.int64)
-        return self._driven_slots
+        return self._section("driven_slots", netlist, self._build_driven_slots)
 
-    def _ensure_sta_arrays(self) -> None:
-        if self._sta_arrays is not None:
-            return
-        net_index = self.net_index
+    def _build_driven_slots(self, netlist: Netlist) -> np.ndarray:
+        names = self.names(netlist)
+        num_nets = len(names.net_names)
+        driven: List[int] = [s for _, s in names.pi_ports if s >= 0]
+        driven.extend(int(s) for s in self.sequential(netlist)[2] if s < num_nets)
+        for level in self.levels(netlist):
+            for group in level:
+                driven.extend(int(s) for s in group.out.ravel() if s < num_nets)
+        return _frozen(driven, np.int64)
+
+    # -- STA launch/endpoint structure ----------------------------------------
+
+    def sta_arrays(self, netlist: Netlist) -> tuple:
+        """``(launch_cell, launch_net, ep_names, ep_slot, ep_setup)``."""
+        return self._section("sta", netlist, self._build_sta_arrays)
+
+    def _build_sta_arrays(self, netlist: Netlist) -> tuple:
+        net_index = self.names(netlist).net_index
         launch_cell: List[int] = []
         launch_net: List[int] = []
         ep_names: List[str] = []
         ep_slot: List[int] = []
         ep_setup: List[float] = []
-        for ci, cell in enumerate(self._cells):
+        for ci, cell in enumerate(self._prefix(netlist)):
             if not cell.is_sequential:
                 continue
             for pin in cell.output_pins:
@@ -321,51 +292,69 @@ class CompiledNetlist:
                 ep_names.append(pin.full_name)
                 ep_slot.append(net_index[pin.net.name])
                 ep_setup.append(0.3 * cell.master.intrinsic_delay_ps)
-        for port in self.netlist.primary_outputs:
+        for port in netlist.primary_outputs:
             if port.net is not None:
                 ep_names.append(port.name)
                 ep_slot.append(net_index[port.net.name])
                 ep_setup.append(0.0)
-        self._sta_arrays = (
-            np.array(launch_cell, dtype=np.int64),
-            np.array(launch_net, dtype=np.int64),
+        return (
+            _frozen(launch_cell, np.int64),
+            _frozen(launch_net, np.int64),
             ep_names,
-            np.array(ep_slot, dtype=np.int64),
-            np.array(ep_setup, dtype=float),
+            _frozen(ep_slot, np.int64),
+            _frozen(ep_setup, float),
         )
 
-    @property
-    def launch_cell(self) -> np.ndarray:
-        self._ensure_sta_arrays()
-        return self._sta_arrays[0]
+    # -- net terminals ----------------------------------------------------------
 
-    @property
-    def launch_net(self) -> np.ndarray:
-        self._ensure_sta_arrays()
-        return self._sta_arrays[1]
+    def terminals(self, netlist: Netlist) -> _Terminals:
+        """Net terminals flattened into segment arrays for reduceat HPWL."""
+        return self._section("terminals", netlist, self._build_terminals)
 
-    @property
-    def ep_names(self) -> List[str]:
-        self._ensure_sta_arrays()
-        return self._sta_arrays[2]
+    def _build_terminals(self, netlist: Netlist) -> _Terminals:
+        cell_index = self.names(netlist).cell_index
+        port_index = {id(port): i for i, port in enumerate(netlist.ports.values())}
+        nets = list(netlist.nets.values())
+        term_net_counts = np.zeros(len(nets), dtype=np.int64)
+        term_is_cell: List[bool] = []
+        term_ref: List[int] = []
+        for i, net in enumerate(nets):
+            count = 0
+            if net.driver_pin is not None:
+                term_is_cell.append(True)
+                term_ref.append(cell_index[net.driver_pin.cell.name])
+                count += 1
+            if net.driver_port is not None:
+                term_is_cell.append(False)
+                term_ref.append(port_index[id(net.driver_port)])
+                count += 1
+            for pin in net.sink_pins:
+                term_is_cell.append(True)
+                term_ref.append(cell_index[pin.cell.name])
+                count += 1
+            for port in net.sink_ports:
+                term_is_cell.append(False)
+                term_ref.append(port_index[id(port)])
+                count += 1
+            term_net_counts[i] = count
+        offsets = np.zeros(len(nets) + 1, dtype=np.int64)
+        np.cumsum(term_net_counts, out=offsets[1:])
+        offsets.setflags(write=False)
+        return _Terminals(
+            _frozen(term_is_cell, bool), _frozen(term_ref, np.int64), offsets
+        )
 
-    @property
-    def ep_slot(self) -> np.ndarray:
-        self._ensure_sta_arrays()
-        return self._sta_arrays[3]
+    # -- levelization -----------------------------------------------------------
 
-    @property
-    def ep_setup(self) -> np.ndarray:
-        self._ensure_sta_arrays()
-        return self._sta_arrays[4]
+    def levels(self, netlist: Netlist) -> List[List[GateGroup]]:
+        """Levelized gate groups."""
+        return self._section("levels", netlist, self._levelize)
 
-    # ------------------------------------------------------------------
-    # Levelization
-    # ------------------------------------------------------------------
-
-    def _levelize(self, cells: List[CellInstance]) -> List[List[GateGroup]]:
+    def _levelize(self, netlist: Netlist) -> List[List[GateGroup]]:
         """Topologically level the combinational cells and group by master."""
-        net_pos = {id(net): i for i, net in enumerate(self._nets)}
+        cells = self._prefix(netlist)
+        nets = list(netlist.nets.values())
+        net_pos = {id(net): i for i, net in enumerate(nets)}
         cell_pos = {id(cell): i for i, cell in enumerate(cells)}
 
         seq_or_filler = [c.is_sequential or c.is_filler for c in cells]
@@ -376,8 +365,8 @@ class CompiledNetlist:
 
         # One pass over the pins: value slots per cell (reused below for the
         # group matrices) and the comb-to-comb dependency edges.
-        zero = self.zero_slot
-        trash = self.trash_slot
+        zero = len(nets)
+        trash = len(nets) + 1
         fanin_slots: List[List[int]] = []
         out_slots: List[List[int]] = []
         indegree = [0] * len(comb)
@@ -409,8 +398,6 @@ class CompiledNetlist:
                     for name in master.outputs
                 ]
             )
-
-        from collections import deque
 
         queue = deque(k for k in range(len(comb)) if indegree[k] == 0)
         processed = 0
@@ -459,23 +446,232 @@ class CompiledNetlist:
         for bucket in buckets:
             groups: List[GateGroup] = []
             for master, op, members in bucket.values():
-                fanin = np.array(
-                    [fanin_slots[comb_pos[ci]] for ci in members], dtype=np.int64
+                fanin = _frozen(
+                    [fanin_slots[comb_pos[ci]] for ci in members], np.int64
                 ).reshape(len(members), len(master.inputs))
-                out = np.array(
-                    [out_slots[comb_pos[ci]] for ci in members], dtype=np.int64
+                out = _frozen(
+                    [out_slots[comb_pos[ci]] for ci in members], np.int64
                 ).reshape(len(members), len(master.outputs))
                 groups.append(
                     GateGroup(
                         master=master,
                         op=op,
-                        cells=np.array(members, dtype=np.int64),
+                        cells=_frozen(members, np.int64),
                         fanin=fanin,
                         out=out,
                     )
                 )
             levels.append(groups)
         return levels
+
+
+def _electrical(masters: List[MasterCell]) -> Tuple[np.ndarray, ...]:
+    return (
+        _frozen([m.leakage_nw for m in masters], float),
+        _frozen([m.internal_energy_fj for m in masters], float),
+        _frozen([m.intrinsic_delay_ps for m in masters], float),
+        _frozen([m.drive_res_kohm for m in masters], float),
+        _frozen([m.is_sequential for m in masters], bool),
+    )
+
+
+def _extended(prefix: np.ndarray, suffix: np.ndarray) -> np.ndarray:
+    """``prefix`` followed by ``suffix``, read-only (``prefix`` itself when empty)."""
+    if not suffix.size:
+        return prefix
+    joined = np.concatenate([prefix, suffix])
+    joined.setflags(write=False)
+    return joined
+
+
+class CompiledNetlist:
+    """One netlist's compiled view: shared :class:`Connectivity` plus its own cells.
+
+    The view holds what differs between netlists sharing a connectivity:
+    the per-cell vectors (the connectivity's prefix vectors extended by this
+    netlist's filler suffix), its own port objects and the coordinate
+    cache.  Everything else is read through to the shared sections.  Build
+    via :meth:`Netlist.compiled` (cached, shared); constructing one directly
+    without ``connectivity`` compiles a fresh, unshared lowering.
+    """
+
+    def __init__(self, netlist: Netlist, connectivity: Optional[Connectivity] = None) -> None:
+        self.netlist = netlist
+        self.version = netlist._version
+        conn = connectivity if connectivity is not None else Connectivity(len(netlist.cells))
+        self.connectivity = conn
+
+        cells = list(netlist.cells.values())
+        self._cells = cells
+        self._ports = list(netlist.ports.values())
+        suffix = cells[conn.num_cells:]
+        self._suffix = suffix
+
+        names = conn.names(netlist)
+        self.cell_names: List[str] = names.cell_names + [c.name for c in suffix]
+        if suffix:
+            cell_index = dict(names.cell_index)
+            for i, cell in enumerate(suffix, start=conn.num_cells):
+                cell_index[cell.name] = i
+        else:
+            cell_index = names.cell_index
+        self.cell_index: Dict[str, int] = cell_index
+        self.net_names: List[str] = names.net_names
+        self.net_index: Dict[str, int] = names.net_index
+        self.pi_ports: List[Tuple[str, int]] = names.pi_ports
+        self.num_cells = len(cells)
+        self.num_nets = len(self.net_names)
+        #: Value slot that is always ``False`` / arrival ``0.0``.
+        self.zero_slot = self.num_nets
+        #: Value slot that absorbs writes from unconnected output pins.
+        self.trash_slot = self.num_nets + 1
+        self.num_slots = self.num_nets + 2
+
+        # -- per-cell geometry vectors and unit codes ---------------------
+        vectors = conn.cell_vectors(netlist)
+        self.cell_width_um = _extended(
+            vectors.width_um, np.array([c.width for c in suffix], dtype=float)
+        )
+        self.cell_area_um2 = _extended(
+            vectors.area_um2, np.array([c.area for c in suffix], dtype=float)
+        )
+        self.is_filler = _extended(
+            vectors.is_filler, np.array([c.master.is_filler for c in suffix], dtype=bool)
+        )
+        unit_code_of = vectors.unit_code_of
+        if any(c.unit not in unit_code_of for c in suffix):
+            unit_code_of = dict(unit_code_of)
+        suffix_codes = [unit_code_of.setdefault(c.unit, len(unit_code_of)) for c in suffix]
+        self.unit_codes = _extended(vectors.unit_codes, np.array(suffix_codes, dtype=np.int64))
+        self.unit_names: List[str] = list(unit_code_of)
+        self.num_units = len(self.unit_names)
+
+        # Electrical vectors (leakage, energies, delays) are built lazily —
+        # see the properties below — so consumers that only need geometry
+        # (power binning, hotspot attribution on a freshly transformed
+        # netlist) skip the master-cell gathers entirely.
+        self._electrical: Optional[Tuple[np.ndarray, ...]] = None
+
+        # -- coordinate cache (placement-state keyed) ---------------------
+        self._coords_state: Optional[Tuple[int, int, int]] = None
+        self._coords: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
+    def _source(self) -> Netlist:
+        """The netlist shared sections are read (or first built) through.
+
+        A view may outlive later edits of its netlist; it can still read
+        sections as long as the netlist holds the same connectivity (only
+        suffix fillers changed).  Any other edit makes it stale, and a
+        stale view must not build a shared section from the edited netlist.
+        """
+        netlist = self.netlist
+        if netlist._version != self.version and netlist._connectivity is not self.connectivity:
+            raise RuntimeError(
+                f"stale compiled netlist for {netlist.name!r}: the netlist was "
+                "structurally edited; call Netlist.compiled() again"
+            )
+        return netlist
+
+    # ------------------------------------------------------------------
+    # Lazy sections
+    # ------------------------------------------------------------------
+
+    def _ensure_electrical(self) -> Tuple[np.ndarray, ...]:
+        if self._electrical is None:
+            prefix = self.connectivity.electrical(self._source())
+            suffix = _electrical([c.master for c in self._suffix])
+            self._electrical = tuple(_extended(p, s) for p, s in zip(prefix, suffix))
+        return self._electrical
+
+    @property
+    def leakage_nw(self) -> np.ndarray:
+        """Per-cell leakage in nanowatts (built on first use)."""
+        return self._ensure_electrical()[0]
+
+    @property
+    def internal_energy_fj(self) -> np.ndarray:
+        """Per-cell internal switching energy in femtojoules."""
+        return self._ensure_electrical()[1]
+
+    @property
+    def intrinsic_delay_ps(self) -> np.ndarray:
+        """Per-cell intrinsic delay in picoseconds."""
+        return self._ensure_electrical()[2]
+
+    @property
+    def drive_res_kohm(self) -> np.ndarray:
+        """Per-cell drive resistance in kiloohms."""
+        return self._ensure_electrical()[3]
+
+    @property
+    def is_sequential(self) -> np.ndarray:
+        """Per-cell sequential-master flags."""
+        return self._ensure_electrical()[4]
+
+    @property
+    def sink_pin_cap_ff(self) -> np.ndarray:
+        """Summed sink-pin input capacitance per net (built on first use)."""
+        return self.connectivity.net_loads(self._source())[0]
+
+    @property
+    def num_sinks(self) -> np.ndarray:
+        """Sink count per net (built on first use)."""
+        return self.connectivity.net_loads(self._source())[1]
+
+    @property
+    def outpin_cell(self) -> np.ndarray:
+        """Cell index of every connected non-filler output pin."""
+        return self.connectivity.outpins(self._source())[0]
+
+    @property
+    def outpin_net(self) -> np.ndarray:
+        """Net index of every connected non-filler output pin."""
+        return self.connectivity.outpins(self._source())[1]
+
+    @property
+    def seq_cells(self) -> np.ndarray:
+        """Cell indices of sequential cells (built on first use)."""
+        return self.connectivity.sequential(self._source())[0]
+
+    @property
+    def seq_d_slot(self) -> np.ndarray:
+        """Per-flop D-input value slot."""
+        return self.connectivity.sequential(self._source())[1]
+
+    @property
+    def seq_q_slot(self) -> np.ndarray:
+        """Per-flop Q-output value slot."""
+        return self.connectivity.sequential(self._source())[2]
+
+    @property
+    def levels(self) -> List[List[GateGroup]]:
+        """Levelized gate groups (built on first use)."""
+        return self.connectivity.levels(self._source())
+
+    @property
+    def driven_slots(self) -> np.ndarray:
+        """Value slots written by PIs, flip-flop Qs and gate outputs."""
+        return self.connectivity.driven_slots(self._source())
+
+    @property
+    def launch_cell(self) -> np.ndarray:
+        return self.connectivity.sta_arrays(self._source())[0]
+
+    @property
+    def launch_net(self) -> np.ndarray:
+        return self.connectivity.sta_arrays(self._source())[1]
+
+    @property
+    def ep_names(self) -> List[str]:
+        return self.connectivity.sta_arrays(self._source())[2]
+
+    @property
+    def ep_slot(self) -> np.ndarray:
+        return self.connectivity.sta_arrays(self._source())[3]
+
+    @property
+    def ep_setup(self) -> np.ndarray:
+        return self.connectivity.sta_arrays(self._source())[4]
 
     # ------------------------------------------------------------------
     # Vectorized logic evaluation
@@ -588,54 +784,8 @@ class CompiledNetlist:
         return self._coords
 
     # ------------------------------------------------------------------
-    # Net terminals / vectorized HPWL
+    # Vectorized HPWL
     # ------------------------------------------------------------------
-
-    def _build_terminals(self) -> None:
-        """Flatten net terminals into segment arrays for reduceat HPWL."""
-        nets = self._nets
-        term_net_counts = np.zeros(self.num_nets, dtype=np.int64)
-        term_is_cell: List[bool] = []
-        term_ref: List[int] = []
-        ports: List = []
-        port_pos: Dict[int, int] = {}
-
-        def port_idx(port) -> int:
-            key = id(port)
-            idx = port_pos.get(key)
-            if idx is None:
-                idx = len(ports)
-                port_pos[key] = idx
-                ports.append(port)
-            return idx
-
-        for i, net in enumerate(nets):
-            count = 0
-            if net.driver_pin is not None:
-                term_is_cell.append(True)
-                term_ref.append(self.cell_index[net.driver_pin.cell.name])
-                count += 1
-            if net.driver_port is not None:
-                term_is_cell.append(False)
-                term_ref.append(port_idx(net.driver_port))
-                count += 1
-            for pin in net.sink_pins:
-                term_is_cell.append(True)
-                term_ref.append(self.cell_index[pin.cell.name])
-                count += 1
-            for port in net.sink_ports:
-                term_is_cell.append(False)
-                term_ref.append(port_idx(port))
-                count += 1
-            term_net_counts[i] = count
-
-        self._term_is_cell = np.array(term_is_cell, dtype=bool)
-        self._term_ref = np.array(term_ref, dtype=np.int64)
-        self._term_ports = ports
-        offsets = np.zeros(self.num_nets + 1, dtype=np.int64)
-        np.cumsum(term_net_counts, out=offsets[1:])
-        self._term_offsets = offsets
-        self._terminals_built = True
 
     def net_hpwl_um(self) -> np.ndarray:
         """Half-perimeter wirelength of every net over its placed terminals.
@@ -643,21 +793,20 @@ class CompiledNetlist:
         Matches :meth:`Net.hpwl`: nets with fewer than two placed terminals
         report ``0.0``.
         """
-        if not self._terminals_built:
-            self._build_terminals()
+        terminals = self.connectivity.terminals(self._source())
         cx, cy, placed = self.cell_center_arrays()
-        num_ports = len(self._term_ports)
+        num_ports = len(self._ports)
         px = np.full(num_ports, np.nan)
         py = np.full(num_ports, np.nan)
         p_placed = np.zeros(num_ports, dtype=bool)
-        for i, port in enumerate(self._term_ports):
+        for i, port in enumerate(self._ports):
             if port.x is not None:
                 px[i] = port.x
                 py[i] = port.y
                 p_placed[i] = True
 
-        is_cell = self._term_is_cell
-        ref = self._term_ref
+        is_cell = terminals.is_cell
+        ref = terminals.ref
         m = ref.shape[0]
         tx = np.empty(m)
         ty = np.empty(m)
@@ -671,8 +820,8 @@ class CompiledNetlist:
         ty[port_mask] = py[ref[port_mask]]
         tvalid[port_mask] = p_placed[ref[port_mask]]
 
-        starts = self._term_offsets[:-1]
-        counts = np.diff(self._term_offsets)
+        starts = terminals.offsets[:-1]
+        counts = np.diff(terminals.offsets)
 
         hpwl = np.zeros(self.num_nets)
         # Reduce only over nets that actually have terminals: their start

@@ -31,16 +31,22 @@ class Netlist:
         self.nets: Dict[str, Net] = {}
         self.ports: Dict[str, Port] = {}
         #: Structural version, bumped by every mutating method; the compiled
-        #: array form (:meth:`compiled`) is cached against it.
+        #: view (:meth:`compiled`) is cached against it.
         self._version = 0
         self._compiled = None
+        #: Compiled connectivity shared with this netlist's copies (see
+        #: :meth:`copy`); ``None`` until compiled or copied, and after any
+        #: edit that changes the connectivity.
+        self._connectivity = None
         #: Placement stamp: a process-unique value rewritten by every move
         #: of one of this design's cells or ports (see
         #: :meth:`placement_state`).
         self._placement_stamp = next_stamp()
 
     def _invalidate(self) -> None:
+        """Record a structural edit that changes the connectivity."""
         self._version += 1
+        self._connectivity = None
 
     def mark_placement_changed(self) -> None:
         """Record that this design's cell or port coordinates changed.
@@ -80,17 +86,29 @@ class Netlist:
     def compiled(self):
         """The netlist lowered to levelized structure-of-arrays form.
 
-        The :class:`~repro.netlist.compiled.CompiledNetlist` is built on
-        first access and cached; any structural mutation through the
-        :class:`Netlist` API invalidates it automatically.
+        The :class:`~repro.netlist.compiled.CompiledNetlist` view is built
+        on first access and cached; any structural mutation through the
+        :class:`Netlist` API invalidates it automatically.  The view reads
+        its connectivity sections (levels, net loads, terminals, STA
+        arrays) from the :class:`~repro.netlist.compiled.Connectivity`
+        this netlist shares with its copies, so a copy that only gained or
+        lost unconnected fillers compiles without recomputing them.
         """
         from .compiled import CompiledNetlist
 
         cached = self._compiled
         if cached is None or cached.version != self._version:
-            cached = CompiledNetlist(self)
+            cached = CompiledNetlist(self, self._shared_connectivity())
             self._compiled = cached
         return cached
+
+    def _shared_connectivity(self):
+        """This netlist's connectivity, created (empty, built lazily) if missing."""
+        from .compiled import Connectivity
+
+        if self._connectivity is None:
+            self._connectivity = Connectivity(len(self.cells))
+        return self._connectivity
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -115,8 +133,34 @@ class Netlist:
         master_cell = self.library[master] if isinstance(master, str) else master
         inst = CellInstance(name, master_cell, unit=unit, owner=self)
         self.cells[name] = inst
-        self._invalidate()
+        if master_cell.is_filler:
+            # An unconnected filler past the shared prefix: the compiled
+            # connectivity still holds.
+            self._version += 1
+        else:
+            self._invalidate()
         return inst
+
+    def add_fillers(self, names: List[str], masters: List[MasterCell]) -> List[CellInstance]:
+        """Append unconnected filler instances in one structural edit.
+
+        Equivalent to one :meth:`add_cell` per ``(name, master)`` pair, in
+        order, but bumps the structural version once.  The compiled
+        connectivity stays shared.
+
+        Raises:
+            ValueError: If a name is taken or a master is not a filler; no
+                cell is added then.
+        """
+        cells = self.cells
+        if len(set(names)) != len(names) or any(n in cells for n in names):
+            raise ValueError("duplicate cell instance among the filler names")
+        if not all(m.is_filler for m in masters):
+            raise ValueError("add_fillers accepts filler masters only")
+        created = [CellInstance(n, m, owner=self) for n, m in zip(names, masters)]
+        cells.update(zip(names, created))
+        self._version += 1
+        return created
 
     def add_net(self, name: str) -> Net:
         """Create and register a net, or return the existing one."""
@@ -163,7 +207,17 @@ class Netlist:
 
     def remove_cell(self, name: str) -> None:
         """Remove a cell instance and disconnect its pins from their nets."""
-        inst = self.cells.pop(name)
+        inst = self.cells[name]
+        conn = self._connectivity
+        # A filler past the shared prefix is unconnected: removing it keeps
+        # the compiled connectivity (checked before the pop, while this
+        # netlist still matches the connectivity's prefix).
+        suffix_filler = (
+            conn is not None
+            and inst.is_filler
+            and name not in conn.names(self).cell_index
+        )
+        del self.cells[name]
         for pin in inst.pins.values():
             net = pin.net
             if net is None:
@@ -173,7 +227,10 @@ class Netlist:
             if pin in net.sink_pins:
                 net.sink_pins.remove(pin)
             pin.net = None
-        self._invalidate()
+        if suffix_filler:
+            self._version += 1
+        else:
+            self._invalidate()
 
     # ------------------------------------------------------------------
     # Queries
@@ -345,6 +402,15 @@ class Netlist:
         the copy never disturb the original.  Instance, net and port names
         are preserved, which keeps per-cell annotations (e.g. power reports
         keyed by cell name) valid for the copy.
+
+        The copy also shares its source's compiled connectivity (see
+        :meth:`compiled`) by reference: its levels, net loads, terminal
+        segments and STA arrays are computed at most once for both.  Either
+        netlist keeps sharing while it only appends unconnected fillers or
+        removes fillers it appended; any other structural edit (connecting
+        or disconnecting a pin, adding or removing a logic cell, adding a
+        net or port, :meth:`invalidate_compiled`) drops its share and its
+        next :meth:`compiled` recompiles from scratch.
         """
         clone = Netlist(name if name is not None else self.name, self.library)
         # Clone structures directly (the source is valid by construction, so
@@ -385,7 +451,8 @@ class Netlist:
                 new_net.sink_ports.append(new_port)
                 new_port.net = new_net
             clone_nets[net.name] = new_net
-        clone._invalidate()
+        clone._version += 1
+        clone._connectivity = self._shared_connectivity()
         return clone
 
     # ------------------------------------------------------------------

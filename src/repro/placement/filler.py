@@ -23,7 +23,10 @@ def insert_fillers(placement: Placement, prefix: str = _FILLER_PREFIX) -> List[C
     """Fill every row gap with filler cells.
 
     Gaps are covered greedily with the widest filler that fits, repeated
-    until the remaining space is narrower than the narrowest filler.
+    until the remaining space is narrower than the narrowest filler.  The
+    fillers join the netlist in one :meth:`~repro.netlist.Netlist.add_fillers`
+    edit (so its compiled connectivity stays shared) and the placement
+    stamp advances once.
 
     Args:
         placement: Placement whose rows will be filled (modified in place).
@@ -32,32 +35,48 @@ def insert_fillers(placement: Placement, prefix: str = _FILLER_PREFIX) -> List[C
     Returns:
         The list of inserted filler cell instances.
     """
-    library = placement.netlist.library
-    fillers = library.filler_cells()
+    netlist = placement.netlist
+    fillers = netlist.library.filler_cells()  # widest first
     if not fillers:
         return []
-    min_width = min(f.width_um for f in fillers)
-    inserted: List[CellInstance] = []
+    choices = [(f.width_um, f) for f in fillers]
+    min_width = min(width for width, _ in choices)
     counter = _next_filler_index(placement, prefix)
+    # Per filler, in creation order: name, master, row and x.
+    names: List[str] = []
+    masters = []
+    rows = []
+    xs: List[float] = []
 
     for row in placement.rows:
         for gap_start, gap_end in row.gaps():
             cursor = gap_start
             remaining = gap_end - cursor
             while remaining >= min_width - 1e-9:
-                master = next(
-                    (f for f in fillers if f.width_um <= remaining + 1e-9), None
-                )
-                if master is None:
+                for width, master in choices:
+                    if width <= remaining + 1e-9:
+                        break
+                else:
                     break
-                name = f"{prefix}{counter}"
+                names.append(f"{prefix}{counter}")
                 counter += 1
-                inst = placement.netlist.add_cell(name, master)
-                row.add(inst, cursor)
-                inserted.append(inst)
-                cursor += master.width_um
+                masters.append(master)
+                rows.append(row)
+                xs.append(cursor)
+                cursor += width
                 remaining = gap_end - cursor
+
+    inserted = netlist.add_fillers(names, masters)
+    filled_rows = {}
+    for cell, row, x in zip(inserted, rows, xs):
+        cell.x = x
+        cell.y = row.y
+        cell.row = row.index
+        row.cells.append(cell)
+        filled_rows[row.index] = row
+    for row in filled_rows.values():
         row.sort()
+    netlist.mark_placement_changed()
     return inserted
 
 

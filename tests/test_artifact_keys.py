@@ -430,3 +430,64 @@ class TestHashCounts:
         assert len(result.records) == 10
         assert flow.stage_executions["whitespace"] == 10
         assert hash_calls.count("placement_digest") == 10
+
+
+class TestCopyCounts:
+    """A batched sweep copies the netlist once per point and never
+    re-levelizes: every copy shares the baseline's compiled connectivity
+    (count gates, not wall-clock floors)."""
+
+    STRATEGIES = ("default", "eri", "hw", "hybrid", "gradient")
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_one_copy_per_point_and_no_new_levelization(
+        self, sweep_setup, monkeypatch, max_workers
+    ):
+        from repro.netlist.compiled import Connectivity
+
+        counts = {"copy": 0, "levelize": 0}
+        lock = threading.Lock()
+        real_copy, real_levelize = Netlist.copy, Connectivity._levelize
+
+        def copy(self, *args, **kwargs):
+            with lock:
+                counts["copy"] += 1
+            return real_copy(self, *args, **kwargs)
+
+        def levelize(self, netlist):
+            with lock:
+                counts["levelize"] += 1
+            return real_levelize(self, netlist)
+
+        sweep_setup.placement.netlist.compiled().levels  # built by prepare
+        monkeypatch.setattr(Netlist, "copy", copy)
+        monkeypatch.setattr(Connectivity, "_levelize", levelize)
+        flow = FlowGraph()
+        campaign = Campaign(
+            sweep_setup, strategies=self.STRATEGIES, overheads=(0.1, 0.3),
+            analyze_timing=True, cache=flow.solver_cache, flow=flow,
+        )
+        result = campaign.run(max_workers=max_workers)
+        assert len(result.records) == 10
+        assert counts == {"copy": 10, "levelize": 0}
+
+
+def test_public_hotspot_wrapper_leaves_its_input_untouched(
+    small_placement, small_power, small_thermal
+):
+    """The wrapper's in-place core must not leak into the copying form: a
+    filled input (the core first strips fillers) keeps its digest and rows."""
+    from repro.core import apply_hotspot_wrapper, detect_hotspots
+    from repro.placement import insert_fillers
+
+    hotspots = detect_hotspots(
+        small_thermal, small_placement, power=small_power, threshold_fraction=0.85,
+    )
+    filled = _clone(small_placement)
+    insert_fillers(filled)
+    digest = placement_digest(filled)
+    rows = [[cell.name for cell in row.cells] for row in filled.rows]
+    result = apply_hotspot_wrapper(filled, hotspots)
+    assert result.placement is not filled and result.wrapped
+    assert placement_digest(filled) == digest
+    assert [[cell.name for cell in row.cells] for row in filled.rows] == rows

@@ -11,13 +11,20 @@ post-mutation cache invalidation.
 
 import math
 import random
+import sys
+import threading
+import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.core import apply_row_insertions
 from repro.engine import use_engine
-from repro.netlist import Netlist, default_library
-from repro.placement import place_design
+from repro.netlist import CompiledNetlist, Netlist, default_library
+from repro.netlist.compiled import Connectivity
+from repro.placement import insert_fillers, place_design, remove_fillers
 from repro.power import (
     LogicSimulator,
     PowerModel,
@@ -377,6 +384,244 @@ class TestCacheInvalidation:
         totals = report.total_for_names(list(netlist.cells))
         assert totals[-1] == 0.0
         assert totals.sum() == pytest.approx(total_before)
+
+
+def compiled_sections(comp):
+    """Every section of a compiled view, in comparable form."""
+    terminals = comp.connectivity.terminals(comp.netlist)
+    return {
+        "num_cells": comp.num_cells,
+        "num_nets": comp.num_nets,
+        "num_slots": comp.num_slots,
+        "cell_names": comp.cell_names,
+        "cell_index": comp.cell_index,
+        "net_names": comp.net_names,
+        "net_index": comp.net_index,
+        "pi_ports": comp.pi_ports,
+        "unit_names": comp.unit_names,
+        "unit_codes": comp.unit_codes,
+        "cell_width_um": comp.cell_width_um,
+        "cell_area_um2": comp.cell_area_um2,
+        "is_filler": comp.is_filler,
+        "leakage_nw": comp.leakage_nw,
+        "internal_energy_fj": comp.internal_energy_fj,
+        "intrinsic_delay_ps": comp.intrinsic_delay_ps,
+        "drive_res_kohm": comp.drive_res_kohm,
+        "is_sequential": comp.is_sequential,
+        "sink_pin_cap_ff": comp.sink_pin_cap_ff,
+        "num_sinks": comp.num_sinks,
+        "outpin_cell": comp.outpin_cell,
+        "outpin_net": comp.outpin_net,
+        "seq_cells": comp.seq_cells,
+        "seq_d_slot": comp.seq_d_slot,
+        "seq_q_slot": comp.seq_q_slot,
+        "driven_slots": comp.driven_slots,
+        "levels": [
+            [(g.master.name, g.op, g.cells, g.fanin, g.out) for g in level]
+            for level in comp.levels
+        ],
+        "launch_cell": comp.launch_cell,
+        "launch_net": comp.launch_net,
+        "ep_names": comp.ep_names,
+        "ep_slot": comp.ep_slot,
+        "ep_setup": comp.ep_setup,
+        "terminals": tuple(terminals),
+        "cell_centers": comp.cell_center_arrays(),
+        "net_hpwl_um": comp.net_hpwl_um(),
+    }
+
+
+def assert_same_sections(got, want, path="compiled"):
+    """Exact (bitwise, dtype-aware) equality of nested section data."""
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray), path
+        assert got.dtype == want.dtype and got.shape == want.shape, path
+        assert np.array_equal(got, want, equal_nan=want.dtype.kind == "f"), path
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), path
+        for key in want:
+            assert_same_sections(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, (list, tuple)):
+        assert type(got) is type(want) and len(got) == len(want), path
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert_same_sections(a, b, f"{path}[{i}]")
+    else:
+        assert got == want, path
+
+
+def assert_matches_fresh(netlist):
+    """``netlist.compiled()`` equals a fresh, unshared compilation."""
+    assert_same_sections(
+        compiled_sections(netlist.compiled()),
+        compiled_sections(CompiledNetlist(netlist)),
+    )
+
+
+def _connect_spare_input(netlist):
+    netlist.connect("in1", netlist.cells["half_wired"].pin("B"))
+
+
+def _disconnect_sink(netlist):
+    pin = netlist.cells["lonely"].pin("A")
+    pin.net.sink_pins.remove(pin)
+    pin.net = None
+    netlist.invalidate_compiled()
+
+
+def _add_logic_cell(netlist):
+    gate = netlist.add_cell("late_gate", "NOR2_X1")
+    netlist.connect("in2", gate.pin("A"))
+
+
+def _remove_logic_cell(netlist):
+    netlist.remove_cell("lonely")
+
+
+def _add_net(netlist):
+    netlist.add_net("late_net")
+
+
+def _add_port(netlist):
+    netlist.add_port("late_out", "output")
+
+
+class TestSharedConnectivity:
+    """Copies share the compiled connectivity until their structure diverges.
+
+    In every case the shared view must equal a fresh ``CompiledNetlist``
+    exactly; the no-edit cases must share the connectivity object (``is``)
+    and the edit cases must not.
+    """
+
+    @pytest.fixture()
+    def placed(self):
+        netlist = random_netlist(70, num_gates=80)
+        placement = place_design(netlist, utilization=0.7)
+        placement.netlist.compiled().levels  # sections built on the source
+        return placement
+
+    @staticmethod
+    def _connectivity(netlist):
+        return netlist.compiled().connectivity
+
+    def test_plain_copy(self, placed):
+        clone = placed.netlist.copy()
+        assert self._connectivity(clone) is self._connectivity(placed.netlist)
+        assert_matches_fresh(clone)
+
+    def test_copy_of_uncompiled_netlist_shares_and_builds_once(self):
+        source = random_netlist(71)
+        clone = source.copy()
+        assert self._connectivity(clone) is self._connectivity(source)
+        assert_matches_fresh(clone)
+        assert_matches_fresh(source)
+
+    def test_copy_plus_fillers(self, placed):
+        copy = placed.copy()
+        inserted = insert_fillers(copy)
+        assert inserted
+        assert self._connectivity(copy.netlist) is self._connectivity(placed.netlist)
+        assert_matches_fresh(copy.netlist)
+
+    def test_copy_after_eri(self, placed):
+        result = apply_row_insertions(placed, [0, 2, 2, 5])
+        moved = result.placement.netlist
+        assert result.num_fillers > 0
+        port = next(iter(moved.ports.values()))
+        moved.place_port(port, port.x + 3.0, port.y + 7.0)
+        assert self._connectivity(moved) is self._connectivity(placed.netlist)
+        assert_matches_fresh(moved)
+        assert_matches_fresh(placed.netlist)  # the source's ports did not move
+
+    def test_copy_after_remove_fillers(self, placed):
+        filled = placed.copy()
+        insert_fillers(filled)
+        copy = filled.copy()
+        assert remove_fillers(copy) > 0
+        assert self._connectivity(copy.netlist) is self._connectivity(placed.netlist)
+        assert_matches_fresh(copy.netlist)
+        assert_matches_fresh(filled.netlist)
+
+    def test_source_edited_after_the_copy(self):
+        source = random_netlist(72)
+        clone = source.copy()
+        shared = clone._connectivity
+        _add_logic_cell(source)
+        # Sections are built only now, and from the clone: the edit on the
+        # source must not leak into them.
+        assert self._connectivity(clone) is shared
+        assert self._connectivity(source) is not shared
+        assert_matches_fresh(clone)
+        assert_matches_fresh(source)
+
+    @pytest.mark.parametrize("edit", [
+        _connect_spare_input, _disconnect_sink, _add_logic_cell,
+        _remove_logic_cell, _add_net, _add_port,
+    ])
+    def test_structural_edit_drops_the_share(self, placed, edit):
+        copy = placed.copy()
+        insert_fillers(copy)
+        edit(copy.netlist)
+        assert self._connectivity(copy.netlist) is not self._connectivity(placed.netlist)
+        assert_matches_fresh(copy.netlist)
+        assert_matches_fresh(placed.netlist)
+
+    def test_stale_view_refuses_to_read_an_edited_netlist(self):
+        netlist = random_netlist(73)
+        view = netlist.compiled()
+        netlist.add_cell("fill_late", "FILL_X4")
+        assert view.levels is netlist.compiled().levels  # suffix filler: still valid
+        netlist.remove_cell("lonely")
+        with pytest.raises(RuntimeError, match="stale"):
+            view.levels
+
+    def test_add_fillers_rejects_taken_names_and_logic_masters(self):
+        netlist = random_netlist(74)
+        fill = netlist.library["FILL_X4"]
+        version = netlist._version
+        with pytest.raises(ValueError, match="duplicate"):
+            netlist.add_fillers(["g0"], [fill])
+        with pytest.raises(ValueError, match="duplicate"):
+            netlist.add_fillers(["f", "f"], [fill, fill])
+        with pytest.raises(ValueError, match="filler"):
+            netlist.add_fillers(["f"], [netlist.library["INV_X1"]])
+        assert netlist._version == version and "f" not in netlist.cells
+
+    def test_concurrent_requests_build_each_section_once(self, monkeypatch):
+        """More threads than cores race for one connectivity's sections."""
+        source = random_netlist(75, num_gates=120)
+        place_design(source, utilization=0.8)
+        copies = [source.copy() for _ in range(8)]
+        calls = Counter()
+        lock = threading.Lock()
+        for name in ("_levelize", "_build_terminals", "_build_sta_arrays",
+                     "_build_net_loads", "_build_names"):
+            real = getattr(Connectivity, name)
+
+            def counting(self, netlist, _real=real, _name=name):
+                with lock:
+                    calls[_name] += 1
+                time.sleep(0.005)  # widen the race window
+                return _real(self, netlist)
+
+            monkeypatch.setattr(Connectivity, name, counting)
+
+        def analyze(netlist):
+            return StaticTimingAnalyzer(netlist).analyze(engine="compiled").critical_path_ps
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(analyze, netlist) for netlist in copies]
+                paths = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(set(paths)) == 1
+        assert all(count == 1 for count in calls.values()), calls
+        assert set(calls) >= {"_levelize", "_build_terminals", "_build_sta_arrays"}
+        shared = {id(self._connectivity(netlist)) for netlist in copies}
+        assert shared == {id(source._connectivity)}
 
 
 class TestCustomMasters:

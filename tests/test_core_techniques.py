@@ -16,6 +16,8 @@ from repro.core import (
     plan_insertion_points,
     rows_for_overhead,
 )
+from repro.core.wrapper import apply_hotspot_wrapper_in_place
+from repro.flow import placement_digest
 from repro.placement import Rect, density_in_rect
 
 
@@ -232,3 +234,16 @@ class TestHotspotWrapper:
         apply_hotspot_wrapper(small_placement, detected_tight)
         after = {c.name: (c.x, c.y) for c in small_placement.netlist.logic_cells()}
         assert before == after
+
+    def test_in_place_core_matches_copying_wrapper(self, small_placement, detected_tight):
+        """The strategies' copy-free path is bitwise the public one."""
+        owned = apply_default_spread(small_placement, 0.2, add_fillers=False).placement
+        expected = apply_hotspot_wrapper(owned, detected_tight)
+        owned.rebuild_rows()
+        result = apply_hotspot_wrapper_in_place(owned, detected_tight)
+        assert result.placement is owned
+        assert result.num_fillers == expected.num_fillers > 0
+        assert placement_digest(owned) == placement_digest(expected.placement)
+        assert [[c.name for c in row.cells] for row in owned.rows] == [
+            [c.name for c in row.cells] for row in expected.placement.rows
+        ]

@@ -133,6 +133,45 @@ class TestFillers:
         assert removed == count
         assert netlist.filler_cells() == []
 
+    def test_bulk_insertion_matches_cell_by_cell_reference(self, small_placement):
+        """One-pass insertion equals the greedy add_cell/Row.add loop:
+        names, dict order, row order and coordinates, bitwise."""
+
+        def reference_insert(placement, prefix="FILLER_"):
+            fillers = placement.netlist.library.filler_cells()
+            min_width = min(f.width_um for f in fillers)
+            counter = 0
+            for row in placement.rows:
+                for gap_start, gap_end in row.gaps():
+                    cursor = gap_start
+                    remaining = gap_end - cursor
+                    while remaining >= min_width - 1e-9:
+                        master = next(
+                            (f for f in fillers if f.width_um <= remaining + 1e-9), None
+                        )
+                        if master is None:
+                            break
+                        inst = placement.netlist.add_cell(f"{prefix}{counter}", master)
+                        counter += 1
+                        row.add(inst, cursor)
+                        cursor += master.width_um
+                        remaining = gap_end - cursor
+                row.sort()
+
+        def layout(placement):
+            cells = [(c.name, c.master.name, c.x, c.y, c.row)
+                     for c in placement.netlist.cells.values()]
+            rows = [[c.name for c in row.cells] for row in placement.rows]
+            return cells, rows
+
+        bulk, loop = small_placement.copy(), small_placement.copy()
+        version = bulk.netlist._version
+        inserted = insert_fillers(bulk)
+        reference_insert(loop)
+        assert inserted and layout(bulk) == layout(loop)
+        assert bulk.netlist._version == version + 1  # one structural edit
+        assert all(cell.owner is bulk.netlist for cell in inserted)
+
 
 class TestPlaceDesign:
     def test_placement_is_legal(self, small_placement):
