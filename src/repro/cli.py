@@ -35,8 +35,8 @@ results to disk:
 
 ``fsck``
     Audit (and with ``--repair`` fix) a store a crashed or killed process
-    left behind: orphaned single-flight claims, unpublished ``.tmp.*``
-    files, corrupt or misnamed entries.
+    left behind: unpublished ``.tmp.*`` files, corrupt or misnamed
+    entries.
 
 ``strategies``
     List the registered whitespace strategies with their defaults and
@@ -327,9 +327,6 @@ def run_sweep(args: argparse.Namespace) -> int:
     flow = _build_flow(args)
     setup = _prepare_setup(args, scattered_hotspots_workload, flow)
     store = ResultStore(root=args.result_store) if args.result_store else None
-    # The process executor is incompatible with the artifact graph (it is
-    # per-process); it brings its own parallelism.
-    sharded = args.executor == "process"
     if args.max_point_retries < 0:
         raise ValueError("--max-point-retries must be >= 0")
     retry_policy = RetryPolicy(max_attempts=args.max_point_retries + 1)
@@ -340,7 +337,7 @@ def run_sweep(args: argparse.Namespace) -> int:
         analyze_timing=args.timing,
         cache=flow.solver_cache,
         name="figure6-sweep",
-        flow=None if sharded else flow,
+        flow=flow,
         result_store=store,
         executor=args.executor,
         retry_policy=retry_policy,
@@ -919,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fsck.add_argument(
         "--repair", action="store_true",
-        help="delete claim/temp debris and quarantine damaged entries "
+        help="delete temp debris and quarantine damaged entries "
              "under DIR/.quarantine/ (default: report only, exit 1)",
     )
     fsck.add_argument(

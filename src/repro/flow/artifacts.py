@@ -326,13 +326,17 @@ def workload_digest(workload, netlist: Netlist) -> str:
 # ---------------------------------------------------------------------------
 # Stage artifacts
 # ---------------------------------------------------------------------------
+#
+# Every artifact carries the content hash it is stored under; artifacts a
+# pass-through graph builds (one whose store can hold nothing) are never
+# hashed and carry ``key=None``.
 
 
 @dataclass(frozen=True)
 class PlacementArtifact:
     """``synth`` output: the design placed at the baseline utilization."""
 
-    key: str
+    key: Optional[str]
     placement: Placement
 
 
@@ -340,7 +344,7 @@ class PlacementArtifact:
 class PowerArtifact:
     """``power`` output: the cell-by-cell power report."""
 
-    key: str
+    key: Optional[str]
     power: PowerReport
 
 
@@ -355,7 +359,7 @@ class WhitespaceArtifact:
     arbitrary strategy internals into the serialized store).
     """
 
-    key: str
+    key: Optional[str]
     placement: Placement
     strategy_spec: str
     requested_overhead: float
@@ -370,7 +374,7 @@ class LegalizedArtifact:
     the transformed placement's power binned onto the thermal grid, plus
     the grid covering its die outline."""
 
-    key: str
+    key: Optional[str]
     power_map: PowerMap
     grid: ThermalGrid
 
@@ -379,7 +383,7 @@ class LegalizedArtifact:
 class ThermalArtifact:
     """``thermal`` output: the solved temperature field."""
 
-    key: str
+    key: Optional[str]
     thermal_map: ThermalMap
     method: str
 
@@ -388,7 +392,7 @@ class ThermalArtifact:
 class StaArtifact:
     """``sta`` output: the timing report at the solved temperature."""
 
-    key: str
+    key: Optional[str]
     timing: TimingReport
 
 

@@ -13,6 +13,12 @@ Reproduces the paper's full flow (Figure 2) as a single, reusable object:
 5. re-simulation and metric extraction — peak-temperature reduction, actual
    overhead, timing overhead.
 
+Every step runs as a stage of a :class:`~repro.flow.graph.FlowGraph`,
+the one implementation of the pipeline.  Callers that pass no ``flow`` get
+a pass-through graph — one over ``ArtifactStore(maxsize=0)``, which caches
+nothing and hashes nothing; passing a caching graph makes the same calls
+incremental without changing a single result bit.
+
 The figure/table benchmarks in ``benchmarks/`` are thin wrappers around
 :func:`sweep_overheads` (Figure 6), :func:`concentrated_hotspot_table`
 (Table I) and :class:`ExperimentSetup` (Figure 5).
@@ -24,29 +30,21 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..bench import Workload
-from ..core import (
-    AreaManagementConfig,
-    AreaManager,
-    Hotspot,
-    StrategySpec,
-    apply_empty_row_insertion,
-    detect_hotspots,
-)
+from ..core import Hotspot, StrategySpec, apply_empty_row_insertion, detect_hotspots
 from ..netlist import Netlist
-from ..placement import Placement, place_design
-from ..power import PowerModel, PowerReport, build_power_map, estimate_activity
+from ..placement import Placement
+from ..power import PowerReport
 from ..power.power_map import PowerMap
-from ..thermal import (
-    Package,
-    ThermalGrid,
-    ThermalMap,
-    default_package,
-    simulate_placement,
-)
-from ..thermal.solver import grid_for_placement
-from ..timing import DelayModel, StaticTimingAnalyzer, TimingReport
+from ..thermal import Package, ThermalGrid, ThermalMap, default_package
+from ..timing import TimingReport
 from .cache import SolverCache
 from .graph import FlowGraph
+from .store import ArtifactStore
+
+# Unused here since every stage body lives in FlowGraph, but kept as module
+# attributes: perfbench/spans.py wraps these names at this lookup site.
+from ..placement import place_design  # noqa: F401
+from ..power import build_power_map, estimate_activity  # noqa: F401
 
 #: Overheads of the paper's Figure 6 sweep (fractions of the core area).
 DEFAULT_OVERHEADS = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40)
@@ -123,68 +121,41 @@ class ExperimentSetup:
             clock_period_ps: Clock period for timing analysis (1 GHz).
             cache: Optional :class:`SolverCache`; the baseline geometry's
                 factorisation is stored there for later reuse.
-            flow: Optional :class:`~repro.flow.graph.FlowGraph`; the
-                baseline stages then run through the graph, so a second
+            flow: Optional :class:`~repro.flow.graph.FlowGraph` the
+                baseline stages run through; with a caching graph a second
                 ``prepare`` of the same circuit (or a strategy evaluation
                 sharing the prefix) reuses the stored artifacts instead of
-                re-running synthesis, placement and power estimation.
+                re-running synthesis, placement and power estimation.  A
+                pass-through graph over ``cache`` is used when omitted.
 
         Returns:
             The prepared :class:`ExperimentSetup`.
         """
         pkg = package if package is not None else default_package()
+        if flow is None:
+            flow = FlowGraph(store=ArtifactStore(maxsize=0), solver_cache=cache)
 
-        if flow is not None:
-            placement = flow.synth(
-                netlist, utilization=base_utilization, use_quadratic=use_quadratic
-            ).placement
-            # A warm synth hit returns the stored placement, whose netlist
-            # is a content-equal clone of the argument; downstream stages
-            # must use *that* object so coordinates and identity agree.
-            netlist = placement.netlist
-            power = flow.power(
-                netlist, workload,
-                num_cycles=num_cycles, batch_size=batch_size, seed=seed,
-            ).power
-            legal = flow.legalize(
-                placement, power, nx=grid_nx, ny=grid_ny, package=pkg
-            )
-            power_map = legal.power_map
-            thermal_map = flow.thermal(power_map, legal.grid).thermal_map
-        else:
-            placement = place_design(
-                netlist, utilization=base_utilization, use_quadratic=use_quadratic
-            )
-
-            activity = estimate_activity(
-                netlist,
-                workload.port_toggle_probabilities(netlist),
-                num_cycles=num_cycles,
-                batch_size=batch_size,
-                seed=seed,
-            )
-            power = PowerModel().estimate(netlist, activity)
-
-            # One binning pass serves both the thermal solve and the stored map.
-            power_map = build_power_map(placement, power, nx=grid_nx, ny=grid_ny)
-            thermal_map = simulate_placement(
-                placement, power, package=pkg, nx=grid_nx, ny=grid_ny,
-                cache=cache, power_map=power_map,
-            )
+        placement = flow.synth(
+            netlist, utilization=base_utilization, use_quadratic=use_quadratic
+        ).placement
+        # A warm synth hit returns the stored placement, whose netlist is a
+        # content-equal clone of the argument; downstream stages must use
+        # *that* object so coordinates and identity agree.
+        netlist = placement.netlist
+        power = flow.power(
+            netlist, workload,
+            num_cycles=num_cycles, batch_size=batch_size, seed=seed,
+        ).power
+        # One binning pass serves both the thermal solve and the stored map.
+        legal = flow.legalize(placement, power, nx=grid_nx, ny=grid_ny, package=pkg)
+        power_map = legal.power_map
+        thermal_map = flow.thermal(power_map, legal.grid).thermal_map
         hotspots = detect_hotspots(
             thermal_map, placement, power=power, threshold_fraction=hotspot_threshold
         )
-
-        if flow is not None:
-            timing = flow.sta(
-                placement, temperature=thermal_map.peak,
-                clock_period_ps=clock_period_ps,
-            ).timing
-        else:
-            delay_model = DelayModel(temperature=thermal_map.peak)
-            timing = StaticTimingAnalyzer(
-                netlist, delay_model=delay_model, clock_period_ps=clock_period_ps
-            ).analyze()
+        timing = flow.sta(
+            placement, temperature=thermal_map.peak, clock_period_ps=clock_period_ps,
+        ).timing
 
         return cls(
             netlist=netlist,
@@ -255,7 +226,11 @@ class PreparedEvaluation:
         setup: The experiment baseline the point was evaluated against.
         strategy_spec: Canonical spec string of the resolved strategy.
         requested_overhead: Requested area overhead fraction.
-        result: The area-management result (transformed placement).
+        result: The transformed placement with its outcome fields
+            (``placement``, ``actual_overhead``, ``inserted_rows``,
+            ``num_fillers``) — the ``whitespace`` stage's
+            :class:`~repro.flow.artifacts.WhitespaceArtifact`, or Table I's
+            fixed-row-count ERI result.
         power_map: The transformed placement's binned power map.
         grid: Thermal grid covering the transformed die outline.
     """
@@ -278,56 +253,32 @@ def prepare_evaluation(
 ) -> PreparedEvaluation:
     """Apply one strategy at one overhead, stopping short of the solve.
 
-    Runs the area-management transform and bins the transformed placement's
-    power map, returning everything the thermal solve and the outcome
-    extraction need.  With ``flow`` given, the transform and binning run as
-    ``whitespace`` / ``legalize`` stages against the graph's artifact store
-    (``result`` is then the stage's
-    :class:`~repro.flow.artifacts.WhitespaceArtifact`, which carries the
-    same fields the outcome extraction reads).
+    Runs the ``whitespace`` and ``legalize`` stages — the area-management
+    transform and the binning of the transformed placement's power map —
+    on ``flow`` (a pass-through graph when omitted), returning everything
+    the thermal solve and the outcome extraction need.
     """
-    if flow is not None:
-        ws = flow.whitespace(
-            setup.placement, setup.power, setup.thermal_map,
-            strategy=strategy, area_overhead=area_overhead,
-            hotspot_threshold=hotspot_threshold, wrapper_ring_um=wrapper_ring_um,
-        )
-        legal = flow.legalize(
-            ws.placement, setup.power,
-            nx=setup.grid_nx, ny=setup.grid_ny, package=setup.package,
-        )
-        return PreparedEvaluation(
-            setup=setup,
-            strategy_spec=ws.strategy_spec,
-            requested_overhead=area_overhead,
-            result=ws,
-            power_map=legal.power_map,
-            grid=legal.grid,
-        )
-    config = AreaManagementConfig(
-        area_overhead=area_overhead,
-        strategy=strategy,
-        hotspot_threshold=hotspot_threshold,
-        wrapper_ring_um=wrapper_ring_um,
+    if flow is None:
+        flow = FlowGraph(store=ArtifactStore(maxsize=0))
+    # The transform re-detects hotspots with its per-strategy threshold:
+    # empty row insertion targets the broad warm area, the wrapper the
+    # tight core.
+    ws = flow.whitespace(
+        setup.placement, setup.power, setup.thermal_map,
+        strategy=strategy, area_overhead=area_overhead,
+        hotspot_threshold=hotspot_threshold, wrapper_ring_um=wrapper_ring_um,
     )
-    manager = AreaManager(config)
-    # The manager re-detects hotspots with its per-strategy threshold: empty
-    # row insertion targets the broad warm area, the wrapper the tight core.
-    result = manager.optimize(setup.placement, setup.power, setup.thermal_map)
-    power_map = build_power_map(
-        result.placement, setup.power, nx=setup.grid_nx, ny=setup.grid_ny,
-        over_die=True,
-    )
-    grid = grid_for_placement(
-        result.placement, package=setup.package, nx=setup.grid_nx, ny=setup.grid_ny
+    legal = flow.legalize(
+        ws.placement, setup.power,
+        nx=setup.grid_nx, ny=setup.grid_ny, package=setup.package,
     )
     return PreparedEvaluation(
         setup=setup,
-        strategy_spec=config.strategy_impl.spec,
+        strategy_spec=ws.strategy_spec,
         requested_overhead=area_overhead,
-        result=result,
-        power_map=power_map,
-        grid=grid,
+        result=ws,
+        power_map=legal.power_map,
+        grid=legal.grid,
     )
 
 
@@ -337,23 +288,21 @@ def finish_evaluation(
     analyze_timing: bool = True,
     flow: Optional[FlowGraph] = None,
 ) -> StrategyOutcome:
-    """Extract the :class:`StrategyOutcome` from a solved evaluation point."""
+    """Extract the :class:`StrategyOutcome` from a solved evaluation point.
+
+    Timing runs as the ``sta`` stage of ``flow`` (a pass-through graph
+    when omitted).
+    """
     setup = prepared.setup
     result = prepared.result
     timing_overhead_value: Optional[float] = None
     if analyze_timing:
-        if flow is not None:
-            new_timing = flow.sta(
-                result.placement, temperature=new_map.peak,
-                clock_period_ps=setup.timing.clock_period_ps,
-            ).timing
-        else:
-            delay_model = DelayModel(temperature=new_map.peak)
-            new_timing = StaticTimingAnalyzer(
-                result.placement.netlist,
-                delay_model=delay_model,
-                clock_period_ps=setup.timing.clock_period_ps,
-            ).analyze()
+        if flow is None:
+            flow = FlowGraph(store=ArtifactStore(maxsize=0))
+        new_timing = flow.sta(
+            result.placement, temperature=new_map.peak,
+            clock_period_ps=setup.timing.clock_period_ps,
+        ).timing
         timing_overhead_value = new_timing.overhead_versus(setup.timing)
 
     return StrategyOutcome(
@@ -399,58 +348,32 @@ def evaluate_strategy(
             points whose transformed placements share a die outline (e.g.
             the hotspot wrapper reuses the Default outline at the same
             overhead) then share one prepared solver.
-        flow: Optional :class:`~repro.flow.graph.FlowGraph`; every stage of
-            the evaluation then runs against the graph's content-addressed
-            store, so repeated points re-run nothing and changed points
-            re-run only the stages whose input hashes changed.  Results are
-            bitwise-identical to the monolithic path.  ``cache`` is ignored
-            in favour of the graph's own solver cache.
+        flow: Optional :class:`~repro.flow.graph.FlowGraph` the
+            evaluation's stages run through.  With a caching graph,
+            repeated points re-run nothing and changed points re-run only
+            the stages whose input hashes changed; results are
+            bitwise-identical either way.  ``cache`` is then ignored in
+            favour of the graph's own solver cache.  A pass-through graph
+            over ``cache`` is used when omitted.
 
     Returns:
         The measured :class:`StrategyOutcome`.
     """
-    if flow is not None:
-        prepared = prepare_evaluation(
-            setup, strategy, area_overhead,
-            hotspot_threshold=hotspot_threshold,
-            wrapper_ring_um=wrapper_ring_um,
-            flow=flow,
-        )
-        new_map = flow.thermal(
-            prepared.power_map, prepared.grid, warm_start=setup.thermal_map
-        ).thermal_map
-        return finish_evaluation(
-            prepared, new_map, analyze_timing=analyze_timing, flow=flow
-        )
+    if flow is None:
+        flow = FlowGraph(store=ArtifactStore(maxsize=0), solver_cache=cache)
     prepared = prepare_evaluation(
-        setup,
-        strategy,
-        area_overhead,
+        setup, strategy, area_overhead,
         hotspot_threshold=hotspot_threshold,
         wrapper_ring_um=wrapper_ring_um,
+        flow=flow,
     )
-    # The transform already built the thermal grid, so the solver comes
-    # straight from it.  The re-solve warm-starts from the baseline
-    # temperature field: the transformed die shares the grid resolution,
-    # so the baseline rises are an excellent multigrid starting guess (LU
-    # simply ignores them).
-    if cache is not None:
-        solver = cache.solver(prepared.grid)
-    else:
-        from ..thermal import ThermalSolver
-
-        solver = ThermalSolver(prepared.grid)
-    new_map = simulate_placement(
-        prepared.result.placement,
-        setup.power,
-        package=setup.package,
-        nx=setup.grid_nx,
-        ny=setup.grid_ny,
-        solver=solver,
-        power_map=prepared.power_map,
-        warm_start=setup.thermal_map,
-    )
-    return finish_evaluation(prepared, new_map, analyze_timing=analyze_timing)
+    # The re-solve warm-starts from the baseline temperature field: the
+    # transformed die shares the grid resolution, so the baseline rises are
+    # an excellent multigrid starting guess (LU simply ignores them).
+    new_map = flow.thermal(
+        prepared.power_map, prepared.grid, warm_start=setup.thermal_map
+    ).thermal_map
+    return finish_evaluation(prepared, new_map, analyze_timing=analyze_timing, flow=flow)
 
 
 def sweep_overheads(
@@ -463,9 +386,9 @@ def sweep_overheads(
 ) -> List[StrategyOutcome]:
     """Reproduce Figure 6: reduction versus overhead for every strategy.
 
-    All points share one :class:`SolverCache`, so die outlines revisited
-    across the sweep (the hotspot wrapper reuses the Default outline at
-    each overhead) are factorised only once.
+    All points run through one graph and share one :class:`SolverCache`,
+    so die outlines revisited across the sweep (the hotspot wrapper reuses
+    the Default outline at each overhead) are factorised only once.
 
     Args:
         setup: The prepared experiment baseline (scattered-hotspot workload
@@ -475,23 +398,21 @@ def sweep_overheads(
         analyze_timing: Also compute the timing overhead per point (slower).
         cache: Solver cache to share; a fresh one is created when omitted.
         flow: Optional :class:`~repro.flow.graph.FlowGraph` to run every
-            point through (see :func:`evaluate_strategy`).
+            point through (see :func:`evaluate_strategy`); a pass-through
+            graph over ``cache`` when omitted.
 
     Returns:
         One :class:`StrategyOutcome` per (strategy, overhead) pair.
     """
-    shared_cache = cache if cache is not None else SolverCache()
-    outcomes: List[StrategyOutcome] = []
-    for strategy in strategies:
-        for overhead in overheads:
-            outcomes.append(
-                evaluate_strategy(
-                    setup, strategy, overhead,
-                    analyze_timing=analyze_timing, cache=shared_cache,
-                    flow=flow,
-                )
-            )
-    return outcomes
+    if flow is None:
+        flow = FlowGraph(store=ArtifactStore(maxsize=0), solver_cache=cache)
+    return [
+        evaluate_strategy(
+            setup, strategy, overhead, analyze_timing=analyze_timing, flow=flow
+        )
+        for strategy in strategies
+        for overhead in overheads
+    ]
 
 
 def concentrated_hotspot_table(
@@ -517,49 +438,37 @@ def concentrated_hotspot_table(
         Outcomes ordered as in the paper's table: all Default rows first,
         then the ERI rows.
     """
-    shared_cache = cache if cache is not None else SolverCache()
+    flow = FlowGraph(store=ArtifactStore(maxsize=0), solver_cache=cache)
     base_rows = setup.placement.floorplan.num_rows
     overheads = [count / base_rows for count in row_counts]
 
-    outcomes: List[StrategyOutcome] = []
-    for overhead in overheads:
-        outcomes.append(
-            evaluate_strategy(
-                setup, "default", overhead,
-                analyze_timing=analyze_timing, cache=shared_cache,
-            )
+    outcomes: List[StrategyOutcome] = [
+        evaluate_strategy(
+            setup, "default", overhead, analyze_timing=analyze_timing, flow=flow
         )
-
+        for overhead in overheads
+    ]
+    # ERI inserts exactly ``count`` rows at the baseline hotspots — a
+    # pairing the registered ``eri`` strategy cannot express (it re-detects
+    # hotspots at its own threshold) — then shares the evaluation's tail.
     for count, overhead in zip(row_counts, overheads):
         eri = apply_empty_row_insertion(setup.placement, setup.hotspots, num_rows=count)
-        new_map = simulate_placement(
-            eri.placement, setup.power, package=setup.package,
-            nx=setup.grid_nx, ny=setup.grid_ny, cache=shared_cache,
-            warm_start=setup.thermal_map,
+        legal = flow.legalize(
+            eri.placement, setup.power,
+            nx=setup.grid_nx, ny=setup.grid_ny, package=setup.package,
         )
-        timing_overhead_value: Optional[float] = None
-        if analyze_timing:
-            delay_model = DelayModel(temperature=new_map.peak)
-            new_timing = StaticTimingAnalyzer(
-                eri.placement.netlist,
-                delay_model=delay_model,
-                clock_period_ps=setup.timing.clock_period_ps,
-            ).analyze()
-            timing_overhead_value = new_timing.overhead_versus(setup.timing)
+        new_map = flow.thermal(
+            legal.power_map, legal.grid, warm_start=setup.thermal_map
+        ).thermal_map
+        prepared = PreparedEvaluation(
+            setup=setup,
+            strategy_spec="eri",
+            requested_overhead=overhead,
+            result=eri,
+            power_map=legal.power_map,
+            grid=legal.grid,
+        )
         outcomes.append(
-            StrategyOutcome(
-                strategy="eri",
-                requested_overhead=overhead,
-                actual_overhead=eri.actual_overhead,
-                temperature_reduction=new_map.reduction_versus(setup.thermal_map),
-                peak_rise=new_map.peak_rise,
-                gradient=new_map.gradient,
-                timing_overhead=timing_overhead_value,
-                inserted_rows=eri.inserted_rows,
-                core_width=eri.placement.floorplan.core_width,
-                core_height=eri.placement.floorplan.core_height,
-                num_fillers=eri.num_fillers,
-                fallback_used=bool(getattr(new_map, "fallback_used", False)),
-            )
+            finish_evaluation(prepared, new_map, analyze_timing=analyze_timing, flow=flow)
         )
     return outcomes

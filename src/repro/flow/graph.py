@@ -1,29 +1,38 @@
 """Staged flow-graph executor over content-addressed artifacts.
 
-:class:`FlowGraph` decomposes the monolithic evaluation pipeline
-(netlist -> placement -> power -> thermal -> STA) into six explicit stages::
+:class:`FlowGraph` is the one implementation of the paper's evaluation
+pipeline (netlist -> placement -> power -> thermal -> STA), as six
+explicit stages::
 
     synth ──────┬─> legalize ─> thermal ─> sta        (baseline branch)
     power ──────┤
     whitespace ─┴─> legalize ─> thermal ─> sta        (per-strategy branch)
 
-Each stage method computes a deterministic content hash of its inputs
-(:mod:`repro.flow.artifacts`), looks the result up in the
-:class:`~repro.flow.store.ArtifactStore`, and executes only on a miss —
-so a multi-strategy sweep pays for the shared prefix (``synth``, ``power``)
-once and re-runs only the ``whitespace -> thermal -> sta`` suffix per
-strategy, and a repeated sweep against an on-disk store re-runs nothing at
-all.  Stage bodies call exactly the same underlying functions as the
-monolithic path (:func:`repro.placement.placer.place_design`,
-:class:`~repro.core.area_manager.AreaManager`,
-:class:`~repro.thermal.solver.ThermalSolver`, ...), so staged results are
-bitwise-identical to monolithic ones — the golden-equivalence suite
-(``tests/test_flow_graph_equivalence.py``) asserts this.
+Every caller runs through it: :class:`~repro.flow.experiment.ExperimentSetup`,
+:func:`~repro.flow.experiment.evaluate_strategy`, the thread and process
+executors of :class:`~repro.flow.runner.Campaign` and the ``repro serve``
+daemon's miss batches.  Each stage method computes a deterministic content
+hash of its inputs (:mod:`repro.flow.artifacts`), looks the result up in
+the :class:`~repro.flow.store.ArtifactStore`, and executes only on a miss
+— so a multi-strategy sweep pays for the shared prefix (``synth``,
+``power``) once and re-runs only the ``whitespace -> thermal -> sta``
+suffix per strategy, and a repeated sweep against an on-disk store re-runs
+nothing at all.  Results never depend on the store: a cold, warm or
+disk-replayed stage returns bitwise the same artifact — the
+golden-equivalence suite (``tests/test_flow_graph_equivalence.py``)
+asserts this.
+
+A graph whose store can hold nothing (memory-only with ``maxsize=0``) is
+a *pass-through*: stage bodies run directly, with no hashing, no per-key
+lock and no store traffic, so callers that cache nothing pay nothing for
+the graph.  Its artifacts carry ``key=None``.
 
 Thread safety: stage execution is single-flight per ``(stage, key)`` —
 concurrent :class:`~repro.flow.runner.Campaign` workers asking for the same
 artifact block on one build — and the per-stage execution/hit counters are
-kept under one lock, so tests can assert exact counts.
+kept under one lock, so tests can assert exact counts.  This per-key lock
+is the flow's only single-flight rule; two processes sharing an on-disk
+store may both build an artifact and publish the same content.
 """
 
 from __future__ import annotations
@@ -72,7 +81,9 @@ class FlowGraph:
     Args:
         store: Content-addressed artifact store shared by all stages; a
             fresh in-memory :class:`ArtifactStore` is created when omitted.
-            Pass one with a ``root`` to persist artifacts across processes.
+            Pass one with a ``root`` to persist artifacts across processes,
+            or a memory-only one with ``maxsize=0`` for a hash-free
+            pass-through graph.
         solver_cache: :class:`SolverCache` the ``thermal`` stage draws
             prepared solvers from (and whose ``method`` selects the
             backend); a fresh unbounded cache is created when omitted.
@@ -100,22 +111,35 @@ class FlowGraph:
     # Executor core
     # ------------------------------------------------------------------
 
+    def _pass_through(self) -> bool:
+        """Whether the store can hold nothing, so keys would buy nothing."""
+        return self.store.root is None and self.store.maxsize == 0
+
     def _run(
         self,
         stage: str,
-        key: str,
-        build: Callable[[], object],
+        key: Callable[[], str],
+        build: Callable[[Optional[str]], object],
         cacheable: Optional[Callable[[object], bool]] = None,
     ):
-        """Return the artifact for ``(stage, key)``, executing on a miss.
+        """Return the artifact for ``stage``, executing ``build`` on a miss.
 
-        Single-flight: concurrent requests for the same key block on a
-        per-key lock so the stage body runs exactly once; requests for
-        different keys build in parallel.  When ``cacheable`` is given and
-        rejects the freshly built artifact, it is returned but *not*
-        published to the store (the thermal stage uses this to keep
-        degraded fallback solves out of the content-addressed cache).
+        ``key`` computes the stage's input hash; it is only called when
+        the store can hold the artifact — a pass-through graph runs
+        ``build(None)`` directly.  Otherwise execution is single-flight:
+        concurrent requests for the same key block on a per-key lock so
+        the stage body runs exactly once; requests for different keys
+        build in parallel.  When ``cacheable`` is given and rejects the
+        freshly built artifact, it is returned but *not* published to the
+        store (the thermal stage uses this to keep degraded fallback
+        solves out of the content-addressed cache).
         """
+        if self._pass_through():
+            artifact = build(None)
+            with self._lock:
+                self.stage_executions[stage] += 1
+            return artifact
+        key = key()
         artifact = self.store.get(stage, key)
         if artifact is not None:
             with self._lock:
@@ -130,7 +154,7 @@ class FlowGraph:
                     with self._lock:
                         self.stage_hits[stage] += 1
                     return artifact
-                artifact = build()
+                artifact = build(key)
                 with self._lock:
                     self.stage_executions[stage] += 1
                 if cacheable is None or cacheable(artifact):
@@ -166,12 +190,13 @@ class FlowGraph:
         Keyed on the netlist's structural content plus the placer knobs —
         the whole-design prefix every strategy evaluation shares.
         """
-        key = hash_parts(
-            FLOW_KEY_VERSION, "synth",
-            netlist_digest(netlist), utilization, use_quadratic,
-        )
+        def key() -> str:
+            return hash_parts(
+                FLOW_KEY_VERSION, "synth",
+                netlist_digest(netlist), utilization, use_quadratic,
+            )
 
-        def build() -> PlacementArtifact:
+        def build(key: Optional[str]) -> PlacementArtifact:
             placement = place_design(
                 netlist, utilization=utilization, use_quadratic=use_quadratic
             )
@@ -193,13 +218,14 @@ class FlowGraph:
         the simulation knobs and the active execution engine (compiled and
         reference logic simulation are not bit-identical).
         """
-        key = hash_parts(
-            FLOW_KEY_VERSION, "power",
-            netlist_digest(netlist), workload_digest(workload, netlist),
-            num_cycles, batch_size, seed, get_engine(),
-        )
+        def key() -> str:
+            return hash_parts(
+                FLOW_KEY_VERSION, "power",
+                netlist_digest(netlist), workload_digest(workload, netlist),
+                num_cycles, batch_size, seed, get_engine(),
+            )
 
-        def build() -> PowerArtifact:
+        def build(key: Optional[str]) -> PowerArtifact:
             activity = estimate_activity(
                 netlist,
                 workload.port_toggle_probabilities(netlist),
@@ -236,17 +262,18 @@ class FlowGraph:
             hotspot_threshold=hotspot_threshold,
             wrapper_ring_um=wrapper_ring_um,
         )
-        key = hash_parts(
-            FLOW_KEY_VERSION, "whitespace",
-            placement_digest(placement), power_digest(power),
-            thermal_map_digest(thermal_map),
-            config.strategy_impl.spec, config.area_overhead,
-            config.hotspot_threshold, config.max_hotspots,
-            config.wrapper_ring_um, config.wrapper_max_source_units,
-            config.add_fillers, get_engine(),
-        )
+        def key() -> str:
+            return hash_parts(
+                FLOW_KEY_VERSION, "whitespace",
+                placement_digest(placement), power_digest(power),
+                thermal_map_digest(thermal_map),
+                config.strategy_impl.spec, config.area_overhead,
+                config.hotspot_threshold, config.max_hotspots,
+                config.wrapper_ring_um, config.wrapper_max_source_units,
+                config.add_fillers, get_engine(),
+            )
 
-        def build() -> WhitespaceArtifact:
+        def build(key: Optional[str]) -> WhitespaceArtifact:
             result = AreaManager(config).optimize(placement, power, thermal_map)
             return WhitespaceArtifact(
                 key=key,
@@ -274,13 +301,14 @@ class FlowGraph:
         the grid resolution, the package and the engine.
         """
         pkg = package if package is not None else default_package()
-        key = hash_parts(
-            FLOW_KEY_VERSION, "legalize",
-            placement_digest(placement), power_digest(power),
-            nx, ny, package_digest(pkg), get_engine(),
-        )
+        def key() -> str:
+            return hash_parts(
+                FLOW_KEY_VERSION, "legalize",
+                placement_digest(placement), power_digest(power),
+                nx, ny, package_digest(pkg), get_engine(),
+            )
 
-        def build() -> LegalizedArtifact:
+        def build(key: Optional[str]) -> LegalizedArtifact:
             power_map = build_power_map(placement, power, nx=nx, ny=ny, over_die=True)
             grid = grid_for_placement(placement, package=pkg, nx=nx, ny=ny)
             return LegalizedArtifact(key=key, power_map=power_map, grid=grid)
@@ -309,14 +337,15 @@ class FlowGraph:
         resolved = resolve_thermal_method(
             self.solver_cache.method if method is None else method, grid
         )
-        warm = warm_start if resolved == "multigrid" else None
-        key = hash_parts(
-            FLOW_KEY_VERSION, "thermal",
-            power_map_digest(power_map), grid_digest(grid), resolved,
-            thermal_map_digest(warm) if warm is not None else None,
-        )
+        def key() -> str:
+            warm = warm_start if resolved == "multigrid" else None
+            return hash_parts(
+                FLOW_KEY_VERSION, "thermal",
+                power_map_digest(power_map), grid_digest(grid), resolved,
+                thermal_map_digest(warm) if warm is not None else None,
+            )
 
-        def build() -> ThermalArtifact:
+        def build(key: Optional[str]) -> ThermalArtifact:
             solver = self.solver_cache.solver(grid, method=resolved)
             rises = warm_start.grid_rises if warm_start is not None else None
             thermal_map = solver.solve_power_map(power_map, x0=rises)
@@ -342,13 +371,14 @@ class FlowGraph:
         so coordinates are part of the input), the delay-model temperature,
         the clock period and the engine.
         """
-        key = hash_parts(
-            FLOW_KEY_VERSION, "sta",
-            placement_digest(placement), temperature, clock_period_ps,
-            get_engine(),
-        )
+        def key() -> str:
+            return hash_parts(
+                FLOW_KEY_VERSION, "sta",
+                placement_digest(placement), temperature, clock_period_ps,
+                get_engine(),
+            )
 
-        def build() -> StaArtifact:
+        def build(key: Optional[str]) -> StaArtifact:
             delay_model = DelayModel(temperature=temperature)
             timing = StaticTimingAnalyzer(
                 placement.netlist,

@@ -1,36 +1,31 @@
 """Crash-consistent store auditing and repair (``repro fsck``).
 
 A hard kill (``kill -9``, OOM) can interrupt the artifact and result
-stores at exactly two seams: between taking an ``O_EXCL`` single-flight
-claim and releasing it, and between staging a ``.tmp.*`` blob and the
-atomic ``os.replace`` that publishes it.  Neither seam can corrupt a
+stores at exactly one seam: between staging a ``.tmp.*`` blob and the
+atomic ``os.replace`` that publishes it.  That seam cannot corrupt a
 *published* entry — readers always see the old blob or the new one — but
-the debris left behind is real: an orphaned claim makes every later
-writer of that key wait out the full :data:`~repro.flow.store.STALE_CLAIM_S`
-window, and stale temp files accumulate forever.  Damaged entries (torn
-by the filesystem itself, bit-flipped, truncated) are a third category:
-the read path already self-heals them on access, but an audit should
-find them *before* a campaign trips over them.
+the stale temp files left behind accumulate forever.  Damaged entries
+(torn by the filesystem itself, bit-flipped, truncated) are a second
+category: the read path already self-heals them on access, but an audit
+should find them *before* a campaign trips over them.
 
 Two entry points:
 
 * :func:`fsck_store` — the operator-grade auditor behind ``repro fsck``.
-  Scans one store root for orphaned claims, temp debris, entries whose
-  key does not parse, and (unless disabled) blobs whose SHA-256 fails
-  verification.  With ``repair=True`` debris is deleted and damaged
-  entries are quarantined atomically under ``<root>/.quarantine/``.  The
-  tool assumes the store is quiesced — claims and temp files are treated
-  as garbage regardless of age.
+  Scans one store root for temp debris, entries whose key does not parse,
+  and (unless disabled) blobs whose SHA-256 fails verification.  With
+  ``repair=True`` debris is deleted and damaged entries are quarantined
+  atomically under ``<root>/.quarantine/``.  The tool assumes the store is
+  quiesced — temp files are treated as garbage regardless of age.
 * :func:`recover_store` — the fast startup pass :class:`~repro.flow.runner.Campaign`
   and the serve daemon run before touching a store.  It must be safe
   against *live* peers sharing the store, so it only removes temp files
-  whose writer process is verifiably gone and claims older than the
-  stale threshold; blob payloads are not verified (corrupt entries
-  self-heal on first read).
+  whose writer process is verifiably gone; blob payloads are not verified
+  (corrupt entries self-heal on first read).
 
 The on-disk layout, and the one walker that classifies store files as
-entries, claims or staging files, live in :mod:`repro.flow.store`; this
-module holds only the audit and repair policy on top of them.
+entries or staging files, live in :mod:`repro.flow.store`; this module
+holds only the audit and repair policy on top of them.
 """
 
 from __future__ import annotations
@@ -44,7 +39,6 @@ from typing import List, Optional, Union
 
 from .store import (
     QUARANTINE_DIR,
-    STALE_CLAIM_S,
     BlobIntegrityError,
     is_store_key,
     iter_store_files,
@@ -65,7 +59,6 @@ class FsckReport:
 
     root: Path
     entries_checked: int = 0
-    orphaned_claims: List[Path] = field(default_factory=list)
     stale_tmp: List[Path] = field(default_factory=list)
     corrupt_blobs: List[Path] = field(default_factory=list)
     bad_keys: List[Path] = field(default_factory=list)
@@ -74,12 +67,7 @@ class FsckReport:
 
     @property
     def num_problems(self) -> int:
-        return (
-            len(self.orphaned_claims)
-            + len(self.stale_tmp)
-            + len(self.corrupt_blobs)
-            + len(self.bad_keys)
-        )
+        return len(self.stale_tmp) + len(self.corrupt_blobs) + len(self.bad_keys)
 
     @property
     def clean(self) -> bool:
@@ -94,8 +82,6 @@ class FsckReport:
                 f"({self.entries_checked} entr{'y' if self.entries_checked == 1 else 'ies'} verified)"
             )
         parts = []
-        if self.orphaned_claims:
-            parts.append(f"{len(self.orphaned_claims)} orphaned claim(s)")
         if self.stale_tmp:
             parts.append(f"{len(self.stale_tmp)} stale tmp file(s)")
         if self.corrupt_blobs:
@@ -167,11 +153,9 @@ def fsck_store(
 
     Finds, in one pass over the tree:
 
-    * **Orphaned claims** — ``.lock`` files; with no live owner process a
-      claim is pure obstruction.  The store is assumed quiesced, so every
-      claim found is reported (and, with ``repair``, deleted).
     * **Stale temp files** — ``.tmp.*`` staging files a crashed writer
-      never published.  Deleted under ``repair``.
+      never published.  The store is assumed quiesced, so every one found
+      is reported (and, with ``repair``, deleted).
     * **Corrupt blobs** — entries whose magic, SHA-256 or pickling fails
       (``verify_blobs=False`` skips the payload reads for very large
       stores).  Quarantined under ``<root>/.quarantine/`` so an operator
@@ -192,9 +176,8 @@ def fsck_store(
     if not root.exists():
         return report
     for path, kind in iter_store_files(root):
-        if kind != "entry":
-            found = report.orphaned_claims if kind == "claim" else report.stale_tmp
-            found.append(path)
+        if kind == "tmp":
+            report.stale_tmp.append(path)
             if repair:
                 _remove(path, report)
             continue
@@ -217,48 +200,28 @@ def fsck_store(
     return report
 
 
-def recover_store(
-    root: Union[str, Path],
-    stale_claim_s: float = STALE_CLAIM_S,
-    now: Optional[float] = None,
-) -> FsckReport:
+def recover_store(root: Union[str, Path]) -> FsckReport:
     """Fast startup recovery: clear a crashed predecessor's debris.
 
     Unlike :func:`fsck_store` this runs while *other* campaigns, shard
     workers or serve daemons may legitimately share the store, so it only
-    removes what is provably (or by the stale-claim contract, safely)
-    abandoned:
-
-    * ``.tmp.*`` files whose staging writer process no longer exists (the
-      pid is part of the filename); files with a live or unverifiable
-      writer are left alone.
-    * ``.lock`` claims older than ``stale_claim_s`` — the same threshold
-      the single-flight waiters already apply lazily; clearing them
-      eagerly just saves the first writer the wait.
+    removes ``.tmp.*`` files whose staging writer process no longer exists
+    (the pid is part of the filename); files with a live or unverifiable
+    writer are left alone.
 
     Blob payloads are not verified: a corrupt entry is evicted and
     recomputed by the read path the moment anything touches it.
     Everything removed is also recorded in the returned report's
-    ``stale_tmp`` / ``orphaned_claims`` lists.
+    ``stale_tmp`` list.
     """
     root = Path(root)
     report = FsckReport(root=root)
     if not root.exists():
         return report
-    reference = time.time() if now is None else now
     for path, kind in iter_store_files(root):
-        if kind == "tmp":
-            if _writer_alive(path) is False:
-                report.stale_tmp.append(path)
-                _remove(path, report)
-        elif kind == "claim":
-            try:
-                age = reference - path.stat().st_mtime
-            except OSError:
-                continue  # released between listing and stat
-            if age > stale_claim_s:
-                report.orphaned_claims.append(path)
-                _remove(path, report)
+        if kind == "tmp" and _writer_alive(path) is False:
+            report.stale_tmp.append(path)
+            _remove(path, report)
     return report
 
 

@@ -10,7 +10,10 @@ die geometry and each group's power maps are solved as one warm-started
 multi-RHS block (:meth:`~repro.thermal.solver.ThermalSolver.solve_many`)
 on a solver from the shared :class:`~repro.flow.cache.SolverCache`, and
 finally each point's outcome is extracted
-(:func:`~repro.flow.experiment.finish_evaluation`).
+(:func:`~repro.flow.experiment.finish_evaluation`).  The transform and
+timing run as stages of the campaign's :class:`~repro.flow.graph.FlowGraph`
+(a hash-free pass-through when none is given); the process executor runs
+whole points through one graph per worker (:mod:`repro.flow.shard`).
 
 Results are deterministic: records are returned in grid order (workload,
 then strategy, then overhead) regardless of worker scheduling, and every
@@ -58,7 +61,7 @@ from .experiment import (
     finish_evaluation,
     prepare_evaluation,
 )
-from .store import ResultStore, result_key, setup_digest
+from .store import ArtifactStore, ResultStore, result_key, setup_digest
 
 #: Executors :class:`Campaign` accepts.
 EXECUTORS = ("thread", "process")
@@ -390,13 +393,13 @@ class Campaign:
             groups its points by die geometry and solves each group as one
             multi-RHS block, whose lanes are bitwise identical to one-point
             solves.  Passing it emits a :class:`DeprecationWarning`.
-        flow: Optional :class:`~repro.flow.graph.FlowGraph`; the transform
-            and timing stages of every point then run against the graph's
-            content-addressed store, so points (or whole re-runs) whose
-            stage inputs are unchanged re-execute nothing.  When given and
-            ``cache`` is omitted, the graph's solver cache becomes the
-            campaign's.  The grouped multi-RHS solves stay outside the
-            artifact store.
+        flow: Optional :class:`~repro.flow.graph.FlowGraph` every point's
+            stages run through.  With a caching graph, points (or whole
+            re-runs) whose stage inputs are unchanged re-execute nothing;
+            when given and ``cache`` is omitted, the graph's solver cache
+            becomes the campaign's.  When omitted, a hash-free pass-through
+            graph over ``cache`` is used.  The grouped multi-RHS solves of
+            the thread executor stay outside the artifact store.
         result_store: Optional :class:`~repro.flow.store.ResultStore`.
             Every completed point is published to it as soon as the point
             finishes, and every run starts by sweeping the grid against it
@@ -409,8 +412,10 @@ class Campaign:
             (:mod:`repro.flow.shard`) whose baselines share power-map and
             temperature-field arrays via ``multiprocessing.shared_memory``.
             Both produce records bitwise-identical to a serial run.  The
-            process executor evaluates point by point and is incompatible
-            with ``flow`` (per-process artifact stores would defeat it).
+            process executor evaluates point by point, each worker through
+            a graph over the on-disk tier of ``flow``'s store (a
+            pass-through when that store is memory-only), so a disk-rooted
+            artifact cache is shared by all workers and later runs.
         retry_policy: Per-point :class:`~repro.faults.RetryPolicy`.  The
             default never retries; a policy with ``max_attempts > 1``
             re-runs a point that raised a retryable exception, with
@@ -465,16 +470,16 @@ class Campaign:
                 DeprecationWarning,
                 stacklevel=2,
             )
-        if executor == "process" and flow is not None:
-            raise ValueError("executor='process' is incompatible with flow")
         self.setups: Dict[str, ExperimentSetup] = dict(setups)
         self.strategies = tuple(resolve_strategy(spec).spec for spec in strategies)
         self.overheads = tuple(overheads)
         self.analyze_timing = analyze_timing
-        self.flow = flow
         if cache is None:
             cache = flow.solver_cache if flow is not None else SolverCache()
         self.cache = cache
+        if flow is None:
+            flow = FlowGraph(store=ArtifactStore(maxsize=0), solver_cache=cache)
+        self.flow = flow
         self.name = name
         self.result_store = result_store
         self.executor = executor
@@ -894,9 +899,9 @@ class Campaign:
             self._respawns = 0
             self._timeouts = 0
 
-        # Fast crash-recovery pass: clear stale claims and tmp debris a
-        # hard-killed predecessor left behind, so this run's single-flight
-        # and resume logic start from a clean store.
+        # Fast crash-recovery pass: clear the tmp debris a hard-killed
+        # predecessor left behind, so this run's resume logic starts from a
+        # clean store.
         if self.result_store is not None and self.result_store.root is not None:
             from .recover import recover_store
 
@@ -1051,6 +1056,5 @@ class Campaign:
             metadata["result_store"] = self.result_store.stats().as_dict()
             metadata["store_hits"] = len(stored)
             metadata["num_evaluated"] = num_evaluated
-        if self.flow is not None:
-            metadata["flow_stages"] = self.flow.stats()
+        metadata["flow_stages"] = self.flow.stats()
         return CampaignResult(records=final, metadata=metadata)

@@ -18,9 +18,15 @@ per task.  This module ships it once, and the bulky parts not at all:
 * A task is then six scalars: ``(slot, workload, strategy spec,
   overhead, result key, attempt)``.
 
-Workers evaluate points with a private :class:`SolverCache` (factorised
-solvers hold SuperLU handles and cannot cross processes) and stream
-records back over a result queue; with a disk-rooted
+Workers evaluate whole points through a private
+:class:`~repro.flow.graph.FlowGraph`: its :class:`SolverCache` is the
+worker's own (factorised solvers hold SuperLU handles and cannot cross
+processes) and its :class:`~repro.flow.store.ArtifactStore` keeps nothing
+in memory but attaches to the on-disk tier of the campaign's artifact
+store, if it has one — so a disk-rooted artifact cache is shared by all
+workers (and by later runs), while a memory-only one makes the worker
+graph a hash-free pass-through.  Workers stream records back over a result
+queue; with a disk-rooted
 :class:`~repro.flow.store.ResultStore` attached each worker also publishes
 every record as it completes, so progress survives even a hard kill of
 the parent.  Evaluation is deterministic — identical inputs, identical
@@ -66,7 +72,8 @@ from .. import faults
 from ..deadlines import Deadline, DeadlineExceeded, deadline_scope
 from ..engine import get_engine, use_engine
 from .cache import SolverCache
-from .store import ResultStore
+from .graph import FlowGraph
+from .store import ArtifactStore, ResultStore
 
 logger = logging.getLogger(__name__)
 
@@ -206,7 +213,10 @@ def _worker_main(
     store: Optional[ResultStore] = config["store"]
     policy = config["retry_policy"]
     timeout = config.get("point_timeout_s")
-    cache = SolverCache(method=config["method"])
+    flow = FlowGraph(
+        store=ArtifactStore(root=config["artifact_root"], maxsize=0),
+        solver_cache=SolverCache(method=config["method"]),
+    )
     try:
         with use_engine(config["engine"]):
             while True:
@@ -240,7 +250,7 @@ def _worker_main(
                             strategy,
                             overhead,
                             analyze_timing=config["analyze_timing"],
-                            cache=cache,
+                            flow=flow,
                         )
                     record = CampaignRecord(
                         point=CampaignPoint(
@@ -324,8 +334,8 @@ def run_sharded(
 
     Args:
         campaign: The owning :class:`~repro.flow.runner.Campaign` (supplies
-            setups, solver method, timing flag, result store, retry policy
-            and fail-fast flag).
+            setups, solver method, artifact-store root, timing flag, result
+            store, retry policy and fail-fast flag).
         points: The grid points to evaluate (typically the not-yet-stored
             remainder of the grid).
         keys: Optional per-point result-store keys, aligned with
@@ -365,6 +375,7 @@ def run_sharded(
     config = {
         "engine": get_engine(),
         "method": campaign.cache.method,
+        "artifact_root": campaign.flow.store.root,
         "analyze_timing": campaign.analyze_timing,
         "store": campaign.result_store,
         "retry_policy": policy,

@@ -15,17 +15,17 @@ of verified blobs, and share one implementation of it:
   so a repeated sweep recomputes nothing, an extended sweep computes only
   the new points, and an interrupted run resumes where it stopped.
 
-The two differ only in where an entry lives on disk and in
-:meth:`ResultStore.compute_if_missing`, which adds *cross-process*
-single-flight via ``O_EXCL`` claim files so exactly one process computes
-a missing point while the others wait and then hit.  Both count the same
-:class:`StoreStats`.
+The two differ only in where an entry lives on disk, and both count the
+same :class:`StoreStats`.  Neither store coordinates writers: the flow's
+one single-flight rule is :class:`~repro.flow.graph.FlowGraph`'s per-key
+in-process lock.  Two processes (or two campaigns) sharing a root may
+both compute a missing entry; they publish identical content through
+atomic renames, so the cost is duplicate work, never a wrong record.
 
 On-disk format (shared, and owned by this module)::
 
     <root>/<stage>/<key>.art            artifact entry
     <root>/<key[:2]>/<key>.res          result entry
-    <root>/<key[:2]>/<key>.lock         single-flight claim
     <entry path stem>.tmp.<pid>.<tid>   staging file of an unpublished write
     <root>/.quarantine/                 entries ``repro fsck`` set aside
 
@@ -51,7 +51,7 @@ import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple, Union
 
 from ..faults import InjectedFault, inject
 from .artifacts import (
@@ -83,9 +83,6 @@ RESULT_SUFFIX = ".res"
 
 _ENTRY_SUFFIXES = (ARTIFACT_SUFFIX, RESULT_SUFFIX)
 
-#: Filename suffix of single-flight claim files.
-CLAIM_SUFFIX = ".lock"
-
 #: Marker of a staging file: ``<stem>.tmp.<pid>.<thread id>``.
 _TMP_MARKER = ".tmp."
 
@@ -96,9 +93,9 @@ QUARANTINE_DIR = ".quarantine"
 #: 16-byte blake2b, hex-encoded.
 _KEY_HEX_LEN = 32
 
-#: A single-flight claim older than this is considered abandoned (its
-#: owner crashed without unlinking) and is broken by the next writer.
-STALE_CLAIM_S = 600.0
+#: A staging file older than this is considered abandoned by
+#: :func:`prune_store` (its writer crashed before publishing).
+STALE_TMP_S = 600.0
 
 
 class BlobIntegrityError(Exception):
@@ -172,17 +169,14 @@ def tmp_writer_pid(path: Path) -> Optional[int]:
 def iter_store_files(root: Path) -> Iterator[Tuple[Path, str]]:
     """Yield ``(path, kind)`` for every store file under ``root``, sorted.
 
-    ``kind`` is ``"entry"`` (a published ``.art``/``.res`` blob),
-    ``"claim"`` (a ``.lock`` single-flight claim) or ``"tmp"`` (a staging
-    file).  The quarantine directory and foreign files (README drops,
-    operator notes, ...) are skipped.
+    ``kind`` is ``"entry"`` (a published ``.art``/``.res`` blob) or
+    ``"tmp"`` (a staging file).  The quarantine directory and foreign files
+    (README drops, operator notes, ...) are skipped.
     """
     for path in sorted(root.rglob("*")):
         if QUARANTINE_DIR in path.relative_to(root).parts or not path.is_file():
             continue
-        if path.suffix == CLAIM_SUFFIX:
-            yield path, "claim"
-        elif _TMP_MARKER in path.name:
+        if _TMP_MARKER in path.name:
             yield path, "tmp"
         elif path.suffix in _ENTRY_SUFFIXES:
             yield path, "entry"
@@ -266,9 +260,6 @@ class StoreStats:
         corrupt_evictions: Disk entries evicted because their payload
             failed the integrity check, did not deserialize, or hit an
             injected ``store.read`` fault.
-        single_flight_waits: ``compute_if_missing`` calls that waited on
-            another process's computation instead of computing (always 0
-            for an artifact store).
         memory_size: Entries currently held in memory.
         write_errors: Disk publications that failed (the value stayed in
             memory and the caller continued; durability only degrades).
@@ -279,7 +270,6 @@ class StoreStats:
     disk_hits: int
     writes: int
     corrupt_evictions: int
-    single_flight_waits: int
     memory_size: int
     write_errors: int
 
@@ -323,7 +313,6 @@ class _TieredStore:
         self._disk_hits = 0
         self._writes = 0
         self._corrupt_evictions = 0
-        self._single_flight_waits = 0
         self._write_errors = 0
 
     def __getstate__(self):
@@ -380,11 +369,10 @@ class _TieredStore:
         while self.maxsize is not None and len(self._memory) > self.maxsize:
             self._memory.popitem(last=False)
 
-    def _adopt_disk_hit(self, entry: Hashable, value, waited: bool = False) -> None:
+    def _adopt_disk_hit(self, entry: Hashable, value) -> None:
         with self._lock:
             self._hits += 1
             self._disk_hits += 1
-            self._single_flight_waits += waited
             self._insert_memory(entry, value)
 
     def _read_disk(self, entry: Hashable):
@@ -417,7 +405,6 @@ class _TieredStore:
                 disk_hits=self._disk_hits,
                 writes=self._writes,
                 corrupt_evictions=self._corrupt_evictions,
-                single_flight_waits=self._single_flight_waits,
                 memory_size=len(self._memory),
                 write_errors=self._write_errors,
             )
@@ -480,23 +467,14 @@ class ResultStore(_TieredStore):
 
     Layout: ``<root>/<key[:2]>/<key>.res`` — the two-character shard keeps
     directories small for million-record stores.  With ``root=None`` the
-    store is memory-only (still single-flight across threads), which is
-    what short-lived in-process campaigns use.  Threads, sharded worker
-    processes and the ``repro serve`` daemon may share one root: writers
-    racing on a key all publish the same content through atomic renames.
+    store is memory-only, which is what short-lived in-process campaigns
+    use.  Threads, sharded worker processes and the ``repro serve`` daemon
+    may share one root: writers racing on a key all publish the same
+    content through atomic renames.
     """
-
-    def __init__(
-        self, root: Optional[Union[str, Path]] = None, maxsize: Optional[int] = None
-    ) -> None:
-        super().__init__(root, maxsize)
-        self._inflight: Dict[str, threading.Lock] = {}
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}{RESULT_SUFFIX}"
-
-    def _claim_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}{CLAIM_SUFFIX}"
 
     def get(self, key: str):
         """The stored record for ``key``, or ``None`` on a miss."""
@@ -505,117 +483,6 @@ class ResultStore(_TieredStore):
     def put(self, key: str, record) -> None:
         """Publish a record (memory, and disk when configured)."""
         self._put(key, record)
-
-    # -- single-flight -------------------------------------------------------
-
-    def compute_if_missing(
-        self,
-        key: str,
-        compute: Callable[[], object],
-        poll_s: float = 0.02,
-        wait_timeout_s: float = 300.0,
-    ) -> Tuple[object, bool]:
-        """Return the record for ``key``, computing it at most once globally.
-
-        Single-flight spans both threads (a per-key in-process lock) and
-        processes (an ``O_CREAT | O_EXCL`` claim file next to the entry):
-        the first caller to claim computes and publishes; everyone else
-        polls until the entry appears and hits.  A claim left behind by a
-        crashed owner goes stale after :data:`STALE_CLAIM_S` and is broken.
-
-        Args:
-            key: The result key.
-            compute: Zero-argument callable producing the record.
-            poll_s: Wait-side polling interval.
-            wait_timeout_s: After this long waiting on another computer,
-                give up and compute locally anyway (the claim holder may be
-                livelocked); correctness is unaffected since both publish
-                identical content.
-
-        Returns:
-            ``(record, computed)`` where ``computed`` says whether *this*
-            call ran ``compute``.
-        """
-        record = self.get(key)
-        if record is not None:
-            return record, False
-
-        with self._lock:
-            thread_gate = self._inflight.setdefault(key, threading.Lock())
-        try:
-            with thread_gate:
-                record = self.get(key)
-                if record is not None:
-                    return record, False
-                if self.root is None:
-                    record = compute()
-                    self.put(key, record)
-                    return record, True
-                return self._compute_cross_process(
-                    key, compute, poll_s, wait_timeout_s
-                )
-        finally:
-            with self._lock:
-                self._inflight.pop(key, None)
-
-    def _compute_cross_process(
-        self,
-        key: str,
-        compute: Callable[[], object],
-        poll_s: float,
-        wait_timeout_s: float,
-    ) -> Tuple[object, bool]:
-        claim = self._claim_path(key)
-        claim.parent.mkdir(parents=True, exist_ok=True)
-        deadline = time.monotonic() + wait_timeout_s
-        waited = False
-        while True:
-            try:
-                fd = os.open(claim, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                # Someone else is computing: wait for their publication.
-                waited = True
-                record = self._read_disk(key)
-                if record is not None:
-                    self._adopt_disk_hit(key, record, waited=True)
-                    return record, False
-                try:
-                    age = time.time() - claim.stat().st_mtime
-                except OSError:
-                    continue  # claim released between open and stat: retry
-                if age > STALE_CLAIM_S:
-                    try:
-                        claim.unlink()
-                    except OSError:
-                        pass
-                    continue
-                if time.monotonic() > deadline:
-                    break  # claim holder livelocked: compute locally
-                time.sleep(poll_s)
-                continue
-            # Claimed: we are the one computer for this key.
-            os.close(fd)
-            try:
-                # Crash seam: an injected ``kind="exit"`` here simulates a
-                # kill -9 between claiming and publishing — the orphaned
-                # claim file is exactly what ``repro fsck`` must repair
-                # (an ordinary raise still unlinks it in the finally).
-                inject("store.claim", {"key": key})
-                record = self._read_disk(key)
-                if record is not None:
-                    self._adopt_disk_hit(key, record, waited=waited)
-                    return record, False
-                record = compute()
-                self.put(key, record)
-                return record, True
-            finally:
-                try:
-                    claim.unlink()
-                except OSError:
-                    pass
-        record = compute()
-        self.put(key, record)
-        return record, True
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +501,7 @@ class StoreUsage:
         by_group: ``group -> (entries, bytes)``; the group is the
             artifact-store stage directory (``synth``, ``thermal``, ...)
             or ``"results"`` for result-store shards.
-        stray_files: Leftover ``.tmp.*`` / ``.lock`` files found (these are
+        stray_files: Leftover ``.tmp.*`` staging files found (these are
             cleaned by :func:`prune_store`).
     """
 
@@ -653,7 +520,7 @@ class PruneReport:
         removed: Entry files deleted.
         freed_bytes: Bytes reclaimed (entries only).
         kept: Entry files remaining.
-        strays_removed: Stale ``.tmp.*`` / ``.lock`` files deleted.
+        strays_removed: Stale ``.tmp.*`` staging files deleted.
     """
 
     removed: int = 0
@@ -668,7 +535,7 @@ def _store_group(path: Path) -> str:
 
 
 def _walk(root: Path) -> Tuple[List[Tuple[Path, os.stat_result]], List[Path]]:
-    """``(entries with their stat, stray claim/tmp files)`` under ``root``."""
+    """``(entries with their stat, stray tmp files)`` under ``root``."""
     entries: List[Tuple[Path, os.stat_result]] = []
     strays: List[Path] = []
     for path, kind in iter_store_files(root):
@@ -711,12 +578,12 @@ def prune_store(
 
     Entries older than ``max_age_days`` are removed first; if the store is
     still larger than ``max_size_mb``, the oldest remaining entries (by
-    mtime) go next until it fits.  Stale ``.tmp.*`` and ``.lock`` files
-    older than :data:`STALE_CLAIM_S` are always cleaned up.  Pruning is
-    safe against live stores: entries younger than ``min_age_s`` are never
-    touched (so a blob a concurrent writer just published, or a claim it
-    just took, cannot be deleted out from under it), and a concurrently
-    re-inserted entry simply reappears on the next run's write.
+    mtime) go next until it fits.  Stale ``.tmp.*`` files older than
+    :data:`STALE_TMP_S` are always cleaned up.  Pruning is safe against
+    live stores: entries younger than ``min_age_s`` are never touched (so
+    a blob a concurrent writer just published cannot be deleted out from
+    under it), and a concurrently re-inserted entry simply reappears on
+    the next run's write.
 
     Args:
         root: Store directory.
@@ -780,7 +647,7 @@ def prune_store(
 
     for path in strays:
         try:
-            if reference - path.stat().st_mtime <= STALE_CLAIM_S:
+            if reference - path.stat().st_mtime <= STALE_TMP_S:
                 continue
         except OSError:
             continue
@@ -809,7 +676,6 @@ __all__ = [
     "iter_store_files",
     "ARTIFACT_SUFFIX",
     "RESULT_SUFFIX",
-    "CLAIM_SUFFIX",
     "QUARANTINE_DIR",
-    "STALE_CLAIM_S",
+    "STALE_TMP_S",
 ]

@@ -197,10 +197,9 @@ class SweepServer:
             artifact_store=artifact_store,
         )
 
-        # A hard-killed predecessor may have left single-flight claims and
-        # staging debris in the shared store; clear what is provably
-        # abandoned before accepting requests, so the first sweeps do not
-        # wait out stale claims.
+        # A hard-killed predecessor may have left staging debris in the
+        # shared store; clear what is provably abandoned before accepting
+        # requests.
         if self.store.root is not None:
             try:
                 recovered = recover_store(self.store.root)

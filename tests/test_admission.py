@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import random
 import socket
-import time
 
 import pytest
 

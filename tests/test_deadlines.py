@@ -37,7 +37,7 @@ from repro.deadlines import (
     deadline_scope,
 )
 from repro.faults import FaultPlan, FaultRule, RetryPolicy, active_plan
-from repro.flow import Campaign, ExperimentSetup, SolverCache
+from repro.flow import Campaign, ExperimentSetup
 from repro.service import ServiceError, SweepClient, SweepServer
 from repro.thermal import ThermalGrid, ThermalSolver, default_package
 

@@ -16,7 +16,6 @@ test are the fault-tolerance contract of the campaign machinery:
 
 from __future__ import annotations
 
-import dataclasses
 import socket
 import threading
 import time
@@ -35,7 +34,7 @@ from repro.faults import (
     active_plan,
     plan_from_env,
 )
-from repro.flow import Campaign, ExperimentSetup, FailedPoint, ResultStore, SolverCache
+from repro.flow import Campaign, ExperimentSetup, ResultStore, SolverCache
 from repro.service import ServiceError, SweepClient, SweepServer, request_once
 from repro.thermal import ThermalGrid, ThermalSolver, default_package
 

@@ -1,11 +1,13 @@
-"""Golden-equivalence suite: staged flow graph versus the monolithic path.
+"""Golden-equivalence suite: caching flow graphs versus the pass-through one.
 
-The staged path (:class:`repro.flow.FlowGraph` over a content-addressed
-:class:`repro.flow.ArtifactStore`) is only correct if it is *bitwise*
-indistinguishable from the monolithic pipeline it decomposes — same
-placements, same power maps, same solved temperatures, same timing, for
-every registered strategy, whether the artifacts are built cold, replayed
-warm from memory, replayed from a fresh process off the disk tier, or
+Every evaluation runs through :class:`repro.flow.FlowGraph`.  Calls that
+pass no ``flow`` get a pass-through graph that caches and hashes nothing —
+each stage body simply runs — and that is the reference here.  A caching
+graph (over a content-addressed :class:`repro.flow.ArtifactStore`) is only
+correct if it is *bitwise* indistinguishable from it — same placements,
+same power maps, same solved temperatures, same timing, for every
+registered strategy, whether the artifacts are built cold, replayed warm
+from memory, replayed from a fresh process off the disk tier, or
 partially invalidated by a mutation.
 
 :class:`~repro.flow.experiment.StrategyOutcome` is a flat dataclass of
@@ -20,6 +22,7 @@ import random
 
 import pytest
 
+import repro.flow.graph as graph_module
 from repro.bench import UnitSpec, build_synthetic_circuit, scattered_hotspots_workload
 from repro.core.strategy import available_strategies
 from repro.flow import (
@@ -85,26 +88,27 @@ def circuits():
 
 class TestGoldenEquivalence:
     def test_cold_and_warm_match_monolithic_for_every_strategy(self, circuits):
-        """Staged == monolithic for all registered strategies; warm replay
-        of a content-equal circuit re-executes nothing and changes nothing."""
+        """Caching graph == pass-through for all registered strategies; warm
+        replay of a content-equal circuit re-executes nothing and changes
+        nothing."""
         for netlist, workload in circuits:
-            mono_setup = _prepare(netlist, workload, cache=SolverCache())
+            ref_setup = _prepare(netlist, workload, cache=SolverCache())
             flow = FlowGraph(store=ArtifactStore())
             staged_setup = _prepare(netlist, workload, flow=flow)
 
-            assert staged_setup.thermal_map.peak == mono_setup.thermal_map.peak
+            assert staged_setup.thermal_map.peak == ref_setup.thermal_map.peak
             assert staged_setup.timing.critical_path_ps == (
-                mono_setup.timing.critical_path_ps
+                ref_setup.timing.critical_path_ps
             )
 
             for strategy in available_strategies():
-                mono = evaluate_strategy(
-                    mono_setup, strategy, 0.15, analyze_timing=True
+                ref = evaluate_strategy(
+                    ref_setup, strategy, 0.15, analyze_timing=True
                 )
                 cold = evaluate_strategy(
                     staged_setup, strategy, 0.15, analyze_timing=True, flow=flow
                 )
-                assert cold == mono, f"cold staged != monolithic for {strategy}"
+                assert cold == ref, f"cold cached != pass-through for {strategy}"
 
             executions_after_cold = dict(flow.stage_executions)
             assert executions_after_cold["synth"] == 1
@@ -117,10 +121,10 @@ class TestGoldenEquivalence:
                 warm = evaluate_strategy(
                     warm_setup, strategy, 0.15, analyze_timing=True, flow=flow
                 )
-                mono = evaluate_strategy(
-                    mono_setup, strategy, 0.15, analyze_timing=True
+                ref = evaluate_strategy(
+                    ref_setup, strategy, 0.15, analyze_timing=True
                 )
-                assert warm == mono, f"warm staged != monolithic for {strategy}"
+                assert warm == ref, f"warm cached != pass-through for {strategy}"
             assert dict(flow.stage_executions) == executions_after_cold, (
                 "warm replay re-executed stages"
             )
@@ -148,7 +152,7 @@ class TestGoldenEquivalence:
 
     def test_partial_invalidation_reruns_only_downstream(self, circuits):
         """A new overhead invalidates whitespace onward but nothing
-        upstream; the partially-warm result still matches a monolithic
+        upstream; the partially-warm result still matches a pass-through
         evaluation of the same point."""
         netlist, workload = circuits[1]
         flow = FlowGraph(store=ArtifactStore())
@@ -165,13 +169,13 @@ class TestGoldenEquivalence:
         assert after["power"] == before["power"], "overhead change re-ran power"
         assert after["whitespace"] == before["whitespace"] + 1
 
-        mono_setup = _prepare(netlist, workload)
-        mono = evaluate_strategy(mono_setup, "eri", 0.25, analyze_timing=True)
-        assert staged == mono
+        ref_setup = _prepare(netlist, workload)
+        ref = evaluate_strategy(ref_setup, "eri", 0.25, analyze_timing=True)
+        assert staged == ref
 
     def test_circuit_mutation_invalidates_synth(self, circuits):
         """Editing the circuit changes the synth key: the mutated design
-        re-places, and its staged outcome matches its own monolithic run."""
+        re-places, and its cached outcome matches its own pass-through run."""
         netlist, _ = circuits[0]
         flow = FlowGraph(store=ArtifactStore())
         workload = scattered_hotspots_workload(netlist, num_hotspots=2)
@@ -190,26 +194,26 @@ class TestGoldenEquivalence:
         staged = evaluate_strategy(
             staged_setup, "default", 0.15, analyze_timing=True, flow=flow
         )
-        mono_setup = _prepare(mutated, mutated_workload)
-        mono = evaluate_strategy(mono_setup, "default", 0.15, analyze_timing=True)
-        assert staged == mono
+        ref_setup = _prepare(mutated, mutated_workload)
+        ref = evaluate_strategy(ref_setup, "default", 0.15, analyze_timing=True)
+        assert staged == ref
 
 
 class TestCampaignEquivalence:
     def test_staged_campaign_records_match_monolithic(self, circuits):
-        """A flow-backed Campaign grid is record-for-record identical to
-        the classic per-point Campaign."""
+        """A Campaign over a caching graph is record-for-record identical
+        to one over the default pass-through graph."""
         netlist, workload = circuits[0]
         strategies = ("default", "eri", "hw")
         overheads = (0.1, 0.2)
 
-        mono_setup = _prepare(netlist, workload, cache=SolverCache())
-        mono = Campaign(
-            mono_setup,
+        ref_setup = _prepare(netlist, workload, cache=SolverCache())
+        ref = Campaign(
+            ref_setup,
             strategies=strategies,
             overheads=overheads,
             analyze_timing=True,
-            name="mono",
+            name="pass-through",
         ).run()
 
         flow = FlowGraph(store=ArtifactStore())
@@ -223,12 +227,64 @@ class TestCampaignEquivalence:
             flow=flow,
         ).run()
 
-        assert len(staged.records) == len(mono.records)
-        for srec, mrec in zip(staged.records, mono.records):
-            assert srec.point == mrec.point
-            assert srec.outcome == mrec.outcome
+        assert len(staged.records) == len(ref.records)
+        for srec, rrec in zip(staged.records, ref.records):
+            assert srec.point == rrec.point
+            assert srec.outcome == rrec.outcome
 
         # The shared prefix ran exactly once for the whole grid.
         assert flow.stage_executions["synth"] == 1
         assert flow.stage_executions["power"] == 1
         assert staged.metadata["flow_stages"]["stage_executions"]["synth"] == 1
+
+
+class TestPassThrough:
+    """A graph whose store can hold nothing hashes nothing."""
+
+    @pytest.fixture
+    def hash_calls(self, monkeypatch):
+        calls = []
+        original = graph_module.hash_parts
+
+        def counting(*parts):
+            calls.append(parts[1])
+            return original(*parts)
+
+        monkeypatch.setattr(graph_module, "hash_parts", counting)
+        return calls
+
+    def test_default_calls_never_hash(self, circuits, hash_calls):
+        netlist, workload = circuits[0]
+        setup = _prepare(netlist, workload)
+        evaluate_strategy(setup, "hw", 0.15, analyze_timing=True)
+        result = Campaign(
+            setup, ("default", "eri"), (0.1,), analyze_timing=True
+        ).run(max_workers=2)
+        assert hash_calls == []
+        # The pass-through graph still counts every stage it executed.
+        executions = result.metadata["flow_stages"]["stage_executions"]
+        assert executions == {"whitespace": 2, "legalize": 2, "sta": 2}
+
+    def test_caching_graph_hashes(self, circuits, hash_calls):
+        netlist, workload = circuits[0]
+        flow = FlowGraph()
+        setup = _prepare(netlist, workload, flow=flow)
+        evaluate_strategy(setup, "hw", 0.15, analyze_timing=True, flow=flow)
+        evaluated = len(hash_calls)
+        assert evaluated > 0
+        Campaign(
+            setup, ("default", "eri"), (0.1,), analyze_timing=True, flow=flow
+        ).run(max_workers=2)
+        assert len(hash_calls) > evaluated
+
+    def test_pass_through_artifacts_carry_no_key(self, circuits):
+        netlist, workload = circuits[0]
+        flow = FlowGraph(store=ArtifactStore(maxsize=0))
+        setup = _prepare(netlist, workload, flow=flow)
+        artifact = flow.whitespace(
+            setup.placement, setup.power, setup.thermal_map, "eri", 0.15
+        )
+        assert artifact.key is None
+        assert flow.stage_executions["whitespace"] == 1
+        assert flow.stage_hits == {}
+        assert len(flow.store) == 0

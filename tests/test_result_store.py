@@ -1,4 +1,4 @@
-"""Result store: keys, persistence, single-flight, pruning, resume."""
+"""Result store: keys, persistence, pruning, resume."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import multiprocessing as mp
 import os
 import pickle
 import signal
-import threading
 import time
 
 import pytest
@@ -22,7 +21,7 @@ from repro.flow import (
     scan_store,
     setup_digest,
 )
-from repro.flow.store import RESULT_SUFFIX, STALE_CLAIM_S, read_blob, write_blob
+from repro.flow.store import RESULT_SUFFIX, read_blob, write_blob
 
 NX = NY = 16
 
@@ -146,107 +145,6 @@ class TestResultStore:
         assert len(clone) == 0  # contents travel via disk, not pickle
         assert clone.get("k") == 1
 
-    def test_compute_if_missing_thread_single_flight(self, tmp_path):
-        store = ResultStore(root=tmp_path / "store")
-        computes = []
-        barrier = threading.Barrier(4)
-        results = []
-
-        def compute():
-            computes.append(threading.get_ident())
-            time.sleep(0.05)
-            return "value"
-
-        def worker():
-            barrier.wait()
-            record, _ = store.compute_if_missing("k", compute)
-            results.append(record)
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(computes) == 1
-        assert results == ["value"] * 4
-
-
-class TestClaimEdgeCases:
-    """Single-flight claim files under pruning and owner crashes."""
-
-    def test_prune_keeps_live_claim_during_compute(self, tmp_path):
-        """A prune racing a live computation must not break its claim."""
-        from repro.flow.store import prune_store
-
-        root = tmp_path / "store"
-        store = ResultStore(root=root)
-        claim = store._claim_path("livekey")
-        entered = threading.Event()
-        release = threading.Event()
-        outcome = {}
-
-        def compute():
-            entered.set()
-            release.wait(timeout=30)
-            return "live-value"
-
-        def owner():
-            outcome["result"] = store.compute_if_missing("livekey", compute)
-
-        thread = threading.Thread(target=owner)
-        thread.start()
-        try:
-            assert entered.wait(timeout=10)
-            assert claim.exists()
-            # The claim is fresh (its owner is alive and computing): a
-            # concurrent prune must leave it in place.
-            report = prune_store(root)
-            assert report.strays_removed == 0
-            assert claim.exists()
-        finally:
-            release.set()
-            thread.join(timeout=30)
-        assert outcome["result"] == ("live-value", True)
-        assert not claim.exists()
-        assert store.get("livekey") == "live-value"
-
-    def test_stale_claim_broken_by_polling_waiter(self, tmp_path):
-        """A claim whose owner died goes stale mid-poll: the waiter breaks
-        it and recomputes exactly once, with exactly one publication."""
-        root = tmp_path / "store"
-        store = ResultStore(root=root)
-        claim = store._claim_path("stalekey")
-        claim.parent.mkdir(parents=True, exist_ok=True)
-        claim.touch()  # a fresh claim from a (soon to be dead) owner
-        computes = []
-
-        def compute():
-            computes.append(threading.get_ident())
-            return "recomputed"
-
-        result = {}
-        waiter = threading.Thread(
-            target=lambda: result.update(
-                value=store.compute_if_missing("stalekey", compute, poll_s=0.01)
-            )
-        )
-        waiter.start()
-        try:
-            # Let the waiter observe the live claim and poll on it...
-            time.sleep(0.1)
-            assert not computes
-            # ... then the owner "crashes": age the claim past staleness.
-            stale = time.time() - STALE_CLAIM_S - 60.0
-            os.utime(claim, (stale, stale))
-        finally:
-            waiter.join(timeout=30)
-        assert result["value"] == ("recomputed", True)
-        assert len(computes) == 1
-        assert store.stats().writes == 1
-        assert not claim.exists()
-        assert ResultStore(root=root).get("stalekey") == "recomputed"
-
-
 def _racing_writer(root, key, value, start_event, results):
     """Hammer one key with puts; verify the entry is always intact."""
     store = ResultStore(root=root)
@@ -259,19 +157,6 @@ def _racing_writer(root, key, value, start_event, results):
         results.put("ok")
     except Exception as error:  # pragma: no cover - failure reporting
         results.put(f"{type(error).__name__}: {error}")
-
-
-def _single_flight_worker(root, key, start_event, results):
-    """Race compute_if_missing across processes; report who computed."""
-    store = ResultStore(root=root)
-    start_event.wait()
-
-    def compute():
-        time.sleep(0.1)
-        return {"by": os.getpid()}
-
-    record, computed = store.compute_if_missing(key, compute)
-    results.put((os.getpid(), computed, record))
 
 
 class TestCrossProcess:
@@ -298,30 +183,6 @@ class TestCrossProcess:
         # And the final on-disk entry verifies.
         store = ResultStore(root=tmp_path / "store")
         assert store.get("sharedkey") == value
-
-    def test_exactly_one_process_computes(self, tmp_path):
-        """compute_if_missing is single-flight across processes."""
-        ctx = mp.get_context()
-        start = ctx.Event()
-        results = ctx.Queue()
-        workers = [
-            ctx.Process(
-                target=_single_flight_worker,
-                args=(tmp_path / "store", "onceonly", start, results),
-            )
-            for _ in range(4)
-        ]
-        for worker in workers:
-            worker.start()
-        start.set()
-        outcomes = [results.get(timeout=60) for _ in workers]
-        for worker in workers:
-            worker.join(timeout=10)
-        computed = [pid for pid, did_compute, _record in outcomes if did_compute]
-        assert len(computed) == 1, outcomes
-        winner = outcomes[0][2]
-        assert all(record == winner for _pid, _c, record in outcomes)
-
 
 class TestScanPrune:
     def _populate(self, root, count=4):
@@ -383,15 +244,15 @@ class TestScanPrune:
     def test_prune_cleans_stale_strays_only(self, tmp_path):
         root = tmp_path / "store"
         self._populate(root)
-        fresh_lock = root / "ke" / "key99.lock"
-        fresh_lock.touch()
+        fresh_tmp = root / "ke" / "key99.tmp.123.456"
+        fresh_tmp.write_bytes(b"staging")
         stale_tmp = root / "ke" / "zz.tmp.123.456"
         stale_tmp.write_bytes(b"partial")
         now = time.time()
         os.utime(stale_tmp, (now - 3600, now - 3600))
         report = prune_store(root, now=now)
         assert report.strays_removed == 1
-        assert fresh_lock.exists() and not stale_tmp.exists()
+        assert fresh_tmp.exists() and not stale_tmp.exists()
         assert scan_store(root).entries == 4  # entries untouched
 
 

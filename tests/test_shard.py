@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.bench import small_synthetic_circuit, scattered_hotspots_workload
-from repro.flow import Campaign, ExperimentSetup, FlowGraph, ResultStore
+from repro.flow import ArtifactStore, Campaign, ExperimentSetup, FlowGraph, ResultStore
 from repro.flow.shard import attach_setups, pack_setups
 
 NX = NY = 16
@@ -91,11 +91,34 @@ class TestShardedCampaign:
     def test_constructor_validation(self, shard_setup):
         with pytest.raises(ValueError, match="executor"):
             Campaign(shard_setup, STRATEGIES, OVERHEADS, executor="mpi")
-        with pytest.raises(ValueError, match="flow"):
-            Campaign(
-                shard_setup, STRATEGIES, OVERHEADS,
-                executor="process", flow=FlowGraph(),
-            )
+
+    def test_process_workers_share_a_disk_artifact_cache(
+        self, shard_setup, serial_result, tmp_path
+    ):
+        """Process workers run every point through a graph over the
+        campaign's on-disk artifact tier: records stay bitwise-equal to the
+        serial thread run, and a later thread campaign over a fresh graph
+        on the same root replays every transform from disk."""
+        root = tmp_path / "artifacts"
+        sharded = Campaign(
+            shard_setup, STRATEGIES, OVERHEADS, executor="process",
+            flow=FlowGraph(store=ArtifactStore(root=root)), name="sharded-flow",
+        ).run(max_workers=2)
+        assert len(sharded.records) == len(serial_result.records)
+        for ours, reference in zip(sharded.records, serial_result.records):
+            assert ours.point == reference.point
+            assert ours.outcome == reference.outcome  # bitwise, not approx
+        assert "flow_stages" in sharded.metadata
+
+        replay_flow = FlowGraph(store=ArtifactStore(root=root))
+        replay = Campaign(
+            shard_setup, STRATEGIES, OVERHEADS, flow=replay_flow, name="replay",
+        ).run(max_workers=2)
+        points = len(STRATEGIES) * len(OVERHEADS)
+        assert replay_flow.stage_hits["whitespace"] == points
+        assert replay_flow.stage_executions["whitespace"] == 0
+        for ours, reference in zip(replay.records, serial_result.records):
+            assert ours.outcome == reference.outcome
 
     def test_sharded_matches_serial_bitwise(self, shard_setup, serial_result):
         sharded = Campaign(

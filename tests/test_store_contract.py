@@ -66,7 +66,7 @@ class TestStoreContract:
         stats = store.stats()
         assert (stats.hits, stats.misses, stats.writes) == (1, 1, 1)
         assert (stats.disk_hits, stats.corrupt_evictions) == (0, 0)
-        assert (stats.write_errors, stats.single_flight_waits) == (0, 0)
+        assert stats.write_errors == 0
         assert stats.hit_rate == 0.5
         assert stats.as_dict()["memory_size"] == 1
         assert len(store) == 1
