@@ -20,7 +20,7 @@ whitespace rows are finally filled with dummy (filler) cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..placement import Placement, insert_fillers
@@ -276,6 +276,11 @@ def apply_row_insertions(
         placement.assign(cell, new_row, cell.x)
     for row in placement.rows:
         row.sort()
+    if baseline.fillers:
+        # The baseline's block fillers shift with their rows, like its cells.
+        placement.fillers = replace(
+            baseline.fillers, row=[row_mapping[r] for r in baseline.fillers.row.tolist()]
+        )
 
     num_fillers = len(insert_fillers(placement)) if add_fillers else 0
 

@@ -18,9 +18,11 @@ store it shares its tiered core and on-disk format with.
   :meth:`~repro.netlist.netlist.Netlist.placement_state` — the design's
   structural version, its own placement stamp and the process-wide
   raw-write generation — so an unchanged design is hashed once, however
-  many sibling copies move meanwhile.  :data:`FLOW_KEY_VERSION` 2 marks
-  this encoding: artifact and result stores written with version 1 keys
-  simply miss.
+  many sibling copies move meanwhile; a :meth:`Netlist.copy` inherits its
+  source's netlist digest.  A placement digest also covers the
+  placement's filler block (its row/x/master arrays).
+  :data:`FLOW_KEY_VERSION` 3 marks this encoding: artifact and result
+  stores written with older keys simply miss.
 
 * **Artifact dataclasses** — the frozen, typed value each stage produces
   (:class:`PlacementArtifact`, :class:`PowerArtifact`,
@@ -49,7 +51,9 @@ from .cache import package_fingerprint
 #: Bump when a digest encoding or stage semantics change incompatibly, so
 #: on-disk stores written by older code can never satisfy new lookups.
 #: Version 2: netlist and placement digests switched to array encoding.
-FLOW_KEY_VERSION = 2
+#: Version 3: fillers are a placement's filler block, not netlist cells;
+#: the placement digest covers the block.
+FLOW_KEY_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +176,8 @@ def netlist_digest(netlist: Netlist) -> str:
     through the placer), masters, units, connectivity with sink order, and
     ports, each as one array-encoded column.  Memoised against the
     netlist's structural version counter, so repeated stage-key
-    computations on an unchanged design hash once.
+    computations on an unchanged design hash once; :meth:`Netlist.copy`
+    hands the memo to the copy.
     """
     version = netlist._version
     memo = getattr(netlist, "_content_digest_memo", None)
@@ -212,7 +217,9 @@ def netlist_digest(netlist: Netlist) -> str:
 def placement_digest(placement: Placement) -> str:
     """Content digest of a placed design: structure + geometry + coordinates.
 
-    Cell x/y/row and port x/y are hashed as masked arrays.  Memoised
+    Cell x/y/row and port x/y are hashed as masked arrays, the filler
+    block as its name prefix, first index, master names and row/x/master
+    arrays.  Memoised
     against :meth:`~repro.netlist.netlist.Netlist.placement_state`: a move
     in this design (or a process-wide raw-write bump) re-hashes, while
     moves in any other design leave the memo valid.
@@ -240,6 +247,12 @@ def placement_digest(placement: Placement) -> str:
     rects = [placement.regions[unit] for unit in units]
     _feed_strings(hasher, units)
     _feed_numbers(hasher, [v for r in rects for v in (r.x0, r.y0, r.x1, r.y1)], "<f8")
+    fillers = placement.fillers
+    _feed(hasher, (
+        "fillers", fillers.prefix, fillers.first_index,
+        [master.name for master in fillers.masters],
+        fillers.row, fillers.x, fillers.master,
+    ))
     digest = hasher.hexdigest()
     placement._content_digest_memo = (state, digest)
     return digest

@@ -23,13 +23,13 @@ Value slots: net ``i`` lives in row ``i`` of a values array; one extra
 ``0``), and one ``trash`` row absorbs writes from unconnected output pins.
 
 The lowering is split in two.  A :class:`Connectivity` holds everything
-that depends only on the design's connectivity (levels, net loads, terminal
-segments, STA launch/endpoint arrays, ...); it is immutable and shared *by
-reference* between a netlist and its :meth:`~Netlist.copy` clones, so a
-whitespace transform that only moves cells and appends unconnected fillers
-never recompiles it.  A :class:`CompiledNetlist` is the per-netlist view on
-top: per-cell vectors (the shared prefix extended by the netlist's own
-filler suffix) and the coordinate cache.
+that depends only on the design's cells and connectivity (cell vectors,
+levels, net loads, terminal segments, STA launch/endpoint arrays, ...); it
+is immutable and shared *by reference* between a netlist and its
+:meth:`~Netlist.copy` clones, so a whitespace transform that only moves
+cells never recompiles it (its fillers are a placement-owned block, not
+netlist cells).  A :class:`CompiledNetlist` is the per-netlist view on
+top: its own port objects and the coordinate cache.
 
 Views are obtained through :meth:`Netlist.compiled`, which caches the view
 against the netlist's structural version and hands it the netlist's shared
@@ -107,15 +107,13 @@ class _Terminals(NamedTuple):
 
 
 class Connectivity:
-    """The immutable, connectivity-only sections of a compiled netlist.
+    """The immutable cell and connectivity sections of a compiled netlist.
 
-    One object covers the first :attr:`num_cells` cells (the *prefix*) and
-    all nets and ports of every netlist holding it; those netlists agree on
-    the prefix cells' names, masters and units, on every net's terminals in
-    order, and on the ports, and any cells past the prefix are unconnected
-    fillers.  :class:`~repro.netlist.netlist.Netlist` maintains that
-    invariant: a structural edit other than appending or removing a suffix
-    filler drops the netlist's reference.
+    One object covers all cells, nets and ports of every netlist holding
+    it; those netlists agree on the cells' names, masters and units, on
+    every net's terminals in order, and on the ports.
+    :class:`~repro.netlist.netlist.Netlist` maintains that invariant: any
+    structural edit drops the netlist's reference.
 
     Sections are built lazily from whichever holder asks first, at most
     once per object even under concurrent requests, and reference no cell,
@@ -124,8 +122,7 @@ class Connectivity:
     read-only.
     """
 
-    def __init__(self, num_cells: int) -> None:
-        self.num_cells = num_cells
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._sections: Dict[str, object] = {}
 
@@ -139,17 +136,14 @@ class Connectivity:
                     self._sections[name] = section
         return section
 
-    def _prefix(self, netlist: Netlist) -> list:
-        return list(netlist.cells.values())[: self.num_cells]
-
     # -- names ---------------------------------------------------------------
 
     def names(self, netlist: Netlist) -> _Names:
-        """Prefix cell names/index, net names/index and primary-input slots."""
+        """Cell names/index, net names/index and primary-input slots."""
         return self._section("names", netlist, self._build_names)
 
     def _build_names(self, netlist: Netlist) -> _Names:
-        cell_names = [c.name for c in self._prefix(netlist)]
+        cell_names = [c.name for c in netlist.cells.values()]
         net_names = list(netlist.nets)
         net_index = {n: i for i, n in enumerate(net_names)}
         pi_ports = [
@@ -161,14 +155,14 @@ class Connectivity:
             net_names, net_index, pi_ports,
         )
 
-    # -- per-cell vectors of the prefix ----------------------------------------
+    # -- per-cell vectors -------------------------------------------------------
 
     def cell_vectors(self, netlist: Netlist) -> _CellVectors:
-        """Prefix geometry vectors and first-seen unit codes."""
+        """Cell geometry vectors and first-seen unit codes."""
         return self._section("cell_vectors", netlist, self._build_cell_vectors)
 
     def _build_cell_vectors(self, netlist: Netlist) -> _CellVectors:
-        cells = self._prefix(netlist)
+        cells = list(netlist.cells.values())
         # Dense integer codes for the logical unit each cell belongs to, in
         # first-seen cell order; lets hotspot attribution and other
         # per-unit reductions run as one np.bincount instead of a Python
@@ -184,11 +178,18 @@ class Connectivity:
         )
 
     def electrical(self, netlist: Netlist) -> Tuple[np.ndarray, ...]:
-        """Prefix leakage, internal energy, delay, drive and sequential flags."""
+        """Cell leakage, internal energy, delay, drive and sequential flags."""
         return self._section("electrical", netlist, self._build_electrical)
 
     def _build_electrical(self, netlist: Netlist) -> Tuple[np.ndarray, ...]:
-        return _electrical([c.master for c in self._prefix(netlist)])
+        masters = [c.master for c in netlist.cells.values()]
+        return (
+            _frozen([m.leakage_nw for m in masters], float),
+            _frozen([m.internal_energy_fj for m in masters], float),
+            _frozen([m.intrinsic_delay_ps for m in masters], float),
+            _frozen([m.drive_res_kohm for m in masters], float),
+            _frozen([m.is_sequential for m in masters], bool),
+        )
 
     # -- per-net loads ---------------------------------------------------------
 
@@ -217,7 +218,7 @@ class Connectivity:
         net_index = self.names(netlist).net_index
         outpin_cell: List[int] = []
         outpin_net: List[int] = []
-        for ci, cell in enumerate(self._prefix(netlist)):
+        for ci, cell in enumerate(netlist.cells.values()):
             if cell.is_filler:
                 continue
             for pin in cell.output_pins:
@@ -236,7 +237,7 @@ class Connectivity:
         seq_cells: List[int] = []
         seq_d_slot: List[int] = []
         seq_q_slot: List[int] = []
-        for ci, cell in enumerate(self._prefix(netlist)):
+        for ci, cell in enumerate(netlist.cells.values()):
             if not cell.is_sequential:
                 continue
             in_pins = cell.input_pins
@@ -279,7 +280,7 @@ class Connectivity:
         ep_names: List[str] = []
         ep_slot: List[int] = []
         ep_setup: List[float] = []
-        for ci, cell in enumerate(self._prefix(netlist)):
+        for ci, cell in enumerate(netlist.cells.values()):
             if not cell.is_sequential:
                 continue
             for pin in cell.output_pins:
@@ -352,7 +353,7 @@ class Connectivity:
 
     def _levelize(self, netlist: Netlist) -> List[List[GateGroup]]:
         """Topologically level the combinational cells and group by master."""
-        cells = self._prefix(netlist)
+        cells = list(netlist.cells.values())
         nets = list(netlist.nets.values())
         net_pos = {id(net): i for i, net in enumerate(nets)}
         cell_pos = {id(cell): i for i, cell in enumerate(cells)}
@@ -465,57 +466,29 @@ class Connectivity:
         return levels
 
 
-def _electrical(masters: List[MasterCell]) -> Tuple[np.ndarray, ...]:
-    return (
-        _frozen([m.leakage_nw for m in masters], float),
-        _frozen([m.internal_energy_fj for m in masters], float),
-        _frozen([m.intrinsic_delay_ps for m in masters], float),
-        _frozen([m.drive_res_kohm for m in masters], float),
-        _frozen([m.is_sequential for m in masters], bool),
-    )
-
-
-def _extended(prefix: np.ndarray, suffix: np.ndarray) -> np.ndarray:
-    """``prefix`` followed by ``suffix``, read-only (``prefix`` itself when empty)."""
-    if not suffix.size:
-        return prefix
-    joined = np.concatenate([prefix, suffix])
-    joined.setflags(write=False)
-    return joined
-
-
 class CompiledNetlist:
-    """One netlist's compiled view: shared :class:`Connectivity` plus its own cells.
+    """One netlist's compiled view over a shared :class:`Connectivity`.
 
     The view holds what differs between netlists sharing a connectivity:
-    the per-cell vectors (the connectivity's prefix vectors extended by this
-    netlist's filler suffix), its own port objects and the coordinate
-    cache.  Everything else is read through to the shared sections.  Build
-    via :meth:`Netlist.compiled` (cached, shared); constructing one directly
+    its own cell and port objects and the coordinate cache.  Everything
+    else is read through to the shared sections.  Build via
+    :meth:`Netlist.compiled` (cached, shared); constructing one directly
     without ``connectivity`` compiles a fresh, unshared lowering.
     """
 
     def __init__(self, netlist: Netlist, connectivity: Optional[Connectivity] = None) -> None:
         self.netlist = netlist
         self.version = netlist._version
-        conn = connectivity if connectivity is not None else Connectivity(len(netlist.cells))
+        conn = connectivity if connectivity is not None else Connectivity()
         self.connectivity = conn
 
         cells = list(netlist.cells.values())
         self._cells = cells
         self._ports = list(netlist.ports.values())
-        suffix = cells[conn.num_cells:]
-        self._suffix = suffix
 
         names = conn.names(netlist)
-        self.cell_names: List[str] = names.cell_names + [c.name for c in suffix]
-        if suffix:
-            cell_index = dict(names.cell_index)
-            for i, cell in enumerate(suffix, start=conn.num_cells):
-                cell_index[cell.name] = i
-        else:
-            cell_index = names.cell_index
-        self.cell_index: Dict[str, int] = cell_index
+        self.cell_names: List[str] = names.cell_names
+        self.cell_index: Dict[str, int] = names.cell_index
         self.net_names: List[str] = names.net_names
         self.net_index: Dict[str, int] = names.net_index
         self.pi_ports: List[Tuple[str, int]] = names.pi_ports
@@ -529,28 +502,12 @@ class CompiledNetlist:
 
         # -- per-cell geometry vectors and unit codes ---------------------
         vectors = conn.cell_vectors(netlist)
-        self.cell_width_um = _extended(
-            vectors.width_um, np.array([c.width for c in suffix], dtype=float)
-        )
-        self.cell_area_um2 = _extended(
-            vectors.area_um2, np.array([c.area for c in suffix], dtype=float)
-        )
-        self.is_filler = _extended(
-            vectors.is_filler, np.array([c.master.is_filler for c in suffix], dtype=bool)
-        )
-        unit_code_of = vectors.unit_code_of
-        if any(c.unit not in unit_code_of for c in suffix):
-            unit_code_of = dict(unit_code_of)
-        suffix_codes = [unit_code_of.setdefault(c.unit, len(unit_code_of)) for c in suffix]
-        self.unit_codes = _extended(vectors.unit_codes, np.array(suffix_codes, dtype=np.int64))
-        self.unit_names: List[str] = list(unit_code_of)
+        self.cell_width_um = vectors.width_um
+        self.cell_area_um2 = vectors.area_um2
+        self.is_filler = vectors.is_filler
+        self.unit_codes = vectors.unit_codes
+        self.unit_names: List[str] = list(vectors.unit_code_of)
         self.num_units = len(self.unit_names)
-
-        # Electrical vectors (leakage, energies, delays) are built lazily —
-        # see the properties below — so consumers that only need geometry
-        # (power binning, hotspot attribution on a freshly transformed
-        # netlist) skip the master-cell gathers entirely.
-        self._electrical: Optional[Tuple[np.ndarray, ...]] = None
 
         # -- coordinate cache (placement-state keyed) ---------------------
         self._coords_state: Optional[Tuple[int, int, int]] = None
@@ -559,13 +516,12 @@ class CompiledNetlist:
     def _source(self) -> Netlist:
         """The netlist shared sections are read (or first built) through.
 
-        A view may outlive later edits of its netlist; it can still read
-        sections as long as the netlist holds the same connectivity (only
-        suffix fillers changed).  Any other edit makes it stale, and a
-        stale view must not build a shared section from the edited netlist.
+        A view may outlive later edits of its netlist, which make it stale;
+        a stale view must not build a shared section from the edited
+        netlist.
         """
         netlist = self.netlist
-        if netlist._version != self.version and netlist._connectivity is not self.connectivity:
+        if netlist._version != self.version:
             raise RuntimeError(
                 f"stale compiled netlist for {netlist.name!r}: the netlist was "
                 "structurally edited; call Netlist.compiled() again"
@@ -576,37 +532,37 @@ class CompiledNetlist:
     # Lazy sections
     # ------------------------------------------------------------------
 
-    def _ensure_electrical(self) -> Tuple[np.ndarray, ...]:
-        if self._electrical is None:
-            prefix = self.connectivity.electrical(self._source())
-            suffix = _electrical([c.master for c in self._suffix])
-            self._electrical = tuple(_extended(p, s) for p, s in zip(prefix, suffix))
-        return self._electrical
+    # Electrical vectors (leakage, energies, delays) are built on first use,
+    # so consumers that only need geometry (power binning, hotspot
+    # attribution) skip the master-cell gathers entirely.
+
+    def _electrical(self) -> Tuple[np.ndarray, ...]:
+        return self.connectivity.electrical(self._source())
 
     @property
     def leakage_nw(self) -> np.ndarray:
         """Per-cell leakage in nanowatts (built on first use)."""
-        return self._ensure_electrical()[0]
+        return self._electrical()[0]
 
     @property
     def internal_energy_fj(self) -> np.ndarray:
         """Per-cell internal switching energy in femtojoules."""
-        return self._ensure_electrical()[1]
+        return self._electrical()[1]
 
     @property
     def intrinsic_delay_ps(self) -> np.ndarray:
         """Per-cell intrinsic delay in picoseconds."""
-        return self._ensure_electrical()[2]
+        return self._electrical()[2]
 
     @property
     def drive_res_kohm(self) -> np.ndarray:
         """Per-cell drive resistance in kiloohms."""
-        return self._ensure_electrical()[3]
+        return self._electrical()[3]
 
     @property
     def is_sequential(self) -> np.ndarray:
         """Per-cell sequential-master flags."""
-        return self._ensure_electrical()[4]
+        return self._electrical()[4]
 
     @property
     def sink_pin_cap_ff(self) -> np.ndarray:

@@ -89,10 +89,10 @@ class Netlist:
         The :class:`~repro.netlist.compiled.CompiledNetlist` view is built
         on first access and cached; any structural mutation through the
         :class:`Netlist` API invalidates it automatically.  The view reads
-        its connectivity sections (levels, net loads, terminals, STA
+        its sections (cell vectors, levels, net loads, terminals, STA
         arrays) from the :class:`~repro.netlist.compiled.Connectivity`
-        this netlist shares with its copies, so a copy that only gained or
-        lost unconnected fillers compiles without recomputing them.
+        this netlist shares with its copies, so an unedited copy compiles
+        without recomputing them.
         """
         from .compiled import CompiledNetlist
 
@@ -107,7 +107,7 @@ class Netlist:
         from .compiled import Connectivity
 
         if self._connectivity is None:
-            self._connectivity = Connectivity(len(self.cells))
+            self._connectivity = Connectivity()
         return self._connectivity
 
     # ------------------------------------------------------------------
@@ -133,20 +133,15 @@ class Netlist:
         master_cell = self.library[master] if isinstance(master, str) else master
         inst = CellInstance(name, master_cell, unit=unit, owner=self)
         self.cells[name] = inst
-        if master_cell.is_filler:
-            # An unconnected filler past the shared prefix: the compiled
-            # connectivity still holds.
-            self._version += 1
-        else:
-            self._invalidate()
+        self._invalidate()
         return inst
 
     def add_fillers(self, names: List[str], masters: List[MasterCell]) -> List[CellInstance]:
         """Append unconnected filler instances in one structural edit.
 
         Equivalent to one :meth:`add_cell` per ``(name, master)`` pair, in
-        order, but bumps the structural version once.  The compiled
-        connectivity stays shared.
+        order, as one structural edit.  Used by
+        :meth:`~repro.placement.placement.Placement.materialize_fillers`.
 
         Raises:
             ValueError: If a name is taken or a master is not a filler; no
@@ -159,7 +154,7 @@ class Netlist:
             raise ValueError("add_fillers accepts filler masters only")
         created = [CellInstance(n, m, owner=self) for n, m in zip(names, masters)]
         cells.update(zip(names, created))
-        self._version += 1
+        self._invalidate()
         return created
 
     def add_net(self, name: str) -> Net:
@@ -207,17 +202,7 @@ class Netlist:
 
     def remove_cell(self, name: str) -> None:
         """Remove a cell instance and disconnect its pins from their nets."""
-        inst = self.cells[name]
-        conn = self._connectivity
-        # A filler past the shared prefix is unconnected: removing it keeps
-        # the compiled connectivity (checked before the pop, while this
-        # netlist still matches the connectivity's prefix).
-        suffix_filler = (
-            conn is not None
-            and inst.is_filler
-            and name not in conn.names(self).cell_index
-        )
-        del self.cells[name]
+        inst = self.cells.pop(name)
         for pin in inst.pins.values():
             net = pin.net
             if net is None:
@@ -227,10 +212,7 @@ class Netlist:
             if pin in net.sink_pins:
                 net.sink_pins.remove(pin)
             pin.net = None
-        if suffix_filler:
-            self._version += 1
-        else:
-            self._invalidate()
+        self._invalidate()
 
     # ------------------------------------------------------------------
     # Queries
@@ -404,13 +386,15 @@ class Netlist:
         keyed by cell name) valid for the copy.
 
         The copy also shares its source's compiled connectivity (see
-        :meth:`compiled`) by reference: its levels, net loads, terminal
-        segments and STA arrays are computed at most once for both.  Either
-        netlist keeps sharing while it only appends unconnected fillers or
-        removes fillers it appended; any other structural edit (connecting
-        or disconnecting a pin, adding or removing a logic cell, adding a
-        net or port, :meth:`invalidate_compiled`) drops its share and its
-        next :meth:`compiled` recompiles from scratch.
+        :meth:`compiled`) by reference: its cell vectors, levels, net loads,
+        terminal segments and STA arrays are computed at most once for
+        both.  Any structural edit of either netlist (adding or removing a
+        cell, connecting or disconnecting a pin, adding a net or port,
+        :meth:`invalidate_compiled`) drops that netlist's share and its next
+        :meth:`compiled` recompiles from scratch.  A same-named copy also
+        inherits its source's structural content digest (see
+        :func:`repro.flow.artifacts.netlist_digest`), so it is never
+        re-hashed while unedited.
         """
         clone = Netlist(name if name is not None else self.name, self.library)
         # Clone structures directly (the source is valid by construction, so
@@ -453,6 +437,9 @@ class Netlist:
             clone_nets[net.name] = new_net
         clone._version += 1
         clone._connectivity = self._shared_connectivity()
+        memo = getattr(self, "_content_digest_memo", None)
+        if memo is not None and memo[0] == self._version and clone.name == self.name:
+            clone._content_digest_memo = (clone._version, memo[1])
         return clone
 
     # ------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Placement substrate: floorplanning, global placement, legalization."""
 
 from .floorplan import Floorplan, Rect, slicing_partition
-from .placement import Placement, Row
+from .placement import FillerBlock, Placement, Row
 from .global_place import GlobalPlacementResult, QuadraticPlacer, assign_port_positions
 from .legalize import pack_into_region, tetris_legalize
 from .density import cell_density_map, density_in_rect, peak_density
@@ -13,6 +13,7 @@ __all__ = [
     "Floorplan",
     "Rect",
     "slicing_partition",
+    "FillerBlock",
     "Placement",
     "Row",
     "GlobalPlacementResult",

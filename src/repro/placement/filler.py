@@ -3,50 +3,48 @@
 Both techniques in the paper fill the whitespace they create with dummy
 cells: "cells which do not contain active transistors and consume zero
 power", guaranteeing power/ground rail continuity and design-rule
-compliance.  This module inserts library filler cells into every free gap
-of every placement row (greedy, widest filler first) and can remove them
-again before a placement is re-optimised.
+compliance.  This module fills every free gap of every placement row
+(greedy, widest filler first) and can remove the fillers again before a
+placement is re-optimised.
+
+Fillers have no pins and no power, so they are recorded as the
+placement's :class:`~repro.placement.placement.FillerBlock` — row, x and
+master arrays — rather than as netlist cells;
+:meth:`~repro.placement.placement.Placement.materialize_fillers` builds the
+cells when a consumer needs objects.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-from ..netlist import CellInstance
-from .placement import Placement
+from .placement import FILLER_PREFIX, NO_FILLERS, FillerBlock, Placement
 
 
-_FILLER_PREFIX = "FILLER_"
-
-
-def insert_fillers(placement: Placement, prefix: str = _FILLER_PREFIX) -> List[CellInstance]:
+def insert_fillers(placement: Placement, prefix: str = FILLER_PREFIX) -> FillerBlock:
     """Fill every row gap with filler cells.
 
     Gaps are covered greedily with the widest filler that fits, repeated
     until the remaining space is narrower than the narrowest filler.  The
-    fillers join the netlist in one :meth:`~repro.netlist.Netlist.add_fillers`
-    edit (so its compiled connectivity stays shared) and the placement
-    stamp advances once.
+    fillers extend the placement's filler block (names continue after the
+    block, or after the netlist's own ``prefix``-named cells when the block
+    is empty) and the placement stamp advances once; the netlist gains no
+    cell.
 
     Args:
         placement: Placement whose rows will be filled (modified in place).
         prefix: Instance-name prefix for the created fillers.
 
     Returns:
-        The list of inserted filler cell instances.
+        The inserted fillers as a block of their own.
     """
-    netlist = placement.netlist
-    fillers = netlist.library.filler_cells()  # widest first
+    fillers = placement.netlist.library.filler_cells()  # widest first
     if not fillers:
-        return []
-    choices = [(f.width_um, f) for f in fillers]
+        return FillerBlock(prefix)
+    choices = [(f.width_um, index) for index, f in enumerate(fillers)]
     min_width = min(width for width, _ in choices)
-    counter = _next_filler_index(placement, prefix)
-    # Per filler, in creation order: name, master, row and x.
-    names: List[str] = []
-    masters = []
+    # Per filler, in creation order: row, x and master index.
     rows = []
-    xs: List[float] = []
+    xs = []
+    masters = []
 
     for row in placement.rows:
         for gap_start, gap_end in row.gaps():
@@ -58,38 +56,36 @@ def insert_fillers(placement: Placement, prefix: str = _FILLER_PREFIX) -> List[C
                         break
                 else:
                     break
-                names.append(f"{prefix}{counter}")
-                counter += 1
-                masters.append(master)
-                rows.append(row)
+                rows.append(row.index)
                 xs.append(cursor)
+                masters.append(master)
                 cursor += width
                 remaining = gap_end - cursor
 
-    inserted = netlist.add_fillers(names, masters)
-    filled_rows = {}
-    for cell, row, x in zip(inserted, rows, xs):
-        cell.x = x
-        cell.y = row.y
-        cell.row = row.index
-        row.cells.append(cell)
-        filled_rows[row.index] = row
-    for row in filled_rows.values():
-        row.sort()
-    netlist.mark_placement_changed()
+    existing = placement.fillers
+    first = existing.end if existing else _next_filler_index(placement, prefix)
+    inserted = FillerBlock(prefix, first, tuple(fillers), rows, xs, masters)
+    placement.fillers = existing.extended(inserted)
+    placement.netlist.mark_placement_changed()
     return inserted
 
 
-def remove_fillers(placement: Placement, prefix: str = _FILLER_PREFIX) -> int:
-    """Remove previously inserted filler cells.
+def remove_fillers(placement: Placement, prefix: str = FILLER_PREFIX) -> int:
+    """Remove previously inserted fillers: the block and any filler cells.
 
     Args:
         placement: Placement to clean up (modified in place).
         prefix: Instance-name prefix used at insertion time.
 
     Returns:
-        The number of filler instances removed.
+        The number of fillers removed.
     """
+    removed = 0
+    block = placement.fillers
+    if block and block.prefix == prefix:
+        removed = len(block)
+        placement.fillers = NO_FILLERS
+        placement.netlist.mark_placement_changed()
     to_remove = [
         cell
         for cell in placement.netlist.cells.values()
@@ -98,12 +94,13 @@ def remove_fillers(placement: Placement, prefix: str = _FILLER_PREFIX) -> int:
     for cell in to_remove:
         placement.remove(cell)
         placement.netlist.remove_cell(cell.name)
-    return len(to_remove)
+    return removed + len(to_remove)
 
 
 def filler_area(placement: Placement) -> float:
-    """Total area of placed filler cells in square micrometres."""
-    return sum(c.area for c in placement.netlist.filler_cells() if c.is_placed)
+    """Total area of placed fillers (block and cells) in square micrometres."""
+    cells = sum(c.area for c in placement.netlist.filler_cells() if c.is_placed)
+    return cells + sum(m.area_um2 for m in placement.fillers.master_cells())
 
 
 def _next_filler_index(placement: Placement, prefix: str) -> int:

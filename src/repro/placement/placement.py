@@ -6,18 +6,140 @@ and keeps, for every placement row, the ordered list of cells in that row.
 It provides legality checks, wirelength and utilization queries, and the
 row-level editing operations (insert, remove, pack, spread) that the empty
 row insertion and hotspot wrapper transformations are built from.
+
+Filler cells are not netlist cells: a placement records them as one
+:class:`FillerBlock` of row/x/master arrays (:attr:`Placement.fillers`),
+which the row-gap queries and the legality check read, and which
+:meth:`Placement.materialize_fillers` turns into real cell instances when a
+consumer needs objects (DEF export, say).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..netlist import CellInstance, Netlist
+import numpy as np
+
+from ..netlist import CellInstance, MasterCell, Netlist
 from .floorplan import Floorplan, Rect
+
+#: Instance-name prefix of filler cells.
+FILLER_PREFIX = "FILLER_"
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True, eq=False)
+class FillerBlock:
+    """Filler cells recorded as arrays, owned by a :class:`Placement`.
+
+    Filler ``i`` is an instance of ``masters[master[i]]`` at ``x[i]`` in
+    row ``row[i]``, named ``f"{prefix}{first_index + i}"``.  Fillers have
+    no pins and zero power, so nothing but legality, row occupancy and the
+    placement digest reads them; :meth:`Placement.materialize_fillers`
+    builds the equivalent cell instances.  Arrays are read-only and a block
+    is never modified: inserting or removing fillers replaces the
+    placement's block.
+
+    Attributes:
+        prefix: Instance-name prefix.
+        first_index: Name suffix of filler 0.
+        masters: Filler master table the ``master`` indices refer to.
+        row: Row index per filler (``int64``).
+        x: Left edge per filler in micrometres (``float64``).
+        master: Index into ``masters`` per filler (``int64``).
+    """
+
+    prefix: str = FILLER_PREFIX
+    first_index: int = 0
+    masters: Tuple[MasterCell, ...] = ()
+    row: np.ndarray = ()
+    x: np.ndarray = ()
+    master: np.ndarray = ()
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("row", np.int64), ("x", np.float64), ("master", np.int64)):
+            object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
+
+    def __len__(self) -> int:
+        return int(self.row.shape[0])
+
+    def __reduce__(self):
+        # Through the constructor, so unpickled arrays are read-only again
+        # and per-row caches are rebuilt on demand rather than serialized.
+        return (FillerBlock, (
+            self.prefix, self.first_index, self.masters, self.row, self.x, self.master,
+        ))
+
+    @property
+    def end(self) -> int:
+        """Name suffix the next appended filler takes."""
+        return self.first_index + len(self)
+
+    def name(self, index: int) -> str:
+        """Instance name of filler ``index``."""
+        return f"{self.prefix}{self.first_index + index}"
+
+    def names(self) -> List[str]:
+        """Instance names of all fillers, in block order."""
+        return [f"{self.prefix}{i}" for i in range(self.first_index, self.end)]
+
+    def master_cells(self) -> List[MasterCell]:
+        """Master cell of every filler, in block order."""
+        masters = self.masters
+        return [masters[i] for i in self.master.tolist()]
+
+    @cached_property
+    def widths(self) -> np.ndarray:
+        """Width of every filler in micrometres."""
+        table = np.array([m.width_um for m in self.masters], dtype=float)
+        return _read_only(table[self.master], np.float64)
+
+    @cached_property
+    def _by_row(self) -> Dict[int, List[Tuple[float, float, str]]]:
+        by_row: Dict[int, List[Tuple[float, float, str]]] = {}
+        for i, (row, x, width) in enumerate(
+            zip(self.row.tolist(), self.x.tolist(), self.widths.tolist())
+        ):
+            by_row.setdefault(row, []).append((x, width, self.name(i)))
+        return by_row
+
+    def in_row(self, row_index: int) -> List[Tuple[float, float, str]]:
+        """``(x, width, name)`` of the fillers in row ``row_index``, in block order."""
+        return self._by_row.get(row_index, [])
+
+    def extended(self, other: "FillerBlock") -> "FillerBlock":
+        """This block followed by ``other``, whose names must continue it."""
+        if not self:
+            return other
+        if other.prefix != self.prefix or other.first_index != self.end:
+            raise ValueError(
+                f"filler names must continue after {self.name(len(self) - 1)!r}"
+            )
+        return FillerBlock(
+            self.prefix, self.first_index, self.masters,
+            np.concatenate([self.row, other.row]),
+            np.concatenate([self.x, other.x]),
+            np.concatenate([self.master, other.master]),
+        )
+
+
+#: The block of a placement without fillers.
+NO_FILLERS = FillerBlock()
 
 
 class Row:
     """A single placement row: ordered, non-overlapping cells.
+
+    The owning placement's block fillers (:class:`FillerBlock`) occupy the
+    row for the gap, overlap and width queries; the editing operations
+    (add, remove, pack, spread) move :attr:`cells` only.
 
     Attributes:
         index: Row index (0 = bottom).
@@ -32,6 +154,9 @@ class Row:
         self.x_start = x_start
         self.x_end = x_end
         self.cells: List[CellInstance] = []
+        #: The placement whose filler block occupies this row too (set by
+        #: :class:`Placement`; ``None`` for a free-standing row).
+        self._placement: Optional["Placement"] = None
 
     # -- queries -------------------------------------------------------------
 
@@ -40,10 +165,29 @@ class Row:
         """Usable row width in micrometres."""
         return self.x_end - self.x_start
 
+    def block_fillers(self) -> List[Tuple[float, float, str]]:
+        """``(x, width, name)`` of the placement's block fillers in this row."""
+        placement = self._placement
+        if placement is None or not placement.fillers:
+            return []
+        return placement.fillers.in_row(self.index)
+
+    def _occupants(self) -> List[Tuple[float, float, str]]:
+        """``(x, width, name)`` of the cells and block fillers, by x."""
+        self.sort()
+        occupants = [(cell.x, cell.width, cell.name) for cell in self.cells]
+        fillers = self.block_fillers()
+        if fillers:
+            occupants.extend(fillers)
+            occupants.sort(key=lambda occupant: occupant[0])
+        return occupants
+
     @property
     def occupied_width(self) -> float:
-        """Sum of widths of cells currently in the row."""
-        return sum(cell.width for cell in self.cells)
+        """Sum of widths of cells and block fillers currently in the row."""
+        return sum(cell.width for cell in self.cells) + sum(
+            width for _, width, _ in self.block_fillers()
+        )
 
     @property
     def free_width(self) -> float:
@@ -61,25 +205,24 @@ class Row:
         self.cells.sort(key=lambda c: c.x)
 
     def gaps(self) -> List[Tuple[float, float]]:
-        """Free intervals ``(x0, x1)`` between cells, left to right."""
-        self.sort()
+        """Free intervals ``(x0, x1)`` between cells and block fillers, left to right."""
         gaps: List[Tuple[float, float]] = []
         cursor = self.x_start
-        for cell in self.cells:
-            if cell.x > cursor:
-                gaps.append((cursor, cell.x))
-            cursor = max(cursor, cell.x + cell.width)
+        for x, width, _ in self._occupants():
+            if x > cursor:
+                gaps.append((cursor, x))
+            cursor = max(cursor, x + width)
         if cursor < self.x_end:
             gaps.append((cursor, self.x_end))
         return gaps
 
     def overlaps(self) -> List[Tuple[str, str]]:
-        """Pairs of cell names that overlap in this row."""
-        self.sort()
+        """Pairs of cell (or block filler) names that overlap in this row."""
+        occupants = self._occupants()
         bad: List[Tuple[str, str]] = []
-        for left, right in zip(self.cells, self.cells[1:]):
-            if left.x + left.width > right.x + 1e-9:
-                bad.append((left.name, right.name))
+        for (x, width, left), (right_x, _, right) in zip(occupants, occupants[1:]):
+            if x + width > right_x + 1e-9:
+                bad.append((left, right))
         return bad
 
     # -- editing -------------------------------------------------------------
@@ -164,16 +307,23 @@ class Placement:
         floorplan: Core/row geometry.
         regions: Optional mapping of unit name to the region it was placed
             in; populated by the placer and used by the hotspot wrapper.
+        fillers: The filler cells placed in the rows' whitespace, as a
+            :class:`FillerBlock` (not netlist cells).  Replace it only
+            together with :meth:`Netlist.mark_placement_changed`, as
+            :func:`~repro.placement.filler.insert_fillers` does.
     """
 
     def __init__(self, netlist: Netlist, floorplan: Floorplan) -> None:
         self.netlist = netlist
         self.floorplan = floorplan
         self.regions: Dict[str, Rect] = {}
+        self.fillers: FillerBlock = NO_FILLERS
         self.rows: List[Row] = [
             Row(i, floorplan.row_y(i), 0.0, floorplan.core_width)
             for i in range(floorplan.num_rows)
         ]
+        for row in self.rows:
+            row._placement = self
 
     # ------------------------------------------------------------------
     # Row/cell management
@@ -216,7 +366,11 @@ class Placement:
         self.netlist.mark_placement_changed()
 
     def placed_cells(self, include_fillers: bool = True) -> List[CellInstance]:
-        """All placed cells, optionally excluding fillers."""
+        """All placed cell instances, optionally excluding filler cells.
+
+        Block fillers (:attr:`fillers`) are not cell instances and are
+        never returned; :meth:`materialize_fillers` turns them into cells.
+        """
         return [
             c
             for c in self.netlist.cells.values()
@@ -279,8 +433,8 @@ class Placement:
         """Check placement legality.
 
         Verifies that every non-filler cell is placed, lies inside the core,
-        sits exactly on its row's y coordinate, and that no two cells in a
-        row overlap.
+        sits exactly on its row's y coordinate, that every block filler lies
+        inside the core, and that no two cells or fillers in a row overlap.
 
         Returns:
             A list of human-readable violations (empty when legal).
@@ -300,6 +454,15 @@ class Placement:
                 problems.append(f"cell {cell.name} has no row assignment")
             elif abs(cell.y - self.floorplan.row_y(cell.row)) > tolerance:
                 problems.append(f"cell {cell.name} not aligned to row {cell.row}")
+        block = self.fillers
+        outside = (
+            (block.x < -tolerance)
+            | (block.x + block.widths > self.floorplan.core_width + tolerance)
+            | (block.row < 0)
+            | (block.row >= len(self.rows))
+        )
+        for i in np.flatnonzero(outside).tolist():
+            problems.append(f"filler {block.name(i)} lies outside the core")
         for row in self.rows:
             for left, right in row.overlaps():
                 problems.append(f"cells {left} and {right} overlap in row {row.index}")
@@ -403,7 +566,8 @@ class Placement:
         width (preferring rows outside ``avoid_rect``), packs that row to
         consolidate its whitespace, and appends the cell at the packed end.
         Used as a last resort by the hotspot wrapper so evicted cells never
-        end up overlapping.
+        end up overlapping.  Packing moves fillers too, so a chosen row
+        holding block fillers materializes the block first.
 
         Returns:
             ``True`` if the cell was inserted, ``False`` if no row has
@@ -425,6 +589,8 @@ class Placement:
 
         for row in sorted(self.rows, key=row_priority):
             if row.free_width >= cell.width - 1e-9:
+                if row.block_fillers():
+                    self.materialize_fillers()
                 row.pack()
                 cursor = row.x_start + row.occupied_width
                 row.add(cell, cursor)
@@ -465,6 +631,7 @@ class Placement:
         cloned_netlist = self.netlist.copy()
         duplicate = Placement(cloned_netlist, self.floorplan)
         duplicate.regions = dict(self.regions)
+        duplicate.fillers = self.fillers
         duplicate.rebuild_rows()
         return duplicate
 
@@ -472,13 +639,44 @@ class Placement:
         """Pickle via the netlist's flat state plus geometry.
 
         Rows are derived data (rebuilt from cell coordinates exactly as
-        :meth:`copy` does), so only the netlist, the floorplan and the
-        region map are serialized.
+        :meth:`copy` does), so only the netlist, the floorplan, the region
+        map and the filler block are serialized.
         """
         return (
             _placement_from_state,
-            (self.netlist, self.floorplan, dict(self.regions)),
+            (self.netlist, self.floorplan, dict(self.regions), self.fillers),
         )
+
+    def materialize_fillers(self) -> List[CellInstance]:
+        """Turn the filler block into netlist cells and empty the block.
+
+        The cells, their names, masters, x/y/row, their order in the
+        netlist and in the row lists are exactly those of inserting the
+        fillers one :meth:`Netlist.add_cell` / :meth:`Row.add` at a time in
+        block order (the executable spec of :class:`FillerBlock`).  Flow
+        stages never call this; call it before exporting a transformed
+        design with :func:`~repro.netlist.write_def`.
+
+        Returns:
+            The created filler cell instances, in block order.
+        """
+        block = self.fillers
+        if not block:
+            return []
+        created = self.netlist.add_fillers(block.names(), block.master_cells())
+        filled_rows: Dict[int, Row] = {}
+        for cell, index, x in zip(created, block.row.tolist(), block.x.tolist()):
+            row = self.rows[index]
+            cell.x = x
+            cell.y = row.y
+            cell.row = index
+            row.cells.append(cell)
+            filled_rows[index] = row
+        for row in filled_rows.values():
+            row.sort()
+        self.fillers = NO_FILLERS
+        self.netlist.mark_placement_changed()
+        return created
 
     def statistics(self) -> Dict[str, float]:
         """Summary statistics for reports."""
@@ -490,7 +688,7 @@ class Placement:
             "num_rows": float(self.floorplan.num_rows),
             "utilization": self.utilization(),
             "total_hpwl_um": self.total_hpwl(),
-            "num_placed_cells": float(len(self.placed_cells())),
+            "num_placed_cells": float(len(self.placed_cells()) + len(self.fillers)),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -501,10 +699,12 @@ class Placement:
 
 
 def _placement_from_state(
-    netlist: Netlist, floorplan: Floorplan, regions: Dict[str, Rect]
+    netlist: Netlist, floorplan: Floorplan, regions: Dict[str, Rect],
+    fillers: FillerBlock,
 ) -> Placement:
     """Rebuild a placement from the state emitted by ``__reduce__``."""
     placement = Placement(netlist, floorplan)
     placement.regions = regions
+    placement.fillers = fillers
     placement.rebuild_rows()
     return placement

@@ -158,18 +158,14 @@ class PowerReport:
     def total_for_names(self, names: List[str]) -> np.ndarray:
         """Per-cell total power for an arbitrary cell-name list.
 
-        Fast when ``names`` equals (or extends, e.g. after filler insertion)
-        the report's own alignment; falls back to per-name lookup otherwise.
-        Unreported cells contribute ``0.0``, matching :meth:`power_of`.
+        Fast when ``names`` equals the report's own alignment; falls back to
+        per-name lookup otherwise.  Unreported cells contribute ``0.0``,
+        matching :meth:`power_of`.
         """
         if self._total is not None:
             own = self._names
             if names is own or names == own:
                 return self._total
-            if len(names) > len(own) and names[: len(own)] == own:
-                padded = np.zeros(len(names))
-                padded[: len(own)] = self._total
-                return padded
         return np.fromiter(
             (self.power_of(name) for name in names), dtype=float, count=len(names)
         )

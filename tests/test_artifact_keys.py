@@ -472,6 +472,74 @@ class TestCopyCounts:
         assert counts == {"copy": 10, "levelize": 0}
 
 
+@pytest.fixture(scope="module", params=[1, 2], ids=["workers1", "workers2"])
+def filler_sweep(request, sweep_setup):
+    """A 5 x 2 sweep counting filler cell objects, filler materializations
+    and content-hash openings, keeping every whitespace artifact."""
+    counts = {"filler_cells": 0, "add_fillers": 0}
+    hashed, artifacts_seen = [], []
+    lock = threading.Lock()
+    real_init, real_add_fillers = CellInstance.__init__, Netlist.add_fillers
+    real_hasher, real_whitespace = artifacts._new_hasher, FlowGraph.whitespace
+
+    def init(self, name, master, *args, **kwargs):
+        if master.is_filler:
+            with lock:
+                counts["filler_cells"] += 1
+        real_init(self, name, master, *args, **kwargs)
+
+    def add_fillers(self, *args, **kwargs):
+        with lock:
+            counts["add_fillers"] += 1
+        return real_add_fillers(self, *args, **kwargs)
+
+    def hasher():
+        with lock:
+            hashed.append(sys._getframe(1).f_code.co_name)
+        return real_hasher()
+
+    def whitespace(self, *args, **kwargs):
+        artifact = real_whitespace(self, *args, **kwargs)
+        with lock:
+            artifacts_seen.append(artifact)
+        return artifact
+
+    placement_digest(sweep_setup.placement)  # the baseline is already hashed
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CellInstance, "__init__", init)
+        patch.setattr(Netlist, "add_fillers", add_fillers)
+        patch.setattr(artifacts, "_new_hasher", hasher)
+        patch.setattr(FlowGraph, "whitespace", whitespace)
+        flow = FlowGraph()
+        result = Campaign(
+            sweep_setup, strategies=TestCopyCounts.STRATEGIES, overheads=(0.1, 0.3),
+            analyze_timing=True, cache=flow.solver_cache, flow=flow,
+        ).run(max_workers=request.param)
+    assert len(result.records) == len(artifacts_seen) == 10
+    return counts, hashed, artifacts_seen
+
+
+class TestFillerCounts:
+    """Fillers stay a placement-owned block on the sweep path: no filler
+    cell object, no materialization and no re-hash of a transformed
+    netlist (count gates, not wall-clock floors)."""
+
+    def test_no_filler_cell_objects(self, filler_sweep):
+        counts, _, _ = filler_sweep
+        assert counts == {"filler_cells": 0, "add_fillers": 0}
+
+    def test_transformed_netlists_are_never_rehashed(self, filler_sweep):
+        _, hashed, _ = filler_sweep
+        assert hashed.count("netlist_digest") == 0
+        assert hashed.count("placement_digest") == 10
+
+    def test_every_point_owns_its_fillers_as_a_block(self, filler_sweep):
+        _, _, seen = filler_sweep
+        assert sum(ws.num_fillers for ws in seen) > 0
+        for ws in seen:
+            assert len(ws.placement.fillers) == ws.num_fillers
+
+
 def test_public_hotspot_wrapper_leaves_its_input_untouched(
     small_placement, small_power, small_thermal
 ):

@@ -519,9 +519,19 @@ class TestSharedConnectivity:
     def test_copy_plus_fillers(self, placed):
         copy = placed.copy()
         inserted = insert_fillers(copy)
-        assert inserted
+        assert inserted and copy.fillers is inserted
+        assert list(copy.netlist.cells) == list(placed.netlist.cells)
         assert self._connectivity(copy.netlist) is self._connectivity(placed.netlist)
         assert_matches_fresh(copy.netlist)
+
+    def test_materialized_fillers_drop_the_share(self, placed):
+        copy = placed.copy()
+        insert_fillers(copy)
+        cells = copy.materialize_fillers()
+        assert cells and copy.netlist.compiled().num_cells == len(copy.netlist.cells)
+        assert self._connectivity(copy.netlist) is not self._connectivity(placed.netlist)
+        assert_matches_fresh(copy.netlist)
+        assert_matches_fresh(placed.netlist)
 
     def test_copy_after_eri(self, placed):
         result = apply_row_insertions(placed, [0, 2, 2, 5])
@@ -535,11 +545,18 @@ class TestSharedConnectivity:
 
     def test_copy_after_remove_fillers(self, placed):
         filled = placed.copy()
-        insert_fillers(filled)
+        block = insert_fillers(filled)
         copy = filled.copy()
-        assert remove_fillers(copy) > 0
+        assert copy.fillers is block  # the copy carries the block
+        assert remove_fillers(copy) == len(block) > 0
+        assert not copy.fillers and filled.fillers is block
         assert self._connectivity(copy.netlist) is self._connectivity(placed.netlist)
         assert_matches_fresh(copy.netlist)
+        assert_matches_fresh(filled.netlist)
+        # Removing materialized filler cells is a structural edit.
+        filled.materialize_fillers()
+        assert remove_fillers(filled) == len(block)
+        assert self._connectivity(filled.netlist) is not self._connectivity(placed.netlist)
         assert_matches_fresh(filled.netlist)
 
     def test_source_edited_after_the_copy(self):
@@ -569,11 +586,14 @@ class TestSharedConnectivity:
     def test_stale_view_refuses_to_read_an_edited_netlist(self):
         netlist = random_netlist(73)
         view = netlist.compiled()
-        netlist.add_cell("fill_late", "FILL_X4")
-        assert view.levels is netlist.compiled().levels  # suffix filler: still valid
+        netlist.add_cell("fill_late", "FILL_X4")  # any cell edit, fillers too
+        with pytest.raises(RuntimeError, match="stale"):
+            view.levels
+        view = netlist.compiled()
         netlist.remove_cell("lonely")
         with pytest.raises(RuntimeError, match="stale"):
             view.levels
+        assert_matches_fresh(netlist)
 
     def test_add_fillers_rejects_taken_names_and_logic_masters(self):
         netlist = random_netlist(74)

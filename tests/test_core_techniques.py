@@ -6,6 +6,8 @@ set, zero-power fillers, correct area accounting) and the thermally relevant
 behaviour (cell density drops where it should).
 """
 
+import hashlib
+
 import pytest
 
 from repro.core import (
@@ -18,6 +20,7 @@ from repro.core import (
 )
 from repro.core.wrapper import apply_hotspot_wrapper_in_place
 from repro.flow import placement_digest
+from repro.netlist import write_def
 from repro.placement import Rect, density_in_rect
 
 
@@ -139,12 +142,20 @@ class TestEmptyRowInsertion:
     def test_empty_rows_are_filler_only(self, small_placement, detected):
         result = apply_empty_row_insertion(small_placement, detected, num_rows=6)
         placement = result.placement
-        # Rows that received no logic cells must contain only fillers.
-        empty_rows = [
-            row for row in placement.rows
+        # Rows that received no logic cells must contain only fillers: no
+        # cells, whitespace covered by the block up to one filler width.
+        min_width = min(f.width_um for f in placement.netlist.library.filler_cells())
+        empty_rows = [row for row in placement.rows if not row.cells and row.block_fillers()]
+        assert len(empty_rows) >= result.inserted_rows // 2
+        for row in empty_rows:
+            assert row.free_width < min_width
+        # Materialized, those rows hold filler cells only.
+        placement.materialize_fillers()
+        filler_only = [
+            row.index for row in placement.rows
             if row.cells and all(c.is_filler for c in row.cells)
         ]
-        assert len(empty_rows) >= result.inserted_rows // 2
+        assert filler_only == [row.index for row in empty_rows]
 
     def test_insertion_points_target_hotspot_rows(self, small_placement, detected):
         points = plan_insertion_points(small_placement, detected, 6)
@@ -247,3 +258,31 @@ class TestHotspotWrapper:
         assert [[c.name for c in row.cells] for row in owned.rows] == [
             [c.name for c in row.cells] for row in expected.placement.rows
         ]
+
+
+#: sha256 of the DEF text of each transform of the small design, as written
+#: when fillers were inserted into the netlist cell by cell.
+_DEF_SHA256 = {
+    "eri": "2b924c17dbbde76a1b154d47672155926299aa48cc84f298a2579bd73f583ed0",
+    "hw": "17cc9863af9c633af5657526c3c98117a6c4209adf31f0fde187ec234d5bbcf7",
+}
+
+
+@pytest.mark.parametrize("technique", sorted(_DEF_SHA256))
+def test_materialized_fillers_export_the_same_def(
+    small_placement, detected, detected_tight, technique
+):
+    """DEF export after materializing the filler block is byte-identical
+    to exporting filler cells inserted one by one."""
+    if technique == "eri":
+        result = apply_empty_row_insertion(small_placement, detected, num_rows=6)
+    else:
+        result = apply_hotspot_wrapper(small_placement, detected_tight)
+    placement = result.placement
+    assert len(placement.materialize_fillers()) == result.num_fillers > 0
+    floorplan = placement.floorplan
+    text = write_def(
+        placement.netlist, floorplan.die_width, floorplan.die_height,
+        floorplan.num_rows, floorplan.row_height,
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == _DEF_SHA256[technique]

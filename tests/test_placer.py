@@ -1,5 +1,7 @@
 """Tests for global placement, legalization, fillers and the top-level placer."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,38 @@ class TestLegalization:
         assert placement.check_legal() == []
 
 
+def reference_insert_fillers(placement, prefix="FILLER_"):
+    """The executable spec of filler insertion: one add_cell/Row.add per
+    filler, greedy widest-first into every row gap."""
+    fillers = placement.netlist.library.filler_cells()
+    min_width = min(f.width_um for f in fillers)
+    counter = 0
+    for row in placement.rows:
+        for gap_start, gap_end in row.gaps():
+            cursor = gap_start
+            remaining = gap_end - cursor
+            while remaining >= min_width - 1e-9:
+                master = next(
+                    (f for f in fillers if f.width_um <= remaining + 1e-9), None
+                )
+                if master is None:
+                    break
+                inst = placement.netlist.add_cell(f"{prefix}{counter}", master)
+                counter += 1
+                row.add(inst, cursor)
+                cursor += master.width_um
+                remaining = gap_end - cursor
+        row.sort()
+
+
+def filler_layout(placement):
+    """Every cell's name, master and x/y/row, plus each row's cell order."""
+    cells = [(c.name, c.master.name, c.x, c.y, c.row)
+             for c in placement.netlist.cells.values()]
+    rows = [[c.name for c in row.cells] for row in placement.rows]
+    return cells, rows
+
+
 class TestFillers:
     def test_insert_fillers_fills_gaps(self, library):
         netlist = Netlist("fill", library)
@@ -117,60 +151,111 @@ class TestFillers:
         placement.assign(a, 0, 2.0)
         inserted = insert_fillers(placement)
         assert inserted
+        assert placement.fillers is inserted
+        assert list(netlist.cells) == ["a"]  # the block adds no netlist cell
         assert placement.check_legal() == []
         # Whitespace is now fully covered (rows are full up to site rounding).
         covered = a.area + filler_area(placement)
         assert covered == pytest.approx(floorplan.core_area, rel=0.01)
+        min_width = min(f.width_um for f in library.filler_cells())
+        for row in placement.rows:
+            assert all(hi - lo < min_width - 1e-9 for lo, hi in row.gaps())
+            assert row.utilization() == pytest.approx(1.0, abs=min_width / row.width)
+        assert placement.statistics()["num_placed_cells"] == 1 + len(inserted)
 
     def test_remove_fillers_round_trip(self, library):
         netlist = Netlist("fill2", library)
         floorplan = Floorplan(core_width=8.0, core_height=1.8)
         placement = Placement(netlist, floorplan)
         insert_fillers(placement)
-        count = len(netlist.filler_cells())
+        count = len(placement.fillers)
         assert count > 0
         removed = remove_fillers(placement)
         assert removed == count
-        assert netlist.filler_cells() == []
+        assert not placement.fillers
+        assert placement.rows[0].gaps() == [(0.0, 8.0)]
+        # Materialized fillers are netlist cells, and are removed as such.
+        insert_fillers(placement)
+        cells = placement.materialize_fillers()
+        assert len(cells) == count and len(netlist.filler_cells()) == count
+        assert remove_fillers(placement) == count
+        assert netlist.filler_cells() == [] and placement.rows[0].cells == []
 
     def test_bulk_insertion_matches_cell_by_cell_reference(self, small_placement):
-        """One-pass insertion equals the greedy add_cell/Row.add loop:
+        """The materialized block equals the greedy add_cell/Row.add loop:
         names, dict order, row order and coordinates, bitwise."""
-
-        def reference_insert(placement, prefix="FILLER_"):
-            fillers = placement.netlist.library.filler_cells()
-            min_width = min(f.width_um for f in fillers)
-            counter = 0
-            for row in placement.rows:
-                for gap_start, gap_end in row.gaps():
-                    cursor = gap_start
-                    remaining = gap_end - cursor
-                    while remaining >= min_width - 1e-9:
-                        master = next(
-                            (f for f in fillers if f.width_um <= remaining + 1e-9), None
-                        )
-                        if master is None:
-                            break
-                        inst = placement.netlist.add_cell(f"{prefix}{counter}", master)
-                        counter += 1
-                        row.add(inst, cursor)
-                        cursor += master.width_um
-                        remaining = gap_end - cursor
-                row.sort()
-
-        def layout(placement):
-            cells = [(c.name, c.master.name, c.x, c.y, c.row)
-                     for c in placement.netlist.cells.values()]
-            rows = [[c.name for c in row.cells] for row in placement.rows]
-            return cells, rows
-
         bulk, loop = small_placement.copy(), small_placement.copy()
-        version = bulk.netlist._version
         inserted = insert_fillers(bulk)
-        reference_insert(loop)
-        assert inserted and layout(bulk) == layout(loop)
+        assert inserted and len(bulk.netlist.cells) == len(small_placement.netlist.cells)
+        version = bulk.netlist._version
+        cells = bulk.materialize_fillers()
+        reference_insert_fillers(loop)
+        assert len(cells) == len(inserted) and not bulk.fillers
+        assert filler_layout(bulk) == filler_layout(loop)
         assert bulk.netlist._version == version + 1  # one structural edit
-        assert all(cell.owner is bulk.netlist for cell in inserted)
+        assert all(cell.owner is bulk.netlist for cell in cells)
+
+    def test_second_insertion_extends_the_block(self, library):
+        netlist = Netlist("fill3", library)
+        placement = Placement(netlist, Floorplan(core_width=12.0, core_height=3.6))
+        a = netlist.add_cell("a", "NAND2_X1")
+        placement.assign(a, 0, 2.0)
+        first = insert_fillers(placement)
+        placement.rows[0].remove(a)  # frees whitespace for a second pass
+        second = insert_fillers(placement)
+        assert first and second
+        assert second.first_index == first.end
+        block = placement.fillers
+        assert len(block) == len(first) + len(second)
+        assert block.names() == first.names() + second.names()
+        assert placement.check_legal() == []
+
+    def test_block_survives_copy_and_pickle(self, small_placement):
+        from repro.flow import placement_digest
+
+        filled = small_placement.copy()
+        insert_fillers(filled)
+        digest = placement_digest(filled)
+        for clone in (filled.copy(), pickle.loads(pickle.dumps(filled))):
+            block = clone.fillers
+            assert block.names() == filled.fillers.names()
+            for name in ("row", "x", "master"):
+                np.testing.assert_array_equal(getattr(block, name), getattr(filled.fillers, name))
+                assert not getattr(block, name).flags.writeable
+            assert placement_digest(clone) == digest
+            assert clone.check_legal() == []
+
+    def test_check_legal_sees_block_fillers(self, library):
+        from dataclasses import replace
+
+        netlist = Netlist("fill4", library)
+        placement = Placement(netlist, Floorplan(core_width=8.0, core_height=3.6))
+        a = netlist.add_cell("a", "NAND2_X1")
+        placement.assign(a, 0, 2.0)
+        block = insert_fillers(placement)
+        first = block.name(0)
+        placement.fillers = replace(block, x=[2.0] + block.x.tolist()[1:])
+        assert any(first in problem and "overlap" in problem
+                   for problem in placement.check_legal())
+        placement.fillers = replace(block, x=[7.9] + block.x.tolist()[1:])
+        assert f"filler {first} lies outside the core" in placement.check_legal()
+        placement.fillers = replace(block, row=[5] + block.row.tolist()[1:])
+        assert f"filler {first} lies outside the core" in placement.check_legal()
+
+    def test_force_insert_into_a_filled_row_materializes(self, library):
+        """Packing a filled row moves its fillers, so they become cells."""
+        netlist = Netlist("fill5", library)
+        placement = Placement(netlist, Floorplan(core_width=8.0, core_height=1.8))
+        a = netlist.add_cell("a", "INV_X1")
+        placement.assign(a, 0, 2.0)
+        count = len(insert_fillers(placement))
+        placement.remove(a)
+        netlist.remove_cell("a")  # leaves a 0.6 um hole between fillers
+        b = netlist.add_cell("b", "INV_X1")
+        assert placement.force_insert(b)
+        assert not placement.fillers and len(netlist.filler_cells()) == count
+        assert b.x == pytest.approx(8.0 - b.width)
+        assert placement.check_legal() == []
 
 
 class TestPlaceDesign:

@@ -12,9 +12,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.bench import ripple_carry_adder
 from repro.core import apply_empty_row_insertion, detect_hotspots
 from repro.netlist import Netlist, default_library
-from repro.placement import Floorplan, Placement, insert_fillers, place_design
+from repro.placement import (
+    Floorplan, Placement, filler_area, insert_fillers, place_design,
+)
 from repro.power import PowerModel, SwitchingActivity
 from repro.thermal import ThermalGrid, ThermalSolver, default_package
+from test_placer import filler_layout, reference_insert_fillers
 
 
 _LIBRARY = default_library()
@@ -59,11 +62,16 @@ class TestRowPackingProperties:
         for cell in cells:
             row.add(cell, 0.0)
         row.pack()
+        reference = placement.copy()
         insert_fillers(placement)
         assert placement.check_legal() == []
-        covered = sum(c.area for c in netlist.cells.values())
+        covered = sum(c.area for c in netlist.cells.values()) + filler_area(placement)
         # Whitespace is covered up to the narrowest filler (1 site) rounding.
         assert covered == pytest.approx(floorplan.core_area, abs=2 * 0.2 * 1.8)
+        # The block materializes to exactly the cell-by-cell reference.
+        placement.materialize_fillers()
+        reference_insert_fillers(reference)
+        assert filler_layout(placement) == filler_layout(reference)
 
 
 class TestTransformationProperties:
