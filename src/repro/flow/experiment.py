@@ -15,7 +15,7 @@ Reproduces the paper's full flow (Figure 2) as a single, reusable object:
 
 Every step runs as a stage of a :class:`~repro.flow.graph.FlowGraph`,
 the one implementation of the pipeline.  Callers that pass no ``flow`` get
-a pass-through graph — one over ``ArtifactStore(maxsize=0)``, which caches
+a pass-through graph (:meth:`FlowGraph.pass_through`), which caches
 nothing and hashes nothing; passing a caching graph makes the same calls
 incremental without changing a single result bit.
 
@@ -39,7 +39,6 @@ from ..thermal import Package, ThermalGrid, ThermalMap, default_package
 from ..timing import TimingReport
 from .cache import SolverCache
 from .graph import FlowGraph
-from .store import ArtifactStore
 
 # Unused here since every stage body lives in FlowGraph, but kept as module
 # attributes: perfbench/spans.py wraps these names at this lookup site.
@@ -133,7 +132,7 @@ class ExperimentSetup:
         """
         pkg = package if package is not None else default_package()
         if flow is None:
-            flow = FlowGraph(store=ArtifactStore(maxsize=0), solver_cache=cache)
+            flow = FlowGraph.pass_through(cache)
 
         placement = flow.synth(
             netlist, utilization=base_utilization, use_quadratic=use_quadratic
@@ -259,7 +258,7 @@ def prepare_evaluation(
     the thermal solve and the outcome extraction need.
     """
     if flow is None:
-        flow = FlowGraph(store=ArtifactStore(maxsize=0))
+        flow = FlowGraph.pass_through()
     # The transform re-detects hotspots with its per-strategy threshold:
     # empty row insertion targets the broad warm area, the wrapper the
     # tight core.
@@ -298,7 +297,7 @@ def finish_evaluation(
     timing_overhead_value: Optional[float] = None
     if analyze_timing:
         if flow is None:
-            flow = FlowGraph(store=ArtifactStore(maxsize=0))
+            flow = FlowGraph.pass_through()
         new_timing = flow.sta(
             result.placement, temperature=new_map.peak,
             clock_period_ps=setup.timing.clock_period_ps,
@@ -360,7 +359,7 @@ def evaluate_strategy(
         The measured :class:`StrategyOutcome`.
     """
     if flow is None:
-        flow = FlowGraph(store=ArtifactStore(maxsize=0), solver_cache=cache)
+        flow = FlowGraph.pass_through(cache)
     prepared = prepare_evaluation(
         setup, strategy, area_overhead,
         hotspot_threshold=hotspot_threshold,
@@ -405,7 +404,7 @@ def sweep_overheads(
         One :class:`StrategyOutcome` per (strategy, overhead) pair.
     """
     if flow is None:
-        flow = FlowGraph(store=ArtifactStore(maxsize=0), solver_cache=cache)
+        flow = FlowGraph.pass_through(cache)
     return [
         evaluate_strategy(
             setup, strategy, overhead, analyze_timing=analyze_timing, flow=flow
@@ -438,7 +437,7 @@ def concentrated_hotspot_table(
         Outcomes ordered as in the paper's table: all Default rows first,
         then the ERI rows.
     """
-    flow = FlowGraph(store=ArtifactStore(maxsize=0), solver_cache=cache)
+    flow = FlowGraph.pass_through(cache)
     base_rows = setup.placement.floorplan.num_rows
     overheads = [count / base_rows for count in row_counts]
 

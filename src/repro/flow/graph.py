@@ -17,12 +17,14 @@ the :class:`~repro.flow.store.ArtifactStore`, and executes only on a miss
 — so a multi-strategy sweep pays for the shared prefix (``synth``,
 ``power``) once and re-runs only the ``whitespace -> thermal -> sta``
 suffix per strategy, and a repeated sweep against an on-disk store re-runs
-nothing at all.  Results never depend on the store: a cold, warm or
+nothing at all; a campaign's grouped solves run through the batched
+form, :meth:`FlowGraph.thermal_many`, whose lanes are ``thermal``
+artifacts.  Results never depend on the store: a cold, warm or
 disk-replayed stage returns bitwise the same artifact — the
 golden-equivalence suite (``tests/test_flow_graph_equivalence.py``)
 asserts this.
 
-A graph whose store can hold nothing (memory-only with ``maxsize=0``) is
+A graph whose store can hold nothing (:meth:`FlowGraph.pass_through`) is
 a *pass-through*: stage bodies run directly, with no hashing, no per-key
 lock and no store traffic, so callers that cache nothing pay nothing for
 the graph.  Its artifacts carry ``key=None``.
@@ -31,15 +33,18 @@ Thread safety: stage execution is single-flight per ``(stage, key)`` —
 concurrent :class:`~repro.flow.runner.Campaign` workers asking for the same
 artifact block on one build — and the per-stage execution/hit counters are
 kept under one lock, so tests can assert exact counts.  This per-key lock
-is the flow's only single-flight rule; two processes sharing an on-disk
-store may both build an artifact and publish the same content.
+is the flow's only single-flight rule, and batched thermal lanes do not
+take it; two processes (or two concurrent batches) may both build an
+artifact and publish the same content.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import Counter
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core import AreaManagementConfig, AreaManager, StrategySpec
 from ..engine import get_engine
@@ -75,6 +80,25 @@ from .store import ArtifactStore
 STAGES = ("synth", "power", "whitespace", "legalize", "thermal", "sta")
 
 
+def _thermal_key(
+    power_map: PowerMap, grid: ThermalGrid, warm_start: Optional[ThermalMap], resolved: str
+) -> str:
+    """The ``thermal`` key: LU ignores the warm start entirely, while the
+    multigrid iterate depends on it at the bit level."""
+    warm = warm_start if resolved == "multigrid" else None
+    return hash_parts(
+        FLOW_KEY_VERSION, "thermal",
+        power_map_digest(power_map), grid_digest(grid), resolved,
+        thermal_map_digest(warm) if warm is not None else None,
+    )
+
+
+def _publishable(artifact: ThermalArtifact) -> bool:
+    """False for a degraded (LU-fallback) map, which under a multigrid key
+    would be served verbatim to later healthy runs."""
+    return not getattr(artifact.thermal_map, "fallback_used", False)
+
+
 class FlowGraph:
     """Incremental executor of the staged physical-design flow.
 
@@ -106,6 +130,11 @@ class FlowGraph:
         self._building: Dict[Tuple[str, str], threading.Lock] = {}
         self.stage_executions: Counter = Counter()
         self.stage_hits: Counter = Counter()
+
+    @classmethod
+    def pass_through(cls, solver_cache: Optional[SolverCache] = None) -> "FlowGraph":
+        """A graph over ``ArtifactStore(maxsize=0)``: caches and hashes nothing."""
+        return cls(store=ArtifactStore(maxsize=0), solver_cache=solver_cache)
 
     # ------------------------------------------------------------------
     # Executor core
@@ -326,9 +355,8 @@ class FlowGraph:
 
         The solver comes from the graph's :class:`SolverCache`, so die
         outlines revisited across strategies share one factorisation.  The
-        key includes the *resolved* backend, and — for multigrid only — the
-        warm-start field's digest: LU ignores ``x0`` entirely, while the
-        multigrid iterate depends on it at the bit level.
+        key covers the *resolved* backend and, for multigrid only, the
+        warm start.  A degraded (LU-fallback) map is not published.
 
         Args:
             method: Per-call backend override; defaults to the solver
@@ -337,13 +365,6 @@ class FlowGraph:
         resolved = resolve_thermal_method(
             self.solver_cache.method if method is None else method, grid
         )
-        def key() -> str:
-            warm = warm_start if resolved == "multigrid" else None
-            return hash_parts(
-                FLOW_KEY_VERSION, "thermal",
-                power_map_digest(power_map), grid_digest(grid), resolved,
-                thermal_map_digest(warm) if warm is not None else None,
-            )
 
         def build(key: Optional[str]) -> ThermalArtifact:
             solver = self.solver_cache.solver(grid, method=resolved)
@@ -351,13 +372,63 @@ class FlowGraph:
             thermal_map = solver.solve_power_map(power_map, x0=rises)
             return ThermalArtifact(key=key, thermal_map=thermal_map, method=resolved)
 
-        def cacheable(artifact) -> bool:
-            # A degraded (LU-fallback) map under a multigrid key would be
-            # served verbatim to later healthy runs — keep it out of the
-            # content-addressed store.
-            return not getattr(artifact.thermal_map, "fallback_used", False)
+        return self._run(
+            "thermal",
+            lambda: _thermal_key(power_map, grid, warm_start, resolved),
+            build,
+            cacheable=_publishable,
+        )
 
-        return self._run("thermal", key, build, cacheable=cacheable)
+    def thermal_many(
+        self,
+        power_maps: Sequence[PowerMap],
+        grids: Sequence[ThermalGrid],
+        warm_starts: Sequence[Optional[ThermalMap]],
+    ) -> List[ThermalArtifact]:
+        """Batched ``thermal`` over lanes that share one solver geometry.
+
+        Lane ``i`` is ``thermal(power_maps[i], grids[i], warm_starts[i])``:
+        it gets exactly that call's key, is served from the store on a hit
+        and published unless degraded.  The misses are solved as one
+        warm-started :meth:`~repro.thermal.solver.ThermalSolver.solve_many`
+        block, whose lanes are bitwise one-point solves.
+        """
+        resolved = resolve_thermal_method(self.solver_cache.method, grids[0])
+        keys: List[Optional[str]] = [None] * len(power_maps)
+        if not self._pass_through():
+            keys = [
+                _thermal_key(power_map, grid, warm_start, resolved)
+                for power_map, grid, warm_start in zip(power_maps, grids, warm_starts)
+            ]
+        artifacts = [None if key is None else self.store.get("thermal", key) for key in keys]
+        misses = [lane for lane, artifact in enumerate(artifacts) if artifact is None]
+        if misses:
+            grid = grids[misses[0]]
+            x0 = np.zeros((grid.num_nodes, len(misses)))
+            warm = False
+            for column, lane in enumerate(misses):
+                start = warm_starts[lane]
+                rises = start.grid_rises if start is not None else None
+                if rises is not None and rises.shape[0] == x0.shape[0]:
+                    x0[:, column] = rises
+                    warm = True
+            solved = self.solver_cache.solver(grid, method=resolved).solve_many(
+                [power_maps[lane] for lane in misses], x0=x0 if warm else None
+            )
+            for lane, thermal_map in zip(misses, solved):
+                artifact = ThermalArtifact(
+                    key=keys[lane], thermal_map=thermal_map, method=resolved
+                )
+                artifacts[lane] = artifact
+                if keys[lane] is not None and _publishable(artifact):
+                    self.store.put("thermal", keys[lane], artifact)
+        hits = len(artifacts) - len(misses)
+        with self._lock:
+            if hits:
+                self.stage_hits["thermal"] += hits
+            if misses:
+                self.stage_executions["thermal"] += len(misses)
+        return artifacts
 
     def sta(
         self,

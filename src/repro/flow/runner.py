@@ -2,18 +2,21 @@
 
 One figure of the paper is a grid of experiment points — Figure 6 sweeps
 three strategies over eight overheads, Table I pairs Default and ERI rows.
-:class:`Campaign` executes such a grid as a unit, in three phases: every
-point's transform (:func:`~repro.flow.experiment.prepare_evaluation`) runs
-on a thread pool — the sparse kernels release the GIL inside SciPy, so
-campaigns scale with cores — then the points are grouped by transformed
-die geometry and each group's power maps are solved as one warm-started
-multi-RHS block (:meth:`~repro.thermal.solver.ThermalSolver.solve_many`)
-on a solver from the shared :class:`~repro.flow.cache.SolverCache`, and
-finally each point's outcome is extracted
-(:func:`~repro.flow.experiment.finish_evaluation`).  The transform and
-timing run as stages of the campaign's :class:`~repro.flow.graph.FlowGraph`
-(a hash-free pass-through when none is given); the process executor runs
-whole points through one graph per worker (:mod:`repro.flow.shard`).
+:class:`Campaign` executes such a grid as a unit, and ``Campaign._execute``
+is the one code path that turns points into records, in three phases:
+every point's transform (:func:`~repro.flow.experiment.prepare_evaluation`)
+runs on a thread pool — the sparse kernels release the GIL inside SciPy,
+so campaigns scale with cores — then the points are grouped by transformed
+die geometry and each group is solved through the batched ``thermal``
+stage (:meth:`~repro.flow.graph.FlowGraph.thermal_many`: cached lanes are
+served from the artifact store, the misses solved as one warm-started
+multi-RHS block), and finally each point's outcome is extracted
+(:func:`~repro.flow.experiment.finish_evaluation`).  Every phase runs on
+the campaign's :class:`~repro.flow.graph.FlowGraph` (a hash-free
+pass-through when none is given) under the same retry loop and per-phase
+deadline.  The thread executor runs that core once over the pending
+points; the process executor (:mod:`repro.flow.shard`) runs it in each
+worker process, one point per task.
 
 Results are deterministic: records are returned in grid order (workload,
 then strategy, then overhead) regardless of worker scheduling, and every
@@ -29,6 +32,7 @@ write figure/table data to disk.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import os
@@ -36,14 +40,12 @@ import signal
 import threading
 import time
 import warnings
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from contextlib import nullcontext
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from ..core import StrategySpec, parse_strategy_spec, resolve_strategy
 from ..deadlines import Deadline, DeadlineExceeded, deadline_scope
@@ -61,7 +63,7 @@ from .experiment import (
     finish_evaluation,
     prepare_evaluation,
 )
-from .store import ArtifactStore, ResultStore, result_key, setup_digest
+from .store import ResultStore, result_key, setup_digest
 
 #: Executors :class:`Campaign` accepts.
 EXECUTORS = ("thread", "process")
@@ -387,35 +389,37 @@ class Campaign:
         overheads: Requested area-overhead sweep points.
         analyze_timing: Also run STA per point (slower).
         cache: Solver cache shared by all points; a fresh unbounded
-            :class:`SolverCache` is created when omitted.
+            :class:`SolverCache` is created when omitted.  Ignored in favour
+            of the graph's own solver cache when ``flow`` is given.
         name: Campaign name recorded in the result metadata.
         batch_solves: Deprecated and ignored: every thread-executed run
             groups its points by die geometry and solves each group as one
             multi-RHS block, whose lanes are bitwise identical to one-point
             solves.  Passing it emits a :class:`DeprecationWarning`.
         flow: Optional :class:`~repro.flow.graph.FlowGraph` every point's
-            stages run through.  With a caching graph, points (or whole
-            re-runs) whose stage inputs are unchanged re-execute nothing;
-            when given and ``cache`` is omitted, the graph's solver cache
-            becomes the campaign's.  When omitted, a hash-free pass-through
-            graph over ``cache`` is used.  The grouped multi-RHS solves of
-            the thread executor stay outside the artifact store.
+            stages run through, the grouped solves included (each lane is a
+            ``thermal`` artifact).  With a caching graph, points (or whole
+            re-runs) whose stage inputs are unchanged re-execute nothing,
+            and the graph's solver cache is the campaign's.  When omitted,
+            a hash-free pass-through graph over ``cache`` is used.
         result_store: Optional :class:`~repro.flow.store.ResultStore`.
-            Every completed point is published to it as soon as the point
-            finishes, and every run starts by sweeping the grid against it
-            — so repeated sweeps are incremental (only new points compute)
-            and an interrupted sweep resumes for free on rerun.  A store
+            Every completed point is published to it exactly once, as soon
+            as the point finishes, on either executor; every run starts by
+            sweeping the grid against it — so repeated sweeps are
+            incremental (only new points compute) and an interrupted sweep
+            resumes for free on rerun.  A store
             with an on-disk root is shared safely by concurrent campaigns,
             sharded worker processes and the ``repro serve`` daemon.
         executor: ``"thread"`` (default) fans points out over a GIL-sharing
             thread pool; ``"process"`` shards them across worker processes
             (:mod:`repro.flow.shard`) whose baselines share power-map and
             temperature-field arrays via ``multiprocessing.shared_memory``.
-            Both produce records bitwise-identical to a serial run.  The
-            process executor evaluates point by point, each worker through
-            a graph over the on-disk tier of ``flow``'s store (a
-            pass-through when that store is memory-only), so a disk-rooted
-            artifact cache is shared by all workers and later runs.
+            Both run the same prepare -> grouped solve -> finish core and
+            produce records bitwise-identical to a serial run.  Each process
+            worker runs its points through a graph over the on-disk tier of
+            ``flow``'s store (a pass-through when that store is
+            memory-only), so a disk-rooted artifact cache is shared by all
+            workers and later runs.
         retry_policy: Per-point :class:`~repro.faults.RetryPolicy`.  The
             default never retries; a policy with ``max_attempts > 1``
             re-runs a point that raised a retryable exception, with
@@ -426,8 +430,9 @@ class Campaign:
             its retries (pre-quarantine behaviour).  The default records
             the failure as a ``failed_points`` metadata entry and lets the
             rest of the sweep complete.
-        point_timeout_s: Wall-clock budget per point *attempt*.  Every
-            evaluation runs under a :func:`~repro.deadlines.deadline_scope`
+        point_timeout_s: Wall-clock budget per phase attempt of a point
+            (prepare, grouped solve, finish), on either executor.  Every
+            attempt runs under a :func:`~repro.deadlines.deadline_scope`
             checked cooperatively inside the hot loops (multigrid V-cycles,
             placer passes, logic-sim cycles); an attempt that blows its
             budget raises :class:`~repro.deadlines.DeadlineExceeded`, which
@@ -435,8 +440,9 @@ class Campaign:
             retried and, on exhaustion, quarantined like any other failure
             instead of stalling the sweep.  With ``executor="process"`` the
             timeout additionally arms a parent-side watchdog that SIGKILLs
-            a worker whose heartbeat goes stale (a non-cooperative hang).
-            ``None`` (default) disables per-point deadlines.
+            a worker whose heartbeat (stamped whenever an attempt's
+            deadline opens) goes stale — a non-cooperative hang.  ``None``
+            (default) disables per-point deadlines.
     """
 
     def __init__(
@@ -474,12 +480,10 @@ class Campaign:
         self.strategies = tuple(resolve_strategy(spec).spec for spec in strategies)
         self.overheads = tuple(overheads)
         self.analyze_timing = analyze_timing
-        if cache is None:
-            cache = flow.solver_cache if flow is not None else SolverCache()
-        self.cache = cache
         if flow is None:
-            flow = FlowGraph(store=ArtifactStore(maxsize=0), solver_cache=cache)
+            flow = FlowGraph.pass_through(cache)
         self.flow = flow
+        self.cache = flow.solver_cache
         self.name = name
         self.result_store = result_store
         self.executor = executor
@@ -493,9 +497,7 @@ class Campaign:
         self._stop_event = threading.Event()
         self._workload_fingerprints: Dict[str, Tuple[str, str]] = {}
         self._counter_lock = threading.Lock()
-        self._retries = 0
-        self._respawns = 0
-        self._timeouts = 0
+        self._faults: Counter = Counter()  # this run's retries/timeouts/respawns
 
     @property
     def points(self) -> List[CampaignPoint]:
@@ -560,17 +562,23 @@ class Campaign:
         self._stop_event.set()
 
     def _point_scope(self):
-        """Deadline scope for one point attempt (no-op without a timeout).
+        """Deadline scope for one phase attempt (no-op without a timeout).
 
         A fresh deadline per attempt: a retry of a timed-out point gets
         the full budget again, so ``point_timeout_s x max_attempts`` bounds
-        a pathological point's total wall-clock cost.
+        each phase of a pathological point.  Process workers override this
+        to stamp their watchdog heartbeat.
         """
         if self.point_timeout_s is None:
             return nullcontext()
         return deadline_scope(Deadline.after(self.point_timeout_s))
 
     # -- retry / quarantine --------------------------------------------------
+
+    def _count(self, **deltas: int) -> None:
+        """Add to the run's ``retries``/``timeouts``/``respawns`` counters."""
+        with self._counter_lock:
+            self._faults.update(deltas)
 
     def _retry_loop(self, token: str, attempt_fn):
         """Run ``attempt_fn(attempt)`` under the campaign's retry policy.
@@ -587,25 +595,28 @@ class Campaign:
             except Exception as error:  # noqa: BLE001 - quarantine boundary
                 attempts = attempt + 1
                 if isinstance(error, DeadlineExceeded):
-                    with self._counter_lock:
-                        self._timeouts += 1
+                    self._count(timeouts=1)
                 if (
                     policy.classify(error)
                     and attempts < policy.max_attempts
                     and not self._stop_event.is_set()
                 ):
-                    with self._counter_lock:
-                        self._retries += 1
+                    self._count(retries=1)
                     delay = policy.delay_s(attempts, token=token)
                     logger.warning(
                         "%s failed on attempt %d/%d (%r); retrying in %.3fs",
                         token, attempts, policy.max_attempts, error, delay,
                     )
                     if delay > 0.0:
-                        time.sleep(delay)
+                        self._backoff(delay)
                     attempt += 1
                     continue
                 return None, error, attempts
+
+    def _backoff(self, delay: float) -> None:
+        """Sleep before a retry; process workers override this to tell
+        their watchdog that the pause is planned, not a hang."""
+        time.sleep(delay)
 
     def _guarded_point(self, point: CampaignPoint, attempt_fn):
         """Retry ``attempt_fn(attempt)``; quarantine the point on exhaustion.
@@ -617,6 +628,11 @@ class Campaign:
         value, error, attempts = self._retry_loop(token, attempt_fn)
         if error is None:
             return value
+        return self._quarantine(point, error, attempts)
+
+    def _quarantine(self, point: CampaignPoint, error: Exception, attempts: int):
+        """The :class:`FailedPoint` of an exhausted point (with ``fail_fast``
+        the error is re-raised instead)."""
         if self.fail_fast:
             raise error
         logger.warning(
@@ -630,8 +646,6 @@ class Campaign:
     def _prepare(
         self, point: CampaignPoint, attempt: int = 0
     ) -> Tuple[PreparedEvaluation, float]:
-        # Same site and context as a process-executor worker: a rule
-        # targeting a point fires regardless of which executor runs it.
         with self._point_scope():
             inject(
                 "point.evaluate",
@@ -651,18 +665,19 @@ class Campaign:
 
     def _solve_groups(
         self, points: List[CampaignPoint], prepared: "List[PreparedEvaluation]"
-    ) -> Tuple[List, List[float], Dict[int, "FailedPoint"]]:
+    ) -> Tuple[List, List[float], Dict[int, "FailedPoint"], int]:
         """Solve every point's power map, batching points that share a solver.
 
         Points are grouped by the cache key of their transformed die
         geometry (the same key the :class:`SolverCache` uses, so a group is
         exactly the set of points that share one prepared solver) and each
-        group is solved as one multi-RHS block, warm-started per lane from
-        its workload's baseline temperature field.
+        group runs through the graph's batched ``thermal`` stage, every
+        lane warm-started from its workload's baseline temperature field.
 
         A group whose solve raises is retried under the campaign's policy;
         on exhaustion every point of the group is quarantined (returned in
-        the third element, keyed by point position).
+        the third element, keyed by point position).  The fourth element
+        is the number of solve groups.
         """
         groups: "OrderedDict[tuple, List[int]]" = OrderedDict()
         for index, prep in enumerate(prepared):
@@ -675,52 +690,30 @@ class Campaign:
             if self._stop_event.is_set():
                 break
             start = time.perf_counter()
-            first = prepared[indices[0]]
-            solver = self.cache.solver(first.grid)
-            # Per-lane warm starts from each point's baseline field; lanes
-            # whose baseline has no rise vector (or a mismatched grid)
-            # start cold.
-            x0 = np.zeros((first.grid.num_nodes, len(indices)))
-            warm = False
-            for lane, index in enumerate(indices):
-                rises = prepared[index].setup.thermal_map.grid_rises
-                if rises is not None and rises.shape[0] == x0.shape[0]:
-                    x0[:, lane] = rises
-                    warm = True
-            def _solve_attempt(_attempt, solver=solver, indices=indices,
-                               x0=x0, warm=warm):
+
+            def _solve_attempt(_attempt, indices=indices):
                 # One per-point budget bounds the whole group solve: the
                 # batched block does no more work per lane than a single
                 # point's solve, so the group inherits the point deadline.
                 with self._point_scope():
-                    return solver.solve_many(
+                    return self.flow.thermal_many(
                         [prepared[index].power_map for index in indices],
-                        x0=x0 if warm else None,
+                        [prepared[index].grid for index in indices],
+                        [prepared[index].setup.thermal_map for index in indices],
                     )
 
             solved, error, attempts = self._retry_loop(
                 f"solve-group:{group_key}", _solve_attempt
             )
             if error is not None:
-                if self.fail_fast:
-                    raise error
                 for index in indices:
-                    point = points[index]
-                    logger.warning(
-                        "quarantining point %s after %d group-solve "
-                        "attempt(s): %r",
-                        point, attempts, error,
-                    )
-                    failed[index] = FailedPoint(
-                        point=point, error=repr(error), attempts=attempts
-                    )
+                    failed[index] = self._quarantine(points[index], error, attempts)
                 continue
             elapsed = time.perf_counter() - start
             for lane, index in enumerate(indices):
-                maps[index] = solved[lane]
+                maps[index] = solved[lane].thermal_map
                 solve_time[index] = elapsed / len(indices)
-        self._num_solve_groups = len(groups)
-        return maps, solve_time, failed
+        return maps, solve_time, failed, len(groups)
 
     def _finish(
         self,
@@ -754,13 +747,18 @@ class Campaign:
         points: List[CampaignPoint],
         max_workers: int,
         keys: Optional[Sequence[str]] = None,
-    ) -> List:
+    ) -> Tuple[List, int]:
         """Three-phase execution: transform all points, solve by geometry
-        group, then extract outcomes.
+        group, then extract outcomes.  Both executors run points through
+        here, and it is the only code that builds a record from a fresh
+        outcome.
 
         With ``keys`` (aligned with ``points``) every record is published
         to the result store the moment its point finishes, so a crash
         loses only the points still in flight.
+
+        Returns ``(entries, num_solve_groups)``: one entry per point (see
+        below) and the number of grouped solves it took.
 
         Interruption-aware: a stop request skips the points not yet
         prepared, breaks out between solve groups, and leaves ``None`` in
@@ -798,7 +796,9 @@ class Campaign:
         # reclaimed as soon as its slot below is released.
         transformed = None
 
-        maps, solve_time, solve_failed = self._solve_groups(live_points, prepared)
+        maps, solve_time, solve_failed, num_groups = self._solve_groups(
+            live_points, prepared
+        )
 
         def _finish_and_release(pos: int, point: CampaignPoint):
             if pos in solve_failed:
@@ -824,11 +824,11 @@ class Campaign:
         finished = _map_indexed(_finish_and_release, live_points, max_workers)
         for pos, index in enumerate(live):
             records[index] = finished[pos]
-        return records
+        return records, num_groups
 
     def evaluate_points(
         self, points: Sequence[CampaignPoint], max_workers: Optional[int] = None
-    ) -> List:
+    ) -> Tuple[List, int]:
         """Evaluate an explicit point list (not the campaign's own grid).
 
         This is the batching entry the ``repro serve`` daemon uses: it
@@ -839,9 +839,10 @@ class Campaign:
         ``setups``.  Nothing is published to the result store.
 
         Returns:
-            One entry per point, in the given order: a
-            :class:`CampaignRecord`, or a :class:`FailedPoint` for points
-            that exhausted their retries (unless ``fail_fast``).
+            ``(entries, num_solve_groups)``: one entry per point, in the
+            given order — a :class:`CampaignRecord`, or a
+            :class:`FailedPoint` for points that exhausted their retries
+            (unless ``fail_fast``) — and the number of grouped solves.
         """
         points = list(points)
         for point in points:
@@ -849,7 +850,6 @@ class Campaign:
                 raise ValueError(f"unknown workload {point.workload!r}")
         if max_workers is None:
             max_workers = max(1, min(len(points) or 1, os.cpu_count() or 1))
-        self._num_solve_groups = 0
         return self._execute(points, max_workers)
 
     def run(self, max_workers: Optional[int] = None) -> CampaignResult:
@@ -892,12 +892,9 @@ class Campaign:
             self.name, total, len(self.setups), len(self.strategies), len(self.overheads),
         )
 
-        self._num_solve_groups = 0
         self._stop_event.clear()
         with self._counter_lock:
-            self._retries = 0
-            self._respawns = 0
-            self._timeouts = 0
+            self._faults.clear()
 
         # Fast crash-recovery pass: clear the tmp debris a hard-killed
         # predecessor left behind, so this run's resume logic starts from a
@@ -954,28 +951,17 @@ class Campaign:
                     (signum, signal.signal(signum, _on_signal))
                 )
 
-        try:
-            if self.executor == "process":
-                from .shard import run_sharded
+        execute = self._execute
+        if self.executor == "process":
+            from .shard import run_sharded
 
-                shard_run = run_sharded(
-                    self,
-                    pending_points,
-                    keys=[keys[i] for i in pending] if keys is not None else None,
-                    max_workers=max_workers,
-                    stop_event=self._stop_event,
-                )
-                computed = shard_run.records
-                with self._counter_lock:
-                    self._retries += shard_run.retries
-                    self._respawns += shard_run.respawns
-                    self._timeouts += shard_run.timeouts
-            else:
-                computed = self._execute(
-                    pending_points,
-                    max_workers,
-                    keys=[keys[i] for i in pending] if keys is not None else None,
-                )
+            execute = functools.partial(run_sharded, self)
+        try:
+            computed, num_groups = execute(
+                pending_points,
+                max_workers,
+                keys=[keys[i] for i in pending] if keys is not None else None,
+            )
         finally:
             for signum, handler in previous_handlers:
                 signal.signal(signum, handler)
@@ -1029,8 +1015,7 @@ class Campaign:
             )
         final = [record for record in records if record is not None]
         with self._counter_lock:
-            retries, respawns = self._retries, self._respawns
-            timeouts = self._timeouts
+            counts = self._faults.copy()
         metadata: Dict[str, object] = {
             "name": self.name,
             "workloads": list(self.setups),
@@ -1041,12 +1026,12 @@ class Campaign:
             "elapsed_s": elapsed,
             "solver_cache": self.cache.stats().as_dict(),
             "thermal_solver": self.cache.method,
-            "num_solve_groups": self._num_solve_groups,
+            "num_solve_groups": num_groups,
             "executor": self.executor,
             "interrupted": interrupted,
-            "retries": retries,
-            "respawns": respawns,
-            "timeouts": timeouts,
+            "retries": counts["retries"],
+            "respawns": counts["respawns"],
+            "timeouts": counts["timeouts"],
             "point_timeout_s": self.point_timeout_s,
             "failed_points": [entry.to_dict() for entry in failed],
             "num_failed": len(failed),

@@ -2,52 +2,41 @@
 
 The thread executor scales until the Python-level work between the
 GIL-releasing SciPy kernels saturates one interpreter; past that point the
-campaign needs real processes.  The naive way — pickling each point's
-:class:`~repro.flow.experiment.ExperimentSetup` into every worker — ships
-the full baseline (netlist, placement, power report, temperature fields)
-per task.  This module ships it once, and the bulky parts not at all:
+campaign needs real processes.  The baselines are shipped to the workers
+once, and their bulky parts not at all:
 
 * The baseline's numeric payloads — the binned power map, the solved
   temperature field, the warm-start rise vector, the per-cell power
-  vectors — are copied into ``multiprocessing.shared_memory`` segments.
-  Every worker maps the same physical pages read-only; nothing is pickled
-  per task and memory stays O(1) in the worker count.
+  vectors — are copied into ``multiprocessing.shared_memory`` segments
+  that every worker maps read-only, so memory stays O(1) in the worker
+  count.
 * The structural skeleton (netlist graph, placement rows, package stack)
-  is pickled exactly once per worker at startup, with the array slots
-  stripped; workers re-attach the shared segments into the empty slots.
-* A task is then six scalars: ``(slot, workload, strategy spec,
-  overhead, result key, attempt)``.
+  is pickled once per worker at startup, with the array slots stripped;
+  workers re-attach the shared segments into the empty slots.
+* A task is then ``(slot, point, result key, attempt)``.
 
-Workers evaluate whole points through a private
-:class:`~repro.flow.graph.FlowGraph`: its :class:`SolverCache` is the
-worker's own (factorised solvers hold SuperLU handles and cannot cross
-processes) and its :class:`~repro.flow.store.ArtifactStore` keeps nothing
-in memory but attaches to the on-disk tier of the campaign's artifact
-store, if it has one — so a disk-rooted artifact cache is shared by all
-workers (and by later runs), while a memory-only one makes the worker
-graph a hash-free pass-through.  Workers stream records back over a result
-queue; with a disk-rooted
-:class:`~repro.flow.store.ResultStore` attached each worker also publishes
-every record as it completes, so progress survives even a hard kill of
-the parent.  Evaluation is deterministic — identical inputs, identical
-NumPy/SciPy operations — so sharded records are bitwise-identical to the
-serial and threaded paths, which ``tests/test_shard.py`` asserts.
+Each worker runs its tasks through a worker-local
+:class:`~repro.flow.runner.Campaign` and its executor core
+(``Campaign._execute``: prepare, grouped solve, finish, with the same
+retry loop, quarantine and per-phase deadlines as the thread executor), so
+a process-run record is built by the code that builds a thread-run one and
+is bitwise-identical to it.  The worker's graph has its own
+:class:`SolverCache` (SuperLU handles cannot cross processes) and an
+:class:`~repro.flow.store.ArtifactStore` over the on-disk tier of the
+campaign's artifact store, if any — a disk-rooted artifact cache, thermal
+lanes included, is shared by all workers and later runs; a memory-only one
+makes the worker graph a pass-through.  Every record is published once:
+by the worker when the result store has an on-disk root (so progress
+survives a hard kill of the parent), by the parent when it is memory-only.
 
 Fault tolerance: each worker advertises its in-flight slot through a
-lock-free shared array (written *before* it starts evaluating, so the
-information survives even an ``os._exit`` mid-solve).  When the parent
-notices a dead worker it requeues that worker's in-flight point and
-spawns a replacement, up to a respawn budget; a point whose evaluation
-*raises* is retried under the campaign's
-:class:`~repro.faults.RetryPolicy` and quarantined as a
-:class:`~repro.flow.runner.FailedPoint` on exhaustion (or re-raised with
-``fail_fast``).  Requeued and retried points re-run the same pure
-evaluation, so surviving records stay bitwise-identical to a fault-free
-run.
-
-Workers ignore SIGINT: a Ctrl-C is handled by the parent campaign's
-handler (stop dispatching, drain in-flight points, flush, return partial),
-never by tearing workers down mid-solve.
+lock-free shared array, written before it starts evaluating so it
+survives even an ``os._exit``, and stamps a heartbeat whenever a
+point-attempt deadline opens.  The parent requeues a dead worker's point
+and spawns a replacement, up to a respawn budget, and its watchdog
+SIGKILLs a worker whose heartbeat outran the deadline.  Workers ignore
+SIGINT: a Ctrl-C is handled by the parent campaign (stop dispatching,
+drain in-flight points, return partial).
 """
 
 from __future__ import annotations
@@ -58,22 +47,20 @@ import os
 import pickle
 import queue as queue_module
 import signal
-import threading
 import time
 import traceback
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+from collections import Counter
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import faults
-from ..deadlines import Deadline, DeadlineExceeded, deadline_scope
 from ..engine import get_engine, use_engine
 from .cache import SolverCache
 from .graph import FlowGraph
-from .store import ArtifactStore, ResultStore
+from .runner import Campaign, CampaignRecord, FailedPoint
+from .store import ArtifactStore
 
 logger = logging.getLogger(__name__)
 
@@ -183,18 +170,48 @@ def attach_setups(skeleton: bytes, specs: Dict[str, List[_SlotSpec]]):
     return setups, segments
 
 
+class _WorkerCampaign(Campaign):
+    """A worker-local campaign that stamps the watchdog heartbeat whenever
+    a point-attempt deadline opens, so per-phase retries never look stale,
+    and dates it past a retry's backoff, so the pause is not a hang."""
+
+    def __init__(self, heartbeat, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._heartbeat = heartbeat
+
+    def _point_scope(self):
+        self._heartbeat()
+        return super()._point_scope()
+
+    def _backoff(self, delay: float) -> None:
+        self._heartbeat(ahead_s=delay)
+        super()._backoff(delay)
+
+
+def _take_counts(campaign: Campaign) -> Tuple[Counter, Counter, Counter]:
+    """The worker campaign's fault counts and its graph's stage counts since
+    the last call, reset for the next task."""
+    counters = (campaign._faults, campaign.flow.stage_executions, campaign.flow.stage_hits)
+    taken = tuple(counter.copy() for counter in counters)
+    for counter in counters:
+        counter.clear()
+    return taken
+
+
 def _worker_main(
     skeleton, specs, config, task_queue, result_queue, current, heartbeats,
     worker_index,
 ) -> None:
-    """One shard worker: attach baselines, evaluate tasks until sentinel.
+    """One shard worker: attach baselines, run tasks until the sentinel.
 
     ``current[worker_index]`` mirrors the slot being evaluated (``_IDLE``
     between tasks) and ``heartbeats[worker_index]`` the monotonic instant
-    the task started.  Both live in shared memory written directly — not
-    through a queue's feeder thread — so the parent can recover a dead
-    worker's in-flight point even after an abrupt ``os._exit``, and its
-    watchdog can SIGKILL a worker that stops making progress.
+    the task started or its latest attempt deadline opened (or the end of a
+    retry backoff in progress).  Both live in shared memory written
+    directly — not through a queue's feeder thread — so the parent can
+    recover a dead worker's in-flight point even after an abrupt
+    ``os._exit``, and its watchdog can SIGKILL a worker that stops making
+    progress.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     plan = config.get("fault_plan")
@@ -205,17 +222,17 @@ def _worker_main(
     except Exception:
         result_queue.put(("fatal", None, traceback.format_exc()))
         return
-    # Deferred so the module (and its workers) never import the runner at
-    # the top level — runner imports shard, not the other way round.
-    from .runner import CampaignPoint, CampaignRecord
-    from .experiment import evaluate_strategy
 
-    store: Optional[ResultStore] = config["store"]
-    policy = config["retry_policy"]
-    timeout = config.get("point_timeout_s")
-    flow = FlowGraph(
-        store=ArtifactStore(root=config["artifact_root"], maxsize=0),
-        solver_cache=SolverCache(method=config["method"]),
+    def beat(ahead_s: float = 0.0) -> None:
+        heartbeats[worker_index] = time.monotonic() + ahead_s
+
+    campaign = _WorkerCampaign(
+        beat, setups, strategies=(), overheads=(),
+        flow=FlowGraph(
+            store=ArtifactStore(root=config["artifact_root"], maxsize=0),
+            solver_cache=SolverCache(method=config["method"]),
+        ),
+        **config["campaign"],
     )
     try:
         with use_engine(config["engine"]):
@@ -223,62 +240,28 @@ def _worker_main(
                 task = task_queue.get()
                 if task is None:
                     break
-                slot, workload, strategy, overhead, key, attempt = task
-                heartbeats[worker_index] = time.monotonic()
+                slot, point, key, attempt = task
+                beat()
                 current[worker_index] = slot
                 try:
-                    # Cooperative per-attempt deadline: a pollable hang
-                    # raises DeadlineExceeded here; only a truly stuck
-                    # worker needs the parent's SIGKILL watchdog.
-                    scope = (
-                        deadline_scope(Deadline.after(timeout))
-                        if timeout is not None
-                        else nullcontext()
-                    )
-                    with scope:
-                        context = {
-                            "workload": workload,
-                            "strategy": strategy,
-                            "overhead": overhead,
+                    faults.inject(
+                        "shard.worker",
+                        {
+                            "workload": point.workload,
+                            "strategy": point.strategy,
+                            "overhead": point.overhead,
                             "attempt": attempt,
-                        }
-                        faults.inject("shard.worker", context)
-                        faults.inject("point.evaluate", context)
-                        start = time.perf_counter()
-                        outcome = evaluate_strategy(
-                            setups[workload],
-                            strategy,
-                            overhead,
-                            analyze_timing=config["analyze_timing"],
-                            flow=flow,
-                        )
-                    record = CampaignRecord(
-                        point=CampaignPoint(
-                            workload=workload, strategy=strategy, overhead=overhead
-                        ),
-                        outcome=outcome,
-                        elapsed_s=time.perf_counter() - start,
+                        },
                     )
-                    if store is not None and store.root is not None and key is not None:
-                        # Publish from the worker too: completed points are
-                        # durable even if the parent is killed outright.
-                        store.put(key, record)
-                    result_queue.put(("ok", slot, record))
-                except Exception as error:
-                    # The parent owns retry/quarantine decisions; report
-                    # the failure with its retryability classification
-                    # (and whether it was a blown deadline, for counters).
+                    entries, groups = campaign._execute(
+                        [point], 1, keys=[key] if key is not None else None
+                    )
                     result_queue.put(
-                        (
-                            "error",
-                            slot,
-                            (
-                                traceback.format_exc(),
-                                policy.classify(error),
-                                isinstance(error, DeadlineExceeded),
-                            ),
-                        )
+                        ("done", slot, (entries[0], groups, _take_counts(campaign)))
                     )
+                except Exception:
+                    _take_counts(campaign)  # the failed task's counts go with it
+                    result_queue.put(("error", slot, traceback.format_exc()))
                 finally:
                     current[worker_index] = _IDLE
     finally:
@@ -289,65 +272,34 @@ def _worker_main(
                 pass
 
 
-@dataclass
-class ShardRun:
-    """What :func:`run_sharded` hands back to the campaign.
-
-    Attributes:
-        records: Aligned with the input points: a ``CampaignRecord``, a
-            :class:`~repro.flow.runner.FailedPoint` for quarantined
-            points, or ``None`` for slots skipped after a stop request.
-        retries: Evaluation errors that were requeued under the policy.
-        respawns: Replacement workers spawned for dead ones.
-        timeouts: Attempts lost to a blown point deadline — cooperative
-            (the worker raised ``DeadlineExceeded``) or enforced (the
-            watchdog SIGKILLed a stale-heartbeat worker).
-    """
-
-    records: List = field(default_factory=list)
-    retries: int = 0
-    respawns: int = 0
-    timeouts: int = 0
-
-
 def run_sharded(
-    campaign,
+    campaign: Campaign,
     points: Sequence,
-    keys: Optional[Sequence[Optional[str]]] = None,
     max_workers: Optional[int] = None,
-    stop_event: Optional[threading.Event] = None,
+    keys: Optional[Sequence[str]] = None,
     max_respawns: Optional[int] = None,
-) -> ShardRun:
-    """Evaluate campaign points across worker processes.
+) -> Tuple[List, int]:
+    """The process-executor counterpart of ``Campaign._execute``.
 
-    The parent dispatches point tasks over a bounded window (so a stop
+    The parent dispatches one-point tasks over a bounded window (so a stop
     request takes effect within one window, not after the whole grid has
-    been queued) and collects records as workers finish them; slots whose
-    points were skipped after a stop request stay ``None``.
-
-    A worker that raises gets its point retried under the campaign's
-    :class:`~repro.faults.RetryPolicy`; a worker that *dies* gets its
-    in-flight point requeued and — budget permitting — a replacement
-    worker spawned.  Points that exhaust either budget are quarantined as
-    :class:`~repro.flow.runner.FailedPoint` entries (or, with the
-    campaign's ``fail_fast``, abort the run).
-
-    Args:
-        campaign: The owning :class:`~repro.flow.runner.Campaign` (supplies
-            setups, solver method, artifact-store root, timing flag, result
-            store, retry policy and fail-fast flag).
-        points: The grid points to evaluate (typically the not-yet-stored
-            remainder of the grid).
-        keys: Optional per-point result-store keys, aligned with
-            ``points``; workers publish under these as they finish.
-        max_workers: Worker process count (default: one per CPU, at most
-            one per point).
-        stop_event: Graceful-stop flag shared with the campaign's SIGINT
-            handler.
-        max_respawns: Replacement-worker budget (default: ``max_workers``).
+    been queued) and collects each point's entry as workers finish it.
+    Retries, quarantine and per-phase deadlines happen inside each
+    worker's campaign; the parent handles only what a worker cannot.  A
+    worker that *dies* gets its in-flight point requeued and — budget
+    permitting (``max_respawns``, default ``max_workers``) — a replacement
+    spawned; a point that keeps killing its worker is quarantined (or, with
+    the campaign's ``fail_fast``, aborts the run).  With ``keys`` (aligned
+    with ``points``) every record is published to the campaign's result
+    store once.  Worker counts (retries, timeouts, stage executions/hits)
+    and the parent's respawns and watchdog kills are added to
+    ``campaign``'s counters.
 
     Returns:
-        A :class:`ShardRun` with per-point results and fault counters.
+        ``(entries, num_solve_groups)`` as ``Campaign._execute`` does:
+        per point a ``CampaignRecord``, a
+        :class:`~repro.flow.runner.FailedPoint`, or ``None`` when skipped
+        after a stop request; and the workers' summed solve-group count.
 
     Raises:
         RuntimeError: With the campaign's ``fail_fast``, the first point
@@ -355,18 +307,22 @@ def run_sharded(
             dies with the respawn budget exhausted and ``fail_fast`` set.
     """
     total = len(points)
-    run = ShardRun(records=[None] * total)
+    records: List = [None] * total
+    num_groups = 0
     if total == 0:
-        return run
-    if stop_event is None:
-        stop_event = threading.Event()
+        return records, num_groups
+    stop_event = campaign._stop_event
     if max_workers is None:
         max_workers = os.cpu_count() or 1
     max_workers = max(1, min(max_workers, total))
     if max_respawns is None:
         max_respawns = max_workers
-    fail_fast = bool(getattr(campaign, "fail_fast", False))
-    policy = campaign.retry_policy
+    fail_fast = campaign.fail_fast
+    point_timeout_s = campaign.point_timeout_s
+    store = campaign.result_store if keys is not None else None
+    # Workers can reach only a store's disk tier; a memory-only store gets
+    # its records from the parent.
+    workers_publish = store is not None and store.root is not None
 
     context = mp.get_context()
     segments, skeleton, specs = pack_setups(campaign.setups)
@@ -376,20 +332,24 @@ def run_sharded(
         "engine": get_engine(),
         "method": campaign.cache.method,
         "artifact_root": campaign.flow.store.root,
-        "analyze_timing": campaign.analyze_timing,
-        "store": campaign.result_store,
-        "retry_policy": policy,
-        "point_timeout_s": getattr(campaign, "point_timeout_s", None),
+        # Keyword arguments of the worker-local campaign.
+        "campaign": dict(
+            analyze_timing=campaign.analyze_timing,
+            result_store=store if workers_publish else None,
+            retry_policy=campaign.retry_policy,
+            fail_fast=fail_fast,
+            point_timeout_s=point_timeout_s,
+        ),
         # Each worker gets a copy of the active plan, so `times=` counters
         # are per-process; cross-process-deterministic plans match on the
         # task context (attempt number) instead.
         "fault_plan": faults.get_active(),
     }
-    point_timeout_s = config["point_timeout_s"]
     # One shared slot per worker ever spawned (originals + respawns); a
     # worker writes its in-flight slot there directly, surviving os._exit.
-    # The parallel heartbeat array holds the monotonic instant each task
-    # started, which is what the watchdog judges staleness against
+    # The parallel heartbeat array holds the monotonic instant the worker
+    # last started a task or opened an attempt deadline (or the end of its
+    # retry backoff), which is what the watchdog judges staleness against
     # (CLOCK_MONOTONIC is system-wide, so parent and workers compare).
     current = context.Array("i", max_workers + max_respawns, lock=False)
     heartbeats = context.Array("d", max_workers + max_respawns, lock=False)
@@ -411,26 +371,20 @@ def run_sharded(
         return worker
 
     attempts: Dict[int, int] = {}
-    crashes: Dict[int, int] = {}
     workers: Dict[int, mp.process.BaseProcess] = {}
     error: Optional[RuntimeError] = None
 
     def dispatch(slot: int) -> None:
-        point = points[slot]
         task_queue.put(
             (
                 slot,
-                point.workload,
-                point.strategy,
-                point.overhead,
-                keys[slot] if keys is not None else None,
+                points[slot],
+                keys[slot] if workers_publish else None,
                 attempts.setdefault(slot, 0),
             )
         )
 
     def quarantine(slot: int, message: str, tried: int) -> None:
-        from .runner import FailedPoint
-
         nonlocal error
         if fail_fast:
             if error is None:
@@ -442,7 +396,7 @@ def run_sharded(
             "quarantining point %s after %d attempt(s): %s",
             points[slot], tried, message.strip().splitlines()[-1] if message.strip() else message,
         )
-        run.records[slot] = FailedPoint(
+        records[slot] = FailedPoint(
             point=points[slot], error=message, attempts=tried
         )
 
@@ -465,7 +419,7 @@ def run_sharded(
             if slot == _IDLE or beat <= 0.0 or not worker.is_alive():
                 continue
             if now - beat > stale_after:
-                run.timeouts += 1
+                campaign._count(timeouts=1)
                 logger.warning(
                     "watchdog: %s stuck on point %s for %.1fs "
                     "(deadline %.1fs); sending SIGKILL",
@@ -525,10 +479,9 @@ def run_sharded(
                         "shard worker %s died (exit code %s)",
                         worker.name, worker.exitcode,
                     )
-                    if lost != _IDLE and run.records[lost] is None:
-                        crashes[lost] = crashes.get(lost, 0) + 1
+                    if lost != _IDLE and records[lost] is None:
                         attempts[lost] = attempts.get(lost, 0) + 1
-                        if crashes[lost] < _MAX_CRASHES_PER_POINT:
+                        if attempts[lost] < _MAX_CRASHES_PER_POINT:
                             logger.warning(
                                 "requeueing point %s lost to the dead worker",
                                 points[lost],
@@ -538,13 +491,13 @@ def run_sharded(
                             quarantine(
                                 lost,
                                 f"shard worker died evaluating the point "
-                                f"{crashes[lost]} times",
+                                f"{attempts[lost]} times",
                                 attempts[lost],
                             )
                             in_flight -= 1
                     if respawns_left > 0 and error is None and not stop_event.is_set():
                         respawns_left -= 1
-                        run.respawns += 1
+                        campaign._count(respawns=1)
                         workers[next_worker_index] = spawn(next_worker_index)
                         next_worker_index += 1
                 if not workers:
@@ -558,35 +511,26 @@ def run_sharded(
                     if error is not None:
                         raise error
                     for slot in range(next_slot):
-                        if run.records[slot] is None:
+                        if records[slot] is None:
                             quarantine(slot, message, attempts.get(slot, 0) + 1)
                     stop_event.set()  # undispatched slots count as skipped
                     break
                 continue
-            if kind == "ok":
-                run.records[slot] = payload
+            if kind == "done":
+                entry, groups, (fault_counts, executions, hits) = payload
+                records[slot] = entry
+                num_groups += groups
+                campaign._count(**fault_counts)
+                campaign.flow.stage_executions.update(executions)
+                campaign.flow.stage_hits.update(hits)
+                if store is not None and not workers_publish and isinstance(
+                    entry, CampaignRecord
+                ):
+                    store.put(keys[slot], entry)
                 in_flight -= 1
             elif kind == "error":
-                message, retryable, timed_out = payload
-                if timed_out:
-                    run.timeouts += 1
-                tried = attempts.get(slot, 0) + 1
-                if (
-                    retryable
-                    and tried < policy.max_attempts
-                    and error is None
-                    and not stop_event.is_set()
-                ):
-                    attempts[slot] = tried
-                    run.retries += 1
-                    logger.warning(
-                        "point %s failed on attempt %d/%d; requeueing",
-                        points[slot], tried, policy.max_attempts,
-                    )
-                    dispatch(slot)
-                else:
-                    quarantine(slot, message, tried)
-                    in_flight -= 1
+                quarantine(slot, payload, attempts.get(slot, 0) + 1)
+                in_flight -= 1
             else:  # fatal: a worker died before taking any task
                 if error is None:
                     error = RuntimeError(f"shard worker failed to start:\n{payload}")
@@ -612,7 +556,7 @@ def run_sharded(
                 segment.unlink()
             except OSError:
                 pass
-    return run
+    return records, num_groups
 
 
-__all__ = ["run_sharded", "ShardRun", "pack_setups", "attach_setups"]
+__all__ = ["run_sharded", "pack_setups", "attach_setups"]

@@ -771,7 +771,7 @@ class SweepServer:
                 # fails its waiters instead of wedging the scheduler loop.
                 with deadline_scope(Deadline.after(self.request_timeout_s)):
                     inject("service.batch", {"num_points": len(points)})
-                    records = campaign.evaluate_points(
+                    records, groups = campaign.evaluate_points(
                         points, max_workers=self.max_workers
                     )
             except Exception as error:
@@ -783,7 +783,6 @@ class SweepServer:
                     if not task.future.done():
                         task.future.set_exception(error)
                 continue
-            groups = getattr(campaign, "_num_solve_groups", len(points))
             solved = sum(1 for record in records if isinstance(record, CampaignRecord))
             failed = len(records) - solved
             with self._lock:

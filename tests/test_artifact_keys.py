@@ -77,7 +77,8 @@ class TestHashParts:
     @settings(max_examples=60, deadline=None)
     def test_distinct_floats_have_distinct_digests(self, a, b):
         """hash-equal <=> bitwise-equal for the float encoding."""
-        if a == b:
+        # Bits, not ``==``: 0.0 == -0.0, yet their encodings differ.
+        if np.float64(a).tobytes() == np.float64(b).tobytes():
             assert hash_parts(a) == hash_parts(b)
         else:
             assert hash_parts(a) != hash_parts(b)

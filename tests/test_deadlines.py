@@ -362,6 +362,31 @@ class TestShardedTimeouts:
             assert ours.outcome == ref.outcome  # bitwise
 
 
+    def test_retry_backoff_is_not_a_hang(self, deadline_setup, reference):
+        # The worker's campaign sleeps 3.5 s before retrying (eri, 0.2),
+        # longer than the watchdog's deadline plus grace: a planned pause
+        # must not get the worker killed, and the point heals as on threads.
+        plan = FaultPlan().fail(
+            "point.evaluate", times=None,
+            match={"strategy": "eri", "overhead": 0.2, "attempt": 0},
+        )
+        policy = RetryPolicy(
+            max_attempts=2, backoff_s=3.5, max_backoff_s=3.5, jitter_fraction=0.0
+        )
+        with active_plan(plan):
+            result = Campaign(
+                deadline_setup, STRATEGIES, OVERHEADS,
+                executor="process", name="shard-backoff",
+                point_timeout_s=POINT_TIMEOUT_S, retry_policy=policy,
+            ).run(max_workers=2)
+        assert result.metadata["num_failed"] == 0
+        assert result.metadata["retries"] == 1
+        assert result.metadata["respawns"] == 0
+        assert result.metadata["timeouts"] == 0
+        for ours, ref in zip(result.records, reference.records):
+            assert ours.outcome == ref.outcome  # bitwise
+
+
 class TestServiceDeadlines:
     @pytest.fixture(scope="class")
     def server(self, deadline_setup):

@@ -261,9 +261,10 @@ class TestPassThrough:
             setup, ("default", "eri"), (0.1,), analyze_timing=True
         ).run(max_workers=2)
         assert hash_calls == []
-        # The pass-through graph still counts every stage it executed.
+        # The pass-through graph still counts every stage it executed,
+        # the batched thermal lanes included.
         executions = result.metadata["flow_stages"]["stage_executions"]
-        assert executions == {"whitespace": 2, "legalize": 2, "sta": 2}
+        assert executions == {"whitespace": 2, "legalize": 2, "thermal": 2, "sta": 2}
 
     def test_caching_graph_hashes(self, circuits, hash_calls):
         netlist, workload = circuits[0]

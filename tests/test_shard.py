@@ -151,6 +151,42 @@ class TestShardedCampaign:
         for ours, reference in zip(warm.records, serial_result.records):
             assert ours.outcome == reference.outcome
 
+    def test_process_run_publishes_to_a_memory_only_store(
+        self, shard_setup, serial_result
+    ):
+        """Workers cannot reach a memory-only store, so the parent publishes
+        each record once; a second run on the same store reuses them all."""
+        store = ResultStore()
+        first = Campaign(
+            shard_setup, STRATEGIES, OVERHEADS, executor="process",
+            result_store=store, name="cold-memory",
+        ).run(max_workers=2)
+        assert first.metadata["num_evaluated"] == 4
+        assert store.stats().writes == 4
+        again = Campaign(
+            shard_setup, STRATEGIES, OVERHEADS, executor="process",
+            result_store=store, name="warm-memory",
+        ).run(max_workers=2)
+        assert again.metadata["store_hits"] == 4
+        assert again.metadata["num_evaluated"] == 0
+        assert store.stats().writes == 4
+        for ours, reference in zip(again.records, serial_result.records):
+            assert ours.outcome == reference.outcome
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_solve_groups_are_counted_on_every_executor(
+        self, shard_setup, executor
+    ):
+        """Default and the hotspot wrapper share a die outline at one
+        overhead: threads solve them as one group, while each process task
+        holds one point, so the workers' counts sum to one per point."""
+        result = Campaign(
+            shard_setup, ("default", "hw"), (0.1,), executor=executor,
+            name=f"groups-{executor}",
+        ).run(max_workers=2)
+        expected = {"thread": 1, "process": 2}[executor]
+        assert result.metadata["num_solve_groups"] == expected
+
     def test_worker_failure_raises(self, shard_setup):
         campaign = Campaign(
             shard_setup, ("eri",), (0.1,), executor="process", name="boom",
