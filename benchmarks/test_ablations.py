@@ -42,18 +42,20 @@ def test_ablation_hotspot_threshold(small_setup, benchmark):
     thresholds = (0.3, 0.5, 0.7, 0.9)
 
     def run():
-        results = {}
-        for threshold in thresholds:
-            outcome = evaluate_strategy(
-                setup, "eri", 0.2, analyze_timing=False, hotspot_threshold=threshold
+        return {
+            threshold: evaluate_strategy(
+                setup, f"eri:hotspot_threshold={threshold}", 0.2, analyze_timing=False
             )
-            results[threshold] = outcome.temperature_reduction
-        return results
+            for threshold in thresholds
+        }
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = {t: outcome.temperature_reduction for t, outcome in outcomes.items()}
     print("\nERI reduction vs hotspot threshold (20% overhead):")
     for threshold, reduction in results.items():
         print(f"  threshold {threshold:.1f}: {reduction * 100:5.2f}%")
+    # Each record names the threshold that shaped it.
+    assert len({outcome.strategy for outcome in outcomes.values()}) == len(thresholds)
     assert all(r > 0.0 for r in results.values())
     # The default (0.5) must be at least as good as the tightest setting,
     # which starves the insertion plan of rows to work with.

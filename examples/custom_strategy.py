@@ -52,10 +52,7 @@ class CheckerboardStrategy(WhitespaceStrategy):
         num_rows = ctx.placement.floorplan.num_rows
         points = sorted((i * stride) % num_rows for i in range(budget))
         result = apply_row_insertions(
-            ctx.placement,
-            points,
-            requested_overhead=ctx.area_overhead,
-            add_fillers=ctx.add_fillers,
+            ctx.placement, points, requested_overhead=ctx.area_overhead
         )
         return StrategyResult(
             placement=result.placement,

@@ -55,7 +55,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-import time
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -76,11 +75,9 @@ from .flow import (
     FlowGraph,
     ResultStore,
     SolverCache,
-    concentrated_hotspot_table,
-    evaluate_strategy,
+    concentrated_hotspot_campaign,
     fsck_store,
     prune_store,
-    records_from_outcomes,
     scan_store,
 )
 
@@ -283,10 +280,27 @@ def _write_result(result: CampaignResult, args: argparse.Namespace, stem: str) -
 # -- subcommands -------------------------------------------------------------
 
 
+def _run_campaign(
+    campaign: Campaign,
+    setup: ExperimentSetup,
+    command: str,
+    max_workers: Optional[int] = None,
+    **metadata,
+) -> CampaignResult:
+    """Run ``campaign`` and stamp the command's facts into its metadata."""
+    result = campaign.run(max_workers=max_workers)
+    result.metadata.update({
+        "command": command,
+        "benchmark": setup.netlist.name,
+        "baseline_peak_rise_k": setup.thermal_map.peak_rise,
+        **metadata,
+    })
+    return result
+
+
 def run_quickstart(args: argparse.Namespace) -> int:
     """One strategy/overhead point end to end, with a human-readable report."""
     flow = _build_flow(args)
-    cache = flow.solver_cache
     setup = _prepare_setup(args, scattered_hotspots_workload, flow)
     floorplan = setup.placement.floorplan
     print(f"benchmark: {setup.netlist.name}, {setup.netlist.num_cells} cells")
@@ -295,28 +309,18 @@ def run_quickstart(args: argparse.Namespace) -> int:
           f"peak rise {setup.thermal_map.peak_rise:.2f} K, "
           f"{len(setup.hotspots)} hotspot(s)")
 
-    start = time.perf_counter()
-    outcome = evaluate_strategy(
-        setup, args.strategy, args.overhead, analyze_timing=True, flow=flow
+    campaign = Campaign(
+        setup, [args.strategy], [args.overhead], analyze_timing=True,
+        name="quickstart", flow=flow, fail_fast=True,
     )
-    elapsed = time.perf_counter() - start
+    result = _run_campaign(campaign, setup, "quickstart", max_workers=1)
+    outcome = result.records[0].outcome
     print(f"{outcome.strategy}: requested {outcome.requested_overhead * 100:.1f}% -> "
           f"actual {outcome.actual_overhead * 100:.1f}% overhead, "
           f"{outcome.inserted_rows} rows inserted")
     print(f"peak rise {setup.thermal_map.peak_rise:.2f} K -> {outcome.peak_rise:.2f} K "
           f"({outcome.temperature_reduction * 100:.1f}% reduction), "
           f"timing overhead {outcome.timing_overhead * 100:+.2f}%")
-
-    result = CampaignResult(
-        records=records_from_outcomes(setup.workload.name, [outcome], elapsed),
-        metadata={
-            "command": "quickstart",
-            "benchmark": setup.netlist.name,
-            "baseline_peak_rise_k": setup.thermal_map.peak_rise,
-            "solver_cache": cache.stats().as_dict(),
-            "flow_stages": flow.stats(),
-        },
-    )
     print(f"flow stages: {_stage_summary(flow)}")
     _write_result(result, args, "quickstart")
     return 0
@@ -335,7 +339,6 @@ def run_sweep(args: argparse.Namespace) -> int:
         strategies=_flatten_strategies(args.strategies),
         overheads=tuple(args.overheads),
         analyze_timing=args.timing,
-        cache=flow.solver_cache,
         name="figure6-sweep",
         flow=flow,
         result_store=store,
@@ -344,12 +347,7 @@ def run_sweep(args: argparse.Namespace) -> int:
         fail_fast=args.fail_fast,
         point_timeout_s=args.point_timeout,
     )
-    result = campaign.run(max_workers=args.jobs)
-    result.metadata.update({
-        "command": "sweep",
-        "benchmark": setup.netlist.name,
-        "baseline_peak_rise_k": setup.thermal_map.peak_rise,
-    })
+    result = _run_campaign(campaign, setup, "sweep", max_workers=args.jobs)
     print(figure6_report(result.outcomes()))
     print(f"{len(result.records)} points in {result.metadata['elapsed_s']:.2f}s "
           f"(solver cache: {result.cache_hits} hits / {result.cache_misses} "
@@ -380,26 +378,13 @@ def run_sweep(args: argparse.Namespace) -> int:
 def run_table1(args: argparse.Namespace) -> int:
     """The Table-I concentrated-hotspot comparison (Default versus ERI)."""
     flow = _build_flow(args)
-    cache = flow.solver_cache
     setup = _prepare_setup(args, concentrated_hotspot_workload, flow)
-    start = time.perf_counter()
-    outcomes = concentrated_hotspot_table(
-        setup, row_counts=tuple(args.rows), analyze_timing=args.timing, cache=cache
+    campaign = concentrated_hotspot_campaign(
+        setup, args.rows, analyze_timing=args.timing, flow=flow, fail_fast=True
     )
-    elapsed = time.perf_counter() - start
-    result = CampaignResult(
-        records=records_from_outcomes(setup.workload.name, outcomes, elapsed),
-        metadata={
-            "command": "table1",
-            "benchmark": setup.netlist.name,
-            "row_counts": list(args.rows),
-            "baseline_peak_rise_k": setup.thermal_map.peak_rise,
-            "elapsed_s": elapsed,
-            "solver_cache": cache.stats().as_dict(),
-            "flow_stages": flow.stats(),
-        },
-    )
-    print(table1_report(outcomes))
+    result = _run_campaign(campaign, setup, "table1", row_counts=list(args.rows))
+    print(table1_report(result.outcomes()))
+    print(f"flow stages: {_stage_summary(flow)}")
     _write_result(result, args, "table1")
     return 0
 

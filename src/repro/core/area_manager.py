@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 
 from ..placement import Placement
 from ..power import PowerReport
-from ..thermal import Package, ThermalMap, simulate_placement
+from ..thermal import ThermalMap
 from .builtin_strategies import ERI_HOTSPOT_THRESHOLD, HW_HOTSPOT_THRESHOLD
 from .hotspot import Hotspot, detect_hotspots
 from .strategy import (
@@ -35,7 +35,11 @@ from .strategy import (
 
 @dataclass
 class AreaManagementConfig:
-    """Configuration of the area-management tool.
+    """Configuration of the area-management tool: what Figure 2 feeds it.
+
+    The strategy spec is the only parameter channel: every tunable of a
+    transform (detection threshold, ring geometry, ...) is a spec
+    parameter, so a result's canonical spec names everything that shaped it.
 
     Attributes:
         area_overhead: User-specified fractional area overhead.
@@ -45,27 +49,10 @@ class AreaManagementConfig:
             construction this field holds the plain strategy name (the
             canonical spec when parameters are bound); the resolved
             instance is :attr:`strategy_impl`.
-        hotspot_threshold: Fraction of the lateral temperature range above
-            which a thermal cell belongs to a hotspot.  ``None`` (the
-            default) selects the strategy's own default: empty row
-            insertion targets the broader warm area around each hotspot
-            (:data:`ERI_HOTSPOT_THRESHOLD`), while the hotspot wrapper needs
-            tight, concentrated hotspots (:data:`HW_HOTSPOT_THRESHOLD`).
-        max_hotspots: Only target the hottest N hotspots (``None`` = all).
-        wrapper_ring_um: Whitespace-ring width for the hotspot wrapper
-            (overridable per spec via the ``ring_um`` parameter).
-        wrapper_max_source_units: Units treated as a hotspot's source
-            (overridable per spec via ``max_source_units``).
-        add_fillers: Fill created whitespace with dummy cells.
     """
 
     area_overhead: float = 0.15
     strategy: StrategySpec = "eri"
-    hotspot_threshold: Optional[float] = None
-    max_hotspots: Optional[int] = None
-    wrapper_ring_um: float = 6.0
-    wrapper_max_source_units: int = 2
-    add_fillers: bool = True
 
     def __post_init__(self) -> None:
         self.strategy_impl: WhitespaceStrategy = resolve_strategy(self.strategy)
@@ -74,14 +61,13 @@ class AreaManagementConfig:
         self.strategy = self.strategy_impl.spec
         if self.area_overhead < 0.0:
             raise ValueError("area_overhead must be non-negative")
-        if self.hotspot_threshold is not None and not 0.0 < self.hotspot_threshold <= 1.0:
-            raise ValueError("hotspot_threshold must be in (0, 1]")
 
     @property
     def effective_hotspot_threshold(self) -> float:
-        """The detection threshold, resolved per strategy when unset."""
-        if self.hotspot_threshold is not None:
-            return self.hotspot_threshold
+        """The strategy's detection threshold: its ``hotspot_threshold``
+        parameter, else its class default (broad for empty row insertion,
+        :data:`ERI_HOTSPOT_THRESHOLD`; tight for the hotspot wrapper,
+        :data:`HW_HOTSPOT_THRESHOLD`)."""
         return self.strategy_impl.effective_hotspot_threshold()
 
 
@@ -135,7 +121,6 @@ class AreaManager:
             placement,
             power=power,
             threshold_fraction=self.config.effective_hotspot_threshold,
-            max_hotspots=self.config.max_hotspots,
         )
 
     def optimize(
@@ -178,47 +163,6 @@ class AreaManager:
             num_fillers=result.num_fillers,
             details=result.details,
         )
-
-    # ------------------------------------------------------------------
-
-    def optimize_and_resimulate(
-        self,
-        placement: Placement,
-        power: PowerReport,
-        thermal_map: ThermalMap,
-        package: Optional[Package] = None,
-        nx: int = 40,
-        ny: int = 40,
-        cache=None,
-        method: Optional[str] = None,
-    ) -> tuple:
-        """Run :meth:`optimize` and re-run the thermal simulation on the result.
-
-        The re-solve warm-starts from the input map's temperature field:
-        the transformed die keeps the grid resolution, so the baseline
-        rises are an excellent multigrid starting guess (the LU backend
-        ignores them).
-
-        Args:
-            placement: The baseline placed design.
-            power: Cell-by-cell power report.
-            thermal_map: Thermal map of the baseline placement.
-            package: Thermal stack for the re-simulation.
-            nx: Grid cells in x.
-            ny: Grid cells in y.
-            cache: Optional :class:`repro.flow.cache.SolverCache` to share
-                the prepared solver with other simulations.
-            method: Thermal solver backend (``"lu"``/``"multigrid"``/``"auto"``).
-
-        Returns:
-            ``(result, new_thermal_map)``.
-        """
-        result = self.optimize(placement, power, thermal_map)
-        new_map = simulate_placement(
-            result.placement, power, package=package, nx=nx, ny=ny,
-            cache=cache, method=method, warm_start=thermal_map,
-        )
-        return result, new_map
 
 
 __all__ = [

@@ -53,9 +53,7 @@ class DefaultSpreadStrategy(WhitespaceStrategy):
     default_hotspot_threshold = ERI_HOTSPOT_THRESHOLD
 
     def apply(self, ctx: StrategyContext) -> StrategyResult:
-        result = apply_default_spread(
-            ctx.placement, ctx.area_overhead, add_fillers=ctx.add_fillers
-        )
+        result = apply_default_spread(ctx.placement, ctx.area_overhead)
         return StrategyResult(
             placement=result.placement,
             actual_overhead=result.actual_overhead,
@@ -73,10 +71,7 @@ class EmptyRowInsertionStrategy(WhitespaceStrategy):
 
     def apply(self, ctx: StrategyContext) -> StrategyResult:
         result = apply_empty_row_insertion(
-            ctx.placement,
-            ctx.hotspots,
-            area_overhead=ctx.area_overhead,
-            add_fillers=ctx.add_fillers,
+            ctx.placement, ctx.hotspots, area_overhead=ctx.area_overhead
         )
         return StrategyResult(
             placement=result.placement,
@@ -90,9 +85,8 @@ class EmptyRowInsertionStrategy(WhitespaceStrategy):
 class _WrapperMixin(WhitespaceStrategy):
     """Shared wrapper pass for strategies ending in a hotspot-wrapper step.
 
-    The ring geometry resolves spec overrides (``ring_um`` /
-    ``max_source_units``) first, falling back to the tool configuration —
-    one rule for every wrapper-based strategy.
+    The ring geometry is the spec's ``ring_um`` / ``max_source_units``
+    parameters — one rule for every wrapper-based strategy.
     """
 
     @classmethod
@@ -114,19 +108,12 @@ class _WrapperMixin(WhitespaceStrategy):
         """Wrap ``placement`` in place: it is a transform's fresh result,
         owned by this call, so the wrapper skips its defensive copy.  Rows
         are rebuilt first so the result equals the copying wrapper's."""
-        config = ctx.config
         placement.rebuild_rows()
         return apply_hotspot_wrapper_in_place(
             placement,
             project_hotspots(hotspots, ctx.placement, placement),
-            ring_width_um=float(
-                self.overrides.get("ring_um", config.wrapper_ring_um)
-            ),
-            max_source_units=int(
-                self.overrides.get("max_source_units", config.wrapper_max_source_units)
-            ),
-            max_hotspots=config.max_hotspots,
-            add_fillers=ctx.add_fillers,
+            ring_width_um=float(self.param("ring_um")),
+            max_source_units=int(self.param("max_source_units")),
         )
 
 
@@ -240,10 +227,7 @@ class GradientStrategy(WhitespaceStrategy):
             exponent=float(self.param("exponent")),
         )
         result = apply_row_insertions(
-            ctx.placement,
-            points,
-            requested_overhead=ctx.area_overhead,
-            add_fillers=ctx.add_fillers,
+            ctx.placement, points, requested_overhead=ctx.area_overhead
         )
         return StrategyResult(
             placement=result.placement,

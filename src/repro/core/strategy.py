@@ -10,8 +10,8 @@ module makes that boundary a first-class plugin API:
 * :class:`StrategyContext` / :class:`StrategyResult` — the fixed contract
   between the :class:`~repro.core.area_manager.AreaManager` and a strategy:
   the baseline placement, power report, thermal map, pre-detected hotspots
-  and tool configuration in; the transformed placement and its book-keeping
-  out.
+  and requested overhead in; the transformed placement and its
+  book-keeping out.
 * a process-wide **registry** — :func:`register_strategy` (usable as a
   decorator), :func:`available_strategies`, :func:`strategy_class` and
   :func:`resolve_strategy`.  Importing :mod:`repro.core` registers the
@@ -20,7 +20,10 @@ module makes that boundary a first-class plugin API:
 * a parameterized **spec grammar** — ``"hw"``,
   ``"hw:ring_um=8,max_source_units=3"`` or
   ``{"name": "hw", "ring_um": 8}`` — so sweep grids can vary strategy
-  parameters without code changes.
+  parameters without code changes.  The spec is the only parameter
+  channel: a strategy reads its knobs from its own parameters, never from
+  the tool configuration, so the canonical spec names everything that
+  shaped a transform.
 """
 
 from __future__ import annotations
@@ -69,8 +72,9 @@ class StrategyContext:
         thermal_map: Thermal map of the baseline placement.
         hotspots: Hotspots pre-detected at the strategy's effective
             threshold, hottest first.
-        config: The full :class:`~repro.core.area_manager.AreaManagementConfig`
-            (area overhead, filler policy, wrapper geometry defaults, ...).
+        config: The tool's :class:`~repro.core.area_manager.AreaManagementConfig`
+            (the area overhead and the resolved strategy spec).  Every other
+            knob is a parameter of the strategy's own spec.
     """
 
     placement: Placement
@@ -84,16 +88,7 @@ class StrategyContext:
         """The user-requested fractional area overhead."""
         return self.config.area_overhead
 
-    @property
-    def add_fillers(self) -> bool:
-        """Whether created whitespace should be filled with dummy cells."""
-        return self.config.add_fillers
-
-    def detect(
-        self,
-        threshold_fraction: float,
-        max_hotspots: Optional[int] = None,
-    ) -> List[Hotspot]:
+    def detect(self, threshold_fraction: float) -> List[Hotspot]:
         """Re-detect hotspots on the baseline map at another threshold.
 
         Used by strategies that need a second view of the thermal field —
@@ -105,9 +100,6 @@ class StrategyContext:
             self.placement,
             power=self.power,
             threshold_fraction=threshold_fraction,
-            max_hotspots=(
-                max_hotspots if max_hotspots is not None else self.config.max_hotspots
-            ),
         )
 
 
@@ -138,7 +130,7 @@ class WhitespaceStrategy(abc.ABC):
 
     * ``name`` — the registry key and spec name (lowercase, ``[a-z0-9_-]``).
     * ``default_hotspot_threshold`` — hotspot-detection threshold used when
-      neither the tool configuration nor the spec overrides it.
+      the spec does not override it.
     * ``param_defaults`` — the tunable parameters and their defaults; spec
       parameters are validated against this mapping and coerced to the
       default's type.  Every strategy additionally accepts a

@@ -32,7 +32,6 @@ from .experiment import (
     ExperimentSetup,
     PreparedEvaluation,
     StrategyOutcome,
-    concentrated_hotspot_table,
     evaluate_strategy,
     finish_evaluation,
     prepare_evaluation,
@@ -44,7 +43,8 @@ from .runner import (
     CampaignRecord,
     CampaignResult,
     FailedPoint,
-    records_from_outcomes,
+    concentrated_hotspot_campaign,
+    concentrated_hotspot_table,
 )
 from .recover import FsckReport, fsck_store, recover_store
 from .store import (
@@ -89,7 +89,6 @@ __all__ = [
     "ExperimentSetup",
     "PreparedEvaluation",
     "StrategyOutcome",
-    "concentrated_hotspot_table",
     "evaluate_strategy",
     "finish_evaluation",
     "prepare_evaluation",
@@ -101,5 +100,6 @@ __all__ = [
     "CampaignRecord",
     "CampaignResult",
     "FailedPoint",
-    "records_from_outcomes",
+    "concentrated_hotspot_campaign",
+    "concentrated_hotspot_table",
 ]

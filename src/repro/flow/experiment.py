@@ -20,8 +20,9 @@ nothing and hashes nothing; passing a caching graph makes the same calls
 incremental without changing a single result bit.
 
 The figure/table benchmarks in ``benchmarks/`` are thin wrappers around
-:func:`sweep_overheads` (Figure 6), :func:`concentrated_hotspot_table`
-(Table I) and :class:`ExperimentSetup` (Figure 5).
+:func:`sweep_overheads` (Figure 6), :class:`ExperimentSetup` (Figure 5)
+and :func:`~repro.flow.runner.concentrated_hotspot_table` (Table I, a
+:class:`~repro.flow.runner.Campaign` grid).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..bench import Workload
-from ..core import Hotspot, StrategySpec, apply_empty_row_insertion, detect_hotspots
+from ..core import Hotspot, StrategySpec, detect_hotspots
 from ..netlist import Netlist
 from ..placement import Placement
 from ..power import PowerReport
@@ -228,8 +229,7 @@ class PreparedEvaluation:
         result: The transformed placement with its outcome fields
             (``placement``, ``actual_overhead``, ``inserted_rows``,
             ``num_fillers``) — the ``whitespace`` stage's
-            :class:`~repro.flow.artifacts.WhitespaceArtifact`, or Table I's
-            fixed-row-count ERI result.
+            :class:`~repro.flow.artifacts.WhitespaceArtifact`.
         power_map: The transformed placement's binned power map.
         grid: Thermal grid covering the transformed die outline.
     """
@@ -246,8 +246,6 @@ def prepare_evaluation(
     setup: ExperimentSetup,
     strategy: StrategySpec,
     area_overhead: float,
-    hotspot_threshold: Optional[float] = None,
-    wrapper_ring_um: float = 6.0,
     flow: Optional[FlowGraph] = None,
 ) -> PreparedEvaluation:
     """Apply one strategy at one overhead, stopping short of the solve.
@@ -259,13 +257,11 @@ def prepare_evaluation(
     """
     if flow is None:
         flow = FlowGraph.pass_through()
-    # The transform re-detects hotspots with its per-strategy threshold:
-    # empty row insertion targets the broad warm area, the wrapper the
-    # tight core.
+    # The transform re-detects hotspots with its spec's threshold: empty
+    # row insertion targets the broad warm area, the wrapper the tight core.
     ws = flow.whitespace(
         setup.placement, setup.power, setup.thermal_map,
         strategy=strategy, area_overhead=area_overhead,
-        hotspot_threshold=hotspot_threshold, wrapper_ring_um=wrapper_ring_um,
     )
     legal = flow.legalize(
         ws.placement, setup.power,
@@ -327,8 +323,6 @@ def evaluate_strategy(
     strategy: StrategySpec,
     area_overhead: float,
     analyze_timing: bool = True,
-    hotspot_threshold: Optional[float] = None,
-    wrapper_ring_um: float = 6.0,
     cache: Optional[SolverCache] = None,
     flow: Optional[FlowGraph] = None,
 ) -> StrategyOutcome:
@@ -337,12 +331,12 @@ def evaluate_strategy(
     Args:
         setup: The prepared experiment baseline.
         strategy: Any registered strategy spec — a name (``"eri"``), a
-            parameterized spec (``"hw:ring_um=8"``), a mapping, or a
-            resolved :class:`~repro.core.WhitespaceStrategy`.
+            parameterized spec (``"hw:ring_um=8"``,
+            ``"eri:hotspot_threshold=0.7"``), a mapping, or a resolved
+            :class:`~repro.core.WhitespaceStrategy`.  The spec is the only
+            parameter channel, so the outcome's ``strategy`` reproduces it.
         area_overhead: Requested area overhead fraction.
         analyze_timing: Re-run STA on the transformed placement.
-        hotspot_threshold: Optional override of the detection threshold.
-        wrapper_ring_um: Whitespace ring width for the hotspot wrapper.
         cache: Optional :class:`SolverCache` shared across evaluations;
             points whose transformed placements share a die outline (e.g.
             the hotspot wrapper reuses the Default outline at the same
@@ -360,12 +354,7 @@ def evaluate_strategy(
     """
     if flow is None:
         flow = FlowGraph.pass_through(cache)
-    prepared = prepare_evaluation(
-        setup, strategy, area_overhead,
-        hotspot_threshold=hotspot_threshold,
-        wrapper_ring_um=wrapper_ring_um,
-        flow=flow,
-    )
+    prepared = prepare_evaluation(setup, strategy, area_overhead, flow=flow)
     # The re-solve warm-starts from the baseline temperature field: the
     # transformed die shares the grid resolution, so the baseline rises are
     # an excellent multigrid starting guess (LU simply ignores them).
@@ -412,62 +401,3 @@ def sweep_overheads(
         for strategy in strategies
         for overhead in overheads
     ]
-
-
-def concentrated_hotspot_table(
-    setup: ExperimentSetup,
-    row_counts: Sequence[int] = (20, 40),
-    analyze_timing: bool = False,
-    cache: Optional[SolverCache] = None,
-) -> List[StrategyOutcome]:
-    """Reproduce Table I: Default versus ERI on a concentrated hotspot.
-
-    For every requested row count the equivalent area overhead is computed
-    (rows x row area / baseline core area); the Default scheme is evaluated
-    at that same overhead, and ERI is evaluated with exactly that many
-    inserted rows — matching the paper's pairing of rows 1/3 and 2/4.
-
-    Args:
-        setup: Baseline prepared with the concentrated-hotspot workload.
-        row_counts: Numbers of rows to insert (paper: 20 and 40).
-        analyze_timing: Also compute timing overheads.
-        cache: Solver cache to share; a fresh one is created when omitted.
-
-    Returns:
-        Outcomes ordered as in the paper's table: all Default rows first,
-        then the ERI rows.
-    """
-    flow = FlowGraph.pass_through(cache)
-    base_rows = setup.placement.floorplan.num_rows
-    overheads = [count / base_rows for count in row_counts]
-
-    outcomes: List[StrategyOutcome] = [
-        evaluate_strategy(
-            setup, "default", overhead, analyze_timing=analyze_timing, flow=flow
-        )
-        for overhead in overheads
-    ]
-    # ERI inserts exactly ``count`` rows at the baseline hotspots — a
-    # pairing the registered ``eri`` strategy cannot express (it re-detects
-    # hotspots at its own threshold) — then shares the evaluation's tail.
-    for count, overhead in zip(row_counts, overheads):
-        eri = apply_empty_row_insertion(setup.placement, setup.hotspots, num_rows=count)
-        legal = flow.legalize(
-            eri.placement, setup.power,
-            nx=setup.grid_nx, ny=setup.grid_ny, package=setup.package,
-        )
-        new_map = flow.thermal(
-            legal.power_map, legal.grid, warm_start=setup.thermal_map
-        ).thermal_map
-        prepared = PreparedEvaluation(
-            setup=setup,
-            strategy_spec="eri",
-            requested_overhead=overhead,
-            result=eri,
-            power_map=legal.power_map,
-            grid=legal.grid,
-        )
-        outcomes.append(
-            finish_evaluation(prepared, new_map, analyze_timing=analyze_timing, flow=flow)
-        )
-    return outcomes

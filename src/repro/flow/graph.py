@@ -274,32 +274,23 @@ class FlowGraph:
         thermal_map: ThermalMap,
         strategy: StrategySpec = "eri",
         area_overhead: float = 0.15,
-        hotspot_threshold: Optional[float] = None,
-        wrapper_ring_um: float = 6.0,
     ) -> WhitespaceArtifact:
         """``whitespace``: apply one area-management strategy.
 
         Keyed on the baseline placement, the power report, the thermal map
-        the hotspots are detected on, and the *canonical* strategy spec
-        plus every knob of the resolved config — so ``"hw:ring_um=8"`` and
-        ``"hw:ring_um=8.0"`` share an artifact while any real parameter
-        change invalidates it.
+        the hotspots are detected on, the *canonical* strategy spec and the
+        overhead — the spec carries every strategy parameter, so
+        ``"hw:ring_um=8"`` and ``"hw:ring_um=8.0"`` share an artifact while
+        any real parameter change invalidates it.
         """
-        config = AreaManagementConfig(
-            area_overhead=area_overhead,
-            strategy=strategy,
-            hotspot_threshold=hotspot_threshold,
-            wrapper_ring_um=wrapper_ring_um,
-        )
+        config = AreaManagementConfig(area_overhead=area_overhead, strategy=strategy)
+
         def key() -> str:
             return hash_parts(
                 FLOW_KEY_VERSION, "whitespace",
                 placement_digest(placement), power_digest(power),
                 thermal_map_digest(thermal_map),
-                config.strategy_impl.spec, config.area_overhead,
-                config.hotspot_threshold, config.max_hotspots,
-                config.wrapper_ring_um, config.wrapper_max_source_units,
-                config.add_fillers, get_engine(),
+                config.strategy_impl.spec, config.area_overhead, get_engine(),
             )
 
         def build(key: Optional[str]) -> WhitespaceArtifact:

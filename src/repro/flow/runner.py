@@ -1,7 +1,8 @@
 """Experiment campaign runner: (workload x strategy x overhead) grids.
 
 One figure of the paper is a grid of experiment points — Figure 6 sweeps
-three strategies over eight overheads, Table I pairs Default and ERI rows.
+three strategies over eight overheads, Table I pairs Default and ERI rows
+(:func:`concentrated_hotspot_campaign`).
 :class:`Campaign` executes such a grid as a unit, and ``Campaign._execute``
 is the one code path that turns points into records, in three phases:
 every point's transform (:func:`~repro.flow.experiment.prepare_evaluation`)
@@ -43,7 +44,7 @@ import warnings
 from collections import Counter, OrderedDict
 from contextlib import nullcontext
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -229,9 +230,10 @@ class CampaignResult:
     def cache_hits(self) -> int:
         """Shared solver cache's hit count when the run finished.
 
-        Lifetime totals of the cache instance: when the same cache also
-        served the baseline preparation (as the CLI does), those lookups
-        are included.
+        Lifetime totals of the cache instance (when the same cache also
+        served the baseline preparation, as the CLI does, those lookups
+        are included), plus the lookups process workers made in their own
+        caches during the run.
         """
         return int(self.metadata.get("solver_cache", {}).get("hits", 0))
 
@@ -343,36 +345,6 @@ class CampaignResult:
             writer.writeheader()
             writer.writerows(rows)
         return path
-
-
-def records_from_outcomes(
-    workload: str,
-    outcomes: Sequence[StrategyOutcome],
-    elapsed_s: float = 0.0,
-) -> List[CampaignRecord]:
-    """Wrap plain outcomes (e.g. Table I rows) as campaign records.
-
-    Args:
-        workload: Workload name to attach to every record.
-        outcomes: The outcomes to wrap.
-        elapsed_s: Total wall-clock time, split evenly across the records.
-
-    Returns:
-        One :class:`CampaignRecord` per outcome, in the given order.
-    """
-    per_point = elapsed_s / len(outcomes) if outcomes else 0.0
-    return [
-        CampaignRecord(
-            point=CampaignPoint(
-                workload=workload,
-                strategy=outcome.strategy,
-                overhead=outcome.requested_overhead,
-            ),
-            outcome=outcome,
-            elapsed_s=per_point,
-        )
-        for outcome in outcomes
-    ]
 
 
 class Campaign:
@@ -497,7 +469,9 @@ class Campaign:
         self._stop_event = threading.Event()
         self._workload_fingerprints: Dict[str, Tuple[str, str]] = {}
         self._counter_lock = threading.Lock()
-        self._faults: Counter = Counter()  # this run's retries/timeouts/respawns
+        # This run's retries/timeouts/respawns, plus the solver-cache
+        # lookups process workers made in caches of their own.
+        self._faults: Counter = Counter()
 
     @property
     def points(self) -> List[CampaignPoint]:
@@ -576,7 +550,8 @@ class Campaign:
     # -- retry / quarantine --------------------------------------------------
 
     def _count(self, **deltas: int) -> None:
-        """Add to the run's ``retries``/``timeouts``/``respawns`` counters."""
+        """Add to the run's counters (``retries``/``timeouts``/``respawns``,
+        process workers' ``solver_hits``/``solver_misses``)."""
         with self._counter_lock:
             self._faults.update(deltas)
 
@@ -1016,6 +991,12 @@ class Campaign:
         final = [record for record in records if record is not None]
         with self._counter_lock:
             counts = self._faults.copy()
+        solver = self.cache.stats()
+        solver = replace(
+            solver,
+            hits=solver.hits + counts["solver_hits"],
+            misses=solver.misses + counts["solver_misses"],
+        )
         metadata: Dict[str, object] = {
             "name": self.name,
             "workloads": list(self.setups),
@@ -1024,7 +1005,7 @@ class Campaign:
             "analyze_timing": self.analyze_timing,
             "num_points": total,
             "elapsed_s": elapsed,
-            "solver_cache": self.cache.stats().as_dict(),
+            "solver_cache": solver.as_dict(),
             "thermal_solver": self.cache.method,
             "num_solve_groups": num_groups,
             "executor": self.executor,
@@ -1043,3 +1024,47 @@ class Campaign:
             metadata["num_evaluated"] = num_evaluated
         metadata["flow_stages"] = self.flow.stats()
         return CampaignResult(records=final, metadata=metadata)
+
+
+def concentrated_hotspot_campaign(
+    setup: ExperimentSetup,
+    row_counts: Sequence[int] = (20, 40),
+    **campaign_kwargs,
+) -> Campaign:
+    """The Table I grid: Default versus ERI at matched row counts.
+
+    Every row count becomes the overhead ``count / num_rows`` of the
+    baseline core, at which ERI inserts exactly ``count`` rows — the
+    paper's pairing of rows 1/3 and 2/4 — and Default relaxes the
+    utilization by the same fraction.  ``campaign_kwargs`` go to
+    :class:`Campaign` (``analyze_timing``, ``flow``, ``executor``, ...).
+    """
+    base_rows = setup.placement.floorplan.num_rows
+    campaign_kwargs.setdefault("name", "table1")
+    return Campaign(
+        setup, ("default", "eri"), [count / base_rows for count in row_counts],
+        **campaign_kwargs,
+    )
+
+
+def concentrated_hotspot_table(
+    setup: ExperimentSetup,
+    row_counts: Sequence[int] = (20, 40),
+    analyze_timing: bool = False,
+    cache: Optional[SolverCache] = None,
+) -> List[StrategyOutcome]:
+    """Reproduce Table I: Default versus ERI on a concentrated hotspot.
+
+    Args:
+        setup: Baseline prepared with the concentrated-hotspot workload.
+        row_counts: Numbers of rows to insert (paper: 20 and 40).
+        analyze_timing: Also compute timing overheads.
+        cache: Solver cache to share; a fresh one is created when omitted.
+
+    Returns:
+        Outcomes ordered as in the paper's table: all Default rows first,
+        then the ERI rows.
+    """
+    return concentrated_hotspot_campaign(
+        setup, row_counts, analyze_timing=analyze_timing, cache=cache
+    ).run().outcomes()

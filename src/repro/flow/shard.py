@@ -178,6 +178,7 @@ class _WorkerCampaign(Campaign):
     def __init__(self, heartbeat, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._heartbeat = heartbeat
+        self._solver_taken: Counter = Counter()
 
     def _point_scope(self):
         self._heartbeat()
@@ -188,9 +189,15 @@ class _WorkerCampaign(Campaign):
         super()._backoff(delay)
 
 
-def _take_counts(campaign: Campaign) -> Tuple[Counter, Counter, Counter]:
-    """The worker campaign's fault counts and its graph's stage counts since
-    the last call, reset for the next task."""
+def _take_counts(campaign: _WorkerCampaign) -> Tuple[Counter, Counter, Counter]:
+    """The worker campaign's run counters and its graph's stage counts since
+    the last call, reset for the next task.  The run counters include the
+    lookups of the worker's own solver cache (``solver_hits`` /
+    ``solver_misses``), which the parent adds to its ``solver_cache``."""
+    stats = campaign.cache.stats()
+    solver = Counter(solver_hits=stats.hits, solver_misses=stats.misses)
+    campaign._count(**(solver - campaign._solver_taken))
+    campaign._solver_taken = solver
     counters = (campaign._faults, campaign.flow.stage_executions, campaign.flow.stage_hits)
     taken = tuple(counter.copy() for counter in counters)
     for counter in counters:

@@ -8,6 +8,7 @@ from repro.core import (
     AreaManagementConfig,
     AreaManager,
 )
+from repro.thermal import simulate_placement
 
 
 class TestConfig:
@@ -24,14 +25,14 @@ class TestConfig:
         assert hw.effective_hotspot_threshold > eri.effective_hotspot_threshold
 
     def test_explicit_threshold_wins(self):
-        config = AreaManagementConfig(strategy="hw", hotspot_threshold=0.42)
+        config = AreaManagementConfig(strategy="hw:hotspot_threshold=0.42")
         assert config.effective_hotspot_threshold == 0.42
 
     def test_validation(self):
         with pytest.raises(ValueError):
             AreaManagementConfig(area_overhead=-0.1)
         with pytest.raises(ValueError):
-            AreaManagementConfig(hotspot_threshold=0.0)
+            AreaManagementConfig(strategy="eri:hotspot_threshold=0.0")
         with pytest.raises(ValueError):
             AreaManagementConfig(strategy="nope")
 
@@ -54,7 +55,7 @@ class TestAreaManager:
     def test_default_strategy_result(self, inputs):
         placement, power, thermal = inputs
         manager = AreaManager(
-            AreaManagementConfig(strategy="default", area_overhead=0.15, add_fillers=False)
+            AreaManagementConfig(strategy="default", area_overhead=0.15)
         )
         result = manager.optimize(placement, power, thermal)
         assert result.strategy == "default"
@@ -64,7 +65,7 @@ class TestAreaManager:
     def test_eri_strategy_result(self, inputs):
         placement, power, thermal = inputs
         manager = AreaManager(
-            AreaManagementConfig(strategy="eri", area_overhead=0.15, add_fillers=False)
+            AreaManagementConfig(strategy="eri", area_overhead=0.15)
         )
         result = manager.optimize(placement, power, thermal)
         assert result.strategy == "eri"
@@ -75,7 +76,7 @@ class TestAreaManager:
     def test_hw_strategy_result(self, inputs):
         placement, power, thermal = inputs
         manager = AreaManager(
-            AreaManagementConfig(strategy="hw", area_overhead=0.15, add_fillers=False)
+            AreaManagementConfig(strategy="hw", area_overhead=0.15)
         )
         result = manager.optimize(placement, power, thermal)
         assert result.strategy == "hw"
@@ -83,19 +84,17 @@ class TestAreaManager:
         assert result.actual_overhead >= 0.15 - 1e-9
         assert result.placement.check_legal() == []
 
-    def test_optimize_and_resimulate(self, inputs):
+    def test_optimized_placement_resimulates_cooler(self, inputs):
         placement, power, thermal = inputs
-        manager = AreaManager(
-            AreaManagementConfig(strategy="eri", area_overhead=0.2, add_fillers=False)
-        )
-        result, new_map = manager.optimize_and_resimulate(placement, power, thermal)
+        manager = AreaManager(AreaManagementConfig(strategy="eri", area_overhead=0.2))
+        result = manager.optimize(placement, power, thermal)
+        new_map = simulate_placement(result.placement, power, warm_start=thermal)
         assert new_map.peak_rise > 0.0
         assert new_map.peak_rise < thermal.peak_rise
 
     def test_pre_detected_hotspots_accepted(self, inputs):
         placement, power, thermal = inputs
-        manager = AreaManager(AreaManagementConfig(strategy="eri", area_overhead=0.1,
-                                                   add_fillers=False))
+        manager = AreaManager(AreaManagementConfig(strategy="eri", area_overhead=0.1))
         hotspots = manager.detect(placement, thermal, power)
         result = manager.optimize(placement, power, thermal, hotspots=hotspots)
         assert result.hotspots == hotspots

@@ -7,12 +7,19 @@ grows with the area overhead, and the hotspot-targeted techniques are at
 least competitive with blind spreading.
 """
 
+from dataclasses import asdict
+
 import pytest
 
+from repro.core import apply_empty_row_insertion
 from repro.flow import (
+    Campaign,
     ExperimentSetup,
+    FlowGraph,
+    PreparedEvaluation,
     concentrated_hotspot_table,
     evaluate_strategy,
+    finish_evaluation,
     sweep_overheads,
 )
 from repro.bench import concentrated_hotspot_workload
@@ -31,6 +38,45 @@ def setup(small_circuit, small_workload):
         seed=7,
         use_quadratic=True,
     )
+
+
+@pytest.fixture(scope="module")
+def table1_setup(small_circuit):
+    circuit = small_circuit.copy()
+    workload = concentrated_hotspot_workload(circuit)
+    return ExperimentSetup.prepare(
+        circuit, workload, num_cycles=10, batch_size=8, seed=7,
+        use_quadratic=False,
+    )
+
+
+def reference_concentrated_hotspot_table(setup, row_counts, analyze_timing):
+    """The executable spec of Table I: Default at ``count / num_rows``
+    overhead, then ERI inserting exactly ``count`` rows at the baseline
+    hotspots, each solved warm-started from the baseline field."""
+    flow = FlowGraph.pass_through()
+    overheads = [count / setup.placement.floorplan.num_rows for count in row_counts]
+    outcomes = [
+        evaluate_strategy(setup, "default", overhead, analyze_timing=analyze_timing)
+        for overhead in overheads
+    ]
+    for count, overhead in zip(row_counts, overheads):
+        eri = apply_empty_row_insertion(setup.placement, setup.hotspots, num_rows=count)
+        legal = flow.legalize(
+            eri.placement, setup.power,
+            nx=setup.grid_nx, ny=setup.grid_ny, package=setup.package,
+        )
+        new_map = flow.thermal(
+            legal.power_map, legal.grid, warm_start=setup.thermal_map
+        ).thermal_map
+        prepared = PreparedEvaluation(
+            setup=setup, strategy_spec="eri", requested_overhead=overhead,
+            result=eri, power_map=legal.power_map, grid=legal.grid,
+        )
+        outcomes.append(
+            finish_evaluation(prepared, new_map, analyze_timing=analyze_timing, flow=flow)
+        )
+    return outcomes
 
 
 class TestSetup:
@@ -99,14 +145,8 @@ class TestSweeps:
         assert len(outcomes) == 4
         assert {o.strategy for o in outcomes} == {"default", "eri"}
 
-    def test_concentrated_table_structure(self, small_circuit):
-        circuit = small_circuit.copy()
-        workload = concentrated_hotspot_workload(circuit)
-        setup = ExperimentSetup.prepare(
-            circuit, workload, num_cycles=10, batch_size=8, seed=7,
-            use_quadratic=False,
-        )
-        rows = concentrated_hotspot_table(setup, row_counts=(6, 12))
+    def test_concentrated_table_structure(self, table1_setup):
+        rows = concentrated_hotspot_table(table1_setup, row_counts=(6, 12))
         assert len(rows) == 4
         assert [r.strategy for r in rows] == ["default", "default", "eri", "eri"]
         assert rows[2].inserted_rows == 6
@@ -115,3 +155,34 @@ class TestSweeps:
         assert all(r.temperature_reduction > 0.0 for r in rows)
         # ERI with more rows beats ERI with fewer rows.
         assert rows[3].temperature_reduction > rows[2].temperature_reduction
+
+    @pytest.mark.parametrize("analyze_timing", [False, True])
+    def test_concentrated_table_matches_reference(self, table1_setup, analyze_timing):
+        """The Table I campaign equals the hand-built evaluation field for
+        field: ``rows_for_overhead(count / num_rows)`` is ``count``, and
+        ERI's own detection threshold is the baseline's."""
+        rows = concentrated_hotspot_table(
+            table1_setup, row_counts=(6, 12), analyze_timing=analyze_timing
+        )
+        reference = reference_concentrated_hotspot_table(
+            table1_setup, (6, 12), analyze_timing
+        )
+        assert [asdict(row) for row in rows] == [asdict(row) for row in reference]
+
+
+class TestRecordsCarryTheirSpec:
+    SPECS = ("hw:ring_um=12", "hybrid:ring_um=9", "eri:hotspot_threshold=0.9",
+             "gradient:exponent=2")
+
+    def test_rerunning_a_record_strategy_reproduces_it(self, setup):
+        """The spec is the only parameter channel: a record's ``strategy``
+        string alone re-evaluates it bitwise."""
+        result = Campaign(setup, self.SPECS, (0.15,), analyze_timing=True).run()
+        assert len(result.records) == len(self.SPECS)
+        for record in result.records:
+            assert ":" in record.outcome.strategy
+            rerun = evaluate_strategy(
+                setup, record.outcome.strategy, record.point.overhead
+            )
+            assert rerun == record.outcome
+

@@ -14,7 +14,6 @@ from repro.flow import (
     CampaignResult,
     ExperimentSetup,
     SolverCache,
-    records_from_outcomes,
     sweep_overheads,
 )
 
@@ -166,13 +165,6 @@ class TestPersistence:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 + len(campaign_result.records)
         assert lines[0].startswith("workload,strategy,")
-
-    def test_records_from_outcomes_wraps_in_order(self, campaign_result):
-        outcomes = campaign_result.outcomes()
-        records = records_from_outcomes("wl", outcomes, elapsed_s=8.0)
-        assert [r.outcome for r in records] == outcomes
-        assert all(r.point.workload == "wl" for r in records)
-        assert sum(r.elapsed_s for r in records) == pytest.approx(8.0)
 
     def test_record_dict_roundtrip(self, campaign_result):
         record = campaign_result.records[0]

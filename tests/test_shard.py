@@ -209,3 +209,17 @@ class TestShardedCampaign:
         assert len(failed) == 1
         assert failed[0]["strategy"] == "no-such-strategy"
         assert "no-such-strategy" in failed[0]["error"]
+
+
+class TestSolverCacheCounts:
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_solver_lookups_match_solve_groups(self, shard_setup, executor):
+        """Every solve group looks its solver up once, and the metadata
+        counts those lookups wherever they ran: process workers ship the
+        deltas of their own caches back to the parent."""
+        result = Campaign(
+            shard_setup, ("default", "eri", "hw"), (0.1,), executor=executor,
+        ).run(max_workers=2)
+        groups = result.metadata["num_solve_groups"]
+        assert result.cache_hits + result.cache_misses == groups
+        assert result.cache_misses >= 1

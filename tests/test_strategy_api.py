@@ -28,6 +28,7 @@ from repro.core import (
     strategy_class,
     unregister_strategy,
 )
+from repro.thermal import simulate_placement
 
 
 class _NullStrategy(WhitespaceStrategy):
@@ -213,11 +214,6 @@ class TestConfigResolution:
     def test_spec_threshold_param_drives_detection(self):
         config = AreaManagementConfig(strategy="eri:hotspot_threshold=0.9")
         assert config.effective_hotspot_threshold == pytest.approx(0.9)
-        # The explicit config field still wins over the spec parameter.
-        config = AreaManagementConfig(
-            strategy="eri:hotspot_threshold=0.9", hotspot_threshold=0.4
-        )
-        assert config.effective_hotspot_threshold == pytest.approx(0.4)
 
 
 class TestGradientPlanner:
@@ -257,10 +253,9 @@ class TestNewStrategiesOutcomes:
     @pytest.mark.parametrize("spec", ["hybrid", "gradient"])
     def test_reduction_positive_at_15_percent(self, inputs, spec):
         placement, power, thermal = inputs
-        manager = AreaManager(
-            AreaManagementConfig(strategy=spec, area_overhead=0.15, add_fillers=False)
-        )
-        result, new_map = manager.optimize_and_resimulate(placement, power, thermal)
+        manager = AreaManager(AreaManagementConfig(strategy=spec, area_overhead=0.15))
+        result = manager.optimize(placement, power, thermal)
+        new_map = simulate_placement(result.placement, power, warm_start=thermal)
         assert result.strategy == spec
         assert result.actual_overhead >= 0.15 - 1e-9
         assert result.inserted_rows > 0
@@ -270,7 +265,7 @@ class TestNewStrategiesOutcomes:
     def test_hybrid_wraps_after_inserting_rows(self, inputs):
         placement, power, thermal = inputs
         manager = AreaManager(
-            AreaManagementConfig(strategy="hybrid", area_overhead=0.2, add_fillers=False)
+            AreaManagementConfig(strategy="hybrid", area_overhead=0.2)
         )
         result = manager.optimize(placement, power, thermal)
         assert result.placement.floorplan.num_rows > placement.floorplan.num_rows
@@ -312,7 +307,6 @@ class TestCustomStrategyEndToEnd:
                 result = apply_row_insertions(
                     ctx.placement, sorted(points),
                     requested_overhead=ctx.area_overhead,
-                    add_fillers=ctx.add_fillers,
                 )
                 return StrategyResult(
                     placement=result.placement,
@@ -324,9 +318,7 @@ class TestCustomStrategyEndToEnd:
 
         try:
             manager = AreaManager(
-                AreaManagementConfig(
-                    strategy="every-kth-row:k=3", area_overhead=0.1, add_fillers=False
-                )
+                AreaManagementConfig(strategy="every-kth-row:k=3", area_overhead=0.1)
             )
             result = manager.optimize(small_placement, small_power, small_thermal)
             assert result.strategy == "every-kth-row:k=3"
