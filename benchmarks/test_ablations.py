@@ -12,12 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import scattered_hotspots_workload, small_synthetic_circuit
-from repro.core import (
-    AreaManagementConfig,
-    AreaManager,
-    apply_hotspot_wrapper,
-    detect_hotspots,
-)
+from repro.core import apply_hotspot_wrapper, detect_hotspots, manage_area
 from repro.flow import ExperimentSetup, evaluate_strategy
 from repro.placement import place_design
 from repro.thermal import (
@@ -100,8 +95,7 @@ def test_ablation_package_cooling(small_setup, benchmark):
         out = {}
         for name, package in packages.items():
             baseline = simulate_placement(setup.placement, setup.power, package=package)
-            manager = AreaManager(AreaManagementConfig(strategy="eri", area_overhead=0.2))
-            result = manager.optimize(setup.placement, setup.power, baseline)
+            result = manage_area(setup.placement, setup.power, baseline, "eri", 0.2)
             improved = simulate_placement(result.placement, setup.power, package=package)
             out[name] = (baseline.peak_rise, improved.reduction_versus(baseline))
         return out

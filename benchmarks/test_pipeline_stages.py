@@ -38,7 +38,7 @@ from repro.bench import (
     scattered_hotspots_workload,
     small_synthetic_circuit,
 )
-from repro.core import AreaManagementConfig, AreaManager
+from repro.core import manage_area
 from repro.engine import use_engine
 from repro.flow import (
     ArtifactStore,
@@ -456,11 +456,8 @@ class TestPipelineStages:
                 setup = ExperimentSetup.prepare(
                     netlist, workload, base_utilization=0.85, cache=cache
                 )
-                manager = AreaManager(
-                    AreaManagementConfig(strategy="eri", area_overhead=0.15)
-                )
-                result = manager.optimize(
-                    setup.placement, setup.power, setup.thermal_map
+                result = manage_area(
+                    setup.placement, setup.power, setup.thermal_map, "eri", 0.15
                 )
                 new_map = simulate_placement(
                     result.placement, setup.power, package=setup.package,

@@ -4,9 +4,10 @@
 The strategy layer is an open plugin API: subclass
 :class:`repro.core.WhitespaceStrategy`, decorate it with
 :func:`repro.core.register_strategy`, and every entry point — the
-:class:`~repro.core.AreaManager`, :func:`repro.flow.evaluate_strategy`,
-the :class:`repro.flow.Campaign` grid runner and the ``repro`` CLI —
-dispatches to it by name, parameterized specs included.
+area-management tool :func:`~repro.core.manage_area`,
+:func:`repro.flow.evaluate_strategy`, the :class:`repro.flow.Campaign`
+grid runner and the ``repro`` CLI — dispatches to it by name,
+parameterized specs included.
 
 This example registers a "checkerboard" strategy (empty rows at a fixed
 stride across the whole core — a deliberately simple planner that is

@@ -20,7 +20,7 @@ from repro.bench import (
     scattered_hotspots_workload,
     small_synthetic_circuit,
 )
-from repro.core import AreaManagementConfig, AreaManager
+from repro.core import manage_area
 from repro.flow import ExperimentSetup
 from repro.thermal import simulate_placement
 
@@ -49,9 +49,8 @@ def main() -> None:
           f"{len(setup.hotspots)} hotspot(s) detected")
 
     # 3. Area management: Empty Row Insertion around the hotspots.
-    manager = AreaManager(AreaManagementConfig(strategy="eri",
-                                               area_overhead=args.overhead))
-    result = manager.optimize(setup.placement, setup.power, setup.thermal_map)
+    result = manage_area(setup.placement, setup.power, setup.thermal_map,
+                         "eri", args.overhead)
     print(f"ERI: inserted {result.inserted_rows} empty rows "
           f"({result.actual_overhead * 100:.1f}% area overhead), "
           f"{result.num_fillers} filler cells added")

@@ -65,7 +65,7 @@ from .bench import (
     scattered_hotspots_workload,
     small_synthetic_circuit,
 )
-from .core import describe_strategies, resolve_strategy, split_spec_list
+from .core import check_area_overhead, describe_strategies, resolve_strategy, split_spec_list
 from .faults import RetryPolicy, install_env_plan
 from .flow import (
     ArtifactStore,
@@ -118,6 +118,19 @@ def _nonnegative_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
+def _overhead(text: str) -> float:
+    """Argparse type for area overheads: finite and non-negative."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    try:
+        check_area_overhead(value)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
     return value
 
 
@@ -633,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
              "hw:ring_um=8 (default: eri; see 'repro strategies')",
     )
     quickstart.add_argument(
-        "--overhead", type=float, default=0.15,
+        "--overhead", type=_overhead, default=0.15,
         help="requested area overhead fraction (default: 0.15)",
     )
     quickstart.set_defaults(handler=run_quickstart)
@@ -652,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: default eri hw; see 'repro strategies')",
     )
     sweep.add_argument(
-        "--overheads", nargs="+", type=float, default=list(SWEEP_OVERHEADS),
+        "--overheads", nargs="+", type=_overhead, default=list(SWEEP_OVERHEADS),
         help="area-overhead sweep points (default: 5%% to 30%%)",
     )
     sweep.add_argument(
@@ -682,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--executor", choices=("thread", "process"), default="thread",
         help="fan points out over threads (default) or shard them across "
-             "worker processes with shared-memory baselines",
+             "worker processes",
     )
     sweep.add_argument(
         "--point-timeout", type=_positive_float, default=None,
@@ -810,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="strategy specs to sweep (default: default eri hw)",
     )
     submit.add_argument(
-        "--overheads", nargs="+", type=float, default=list(SWEEP_OVERHEADS),
+        "--overheads", nargs="+", type=_overhead, default=list(SWEEP_OVERHEADS),
         help="area-overhead sweep points (default: 5%% to 30%%)",
     )
     submit.add_argument(

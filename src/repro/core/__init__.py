@@ -35,11 +35,7 @@ from .builtin_strategies import (
     HotspotWrapperStrategy,
     HybridStrategy,
 )
-from .area_manager import (
-    AreaManagementConfig,
-    AreaManagementResult,
-    AreaManager,
-)
+from .area_manager import check_area_overhead, manage_area
 
 __all__ = [
     "Hotspot",
@@ -78,7 +74,6 @@ __all__ = [
     "HybridStrategy",
     "ERI_HOTSPOT_THRESHOLD",
     "HW_HOTSPOT_THRESHOLD",
-    "AreaManagementConfig",
-    "AreaManagementResult",
-    "AreaManager",
+    "check_area_overhead",
+    "manage_area",
 ]

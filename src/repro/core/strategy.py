@@ -8,7 +8,7 @@ module makes that boundary a first-class plugin API:
   ``name``, a ``default_hotspot_threshold`` and an
   ``apply(ctx) -> StrategyResult`` method.
 * :class:`StrategyContext` / :class:`StrategyResult` — the fixed contract
-  between the :class:`~repro.core.area_manager.AreaManager` and a strategy:
+  between :func:`~repro.core.area_manager.manage_area` and a strategy:
   the baseline placement, power report, thermal map, pre-detected hotspots
   and requested overhead in; the transformed placement and its
   book-keeping out.
@@ -21,9 +21,8 @@ module makes that boundary a first-class plugin API:
   ``"hw:ring_um=8,max_source_units=3"`` or
   ``{"name": "hw", "ring_um": 8}`` — so sweep grids can vary strategy
   parameters without code changes.  The spec is the only parameter
-  channel: a strategy reads its knobs from its own parameters, never from
-  the tool configuration, so the canonical spec names everything that
-  shaped a transform.
+  channel: a strategy reads its knobs from its own parameters and nowhere
+  else, so the canonical spec names everything that shaped a transform.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import difflib
 import re
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Callable,
     ClassVar,
     Dict,
@@ -49,9 +47,6 @@ from ..placement import Placement
 from ..power import PowerReport
 from ..thermal import ThermalMap
 from .hotspot import Hotspot, detect_hotspots
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from .area_manager import AreaManagementConfig
 
 
 #: A strategy spec: a name, a parameterized ``"name:key=val,..."`` string, a
@@ -72,21 +67,15 @@ class StrategyContext:
         thermal_map: Thermal map of the baseline placement.
         hotspots: Hotspots pre-detected at the strategy's effective
             threshold, hottest first.
-        config: The tool's :class:`~repro.core.area_manager.AreaManagementConfig`
-            (the area overhead and the resolved strategy spec).  Every other
-            knob is a parameter of the strategy's own spec.
+        area_overhead: The user-requested fractional area overhead.  Every
+            other knob is a parameter of the strategy's own spec.
     """
 
     placement: Placement
     power: PowerReport
     thermal_map: ThermalMap
     hotspots: List[Hotspot]
-    config: "AreaManagementConfig"
-
-    @property
-    def area_overhead(self) -> float:
-        """The user-requested fractional area overhead."""
-        return self.config.area_overhead
+    area_overhead: float
 
     def detect(self, threshold_fraction: float) -> List[Hotspot]:
         """Re-detect hotspots on the baseline map at another threshold.

@@ -28,7 +28,7 @@ whitespace around the hotspots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..placement import Placement, insert_fillers, remove_fillers
 from ..placement.floorplan import Rect
@@ -82,26 +82,11 @@ class HotspotWrapperResult:
         return sum(w.num_evicted for w in self.wrapped)
 
 
-def _dominant_units(
-    placement: Placement, hotspot: Hotspot, max_units: int, power_fraction: float = 0.75
-) -> List[str]:
-    """Units responsible for most of the hotspot's power.
-
-    Uses the ranking computed at detection time and keeps the smallest
-    prefix of units that is plausible as "the source of the hotspot",
-    bounded by ``max_units``.
-    """
-    if not hotspot.dominant_units:
-        return []
-    return hotspot.dominant_units[:max_units]
-
-
 def apply_hotspot_wrapper(
     baseline: Placement,
     hotspots: Sequence[Hotspot],
     ring_width_um: float = 6.0,
     max_source_units: int = 2,
-    max_hotspots: Optional[int] = None,
     add_fillers: bool = True,
 ) -> HotspotWrapperResult:
     """Wrap each hotspot in whitespace and thin out its cell density.
@@ -112,8 +97,8 @@ def apply_hotspot_wrapper(
         hotspots: Detected hotspots, hottest first.
         ring_width_um: Width of the whitespace ring around each hotspot.
         max_source_units: Maximum number of units treated as the hotspot's
-            source (cells of other units are evicted).
-        max_hotspots: Only wrap the hottest N hotspots when given.
+            source: the hottest prefix of its detection-time
+            ``dominant_units`` ranking (cells of other units are evicted).
         add_fillers: Fill the resulting whitespace with dummy cells.
 
     Returns:
@@ -124,8 +109,7 @@ def apply_hotspot_wrapper(
     """
     return apply_hotspot_wrapper_in_place(
         baseline.copy(), hotspots, ring_width_um=ring_width_um,
-        max_source_units=max_source_units, max_hotspots=max_hotspots,
-        add_fillers=add_fillers,
+        max_source_units=max_source_units, add_fillers=add_fillers,
     )
 
 
@@ -134,7 +118,6 @@ def apply_hotspot_wrapper_in_place(
     hotspots: Sequence[Hotspot],
     ring_width_um: float = 6.0,
     max_source_units: int = 2,
-    max_hotspots: Optional[int] = None,
     add_fillers: bool = True,
 ) -> HotspotWrapperResult:
     """:func:`apply_hotspot_wrapper` transforming ``placement`` itself.
@@ -150,11 +133,10 @@ def apply_hotspot_wrapper_in_place(
     # Any fillers present in the input (e.g. a Default placement that was
     # already filled) are removed first; whitespace is re-filled at the end.
     remove_fillers(placement)
-    selected = list(hotspots if max_hotspots is None else hotspots[:max_hotspots])
     wrapped: List[WrappedHotspot] = []
     core = placement.floorplan.core_rect
 
-    for hotspot in selected:
+    for hotspot in hotspots:
         inner = hotspot.rect.clipped(core)
         if inner.area <= 0.0:
             continue
@@ -165,7 +147,7 @@ def apply_hotspot_wrapper_in_place(
         # to), so such hotspots are skipped.
         if outer.area > 0.5 * core.area:
             continue
-        hot_units = _dominant_units(placement, hotspot, max_source_units)
+        hot_units = hotspot.dominant_units[:max_source_units]
 
         # 1. Detach everything currently inside the wrapper: the hotspot's
         #    own ("hot") cells and the bystanders.

@@ -4,8 +4,8 @@ Single points are evaluated with :class:`ExperimentSetup` and
 :func:`evaluate_strategy`; grids of points are executed by the
 :class:`Campaign` runner, which shares one :class:`SolverCache` across all
 points and can fan them out over worker threads or — with
-``executor="process"`` — shard them across worker processes that share the
-baseline arrays via shared memory.  The staged path — :class:`FlowGraph`
+``executor="process"`` — shard them across worker processes, each holding
+its own unpickled copy of the baselines.  The staged path — :class:`FlowGraph`
 over a content-addressed :class:`ArtifactStore` — runs the same pipeline
 as explicit stages and re-executes only stages whose input hashes changed,
 producing bitwise-identical results.  A persistent :class:`ResultStore`

@@ -366,10 +366,10 @@ class WhitespaceArtifact:
     """``whitespace`` output: the strategy-transformed placement.
 
     Carries exactly the fields downstream stages and the outcome
-    extraction read (the strategy-specific ``details`` object and detected
-    hotspots of :class:`~repro.core.area_manager.AreaManagementResult` are
-    deliberately dropped: they are unused downstream and would drag
-    arbitrary strategy internals into the serialized store).
+    extraction read (the strategy-specific ``details`` of the
+    :class:`~repro.core.strategy.StrategyResult` are deliberately dropped:
+    they are unused downstream and would drag arbitrary strategy internals
+    into the serialized store).
     """
 
     key: Optional[str]

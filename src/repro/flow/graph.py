@@ -46,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import AreaManagementConfig, AreaManager, StrategySpec
+from ..core import StrategySpec, check_area_overhead, manage_area, resolve_strategy
 from ..engine import get_engine
 from ..netlist import Netlist
 from ..placement import Placement, place_design
@@ -283,23 +283,25 @@ class FlowGraph:
         ``"hw:ring_um=8"`` and ``"hw:ring_um=8.0"`` share an artifact while
         any real parameter change invalidates it.
         """
-        config = AreaManagementConfig(area_overhead=area_overhead, strategy=strategy)
+        impl = resolve_strategy(strategy)
+        spec = impl.spec
+        check_area_overhead(area_overhead)
 
         def key() -> str:
             return hash_parts(
                 FLOW_KEY_VERSION, "whitespace",
                 placement_digest(placement), power_digest(power),
                 thermal_map_digest(thermal_map),
-                config.strategy_impl.spec, config.area_overhead, get_engine(),
+                spec, area_overhead, get_engine(),
             )
 
         def build(key: Optional[str]) -> WhitespaceArtifact:
-            result = AreaManager(config).optimize(placement, power, thermal_map)
+            result = manage_area(placement, power, thermal_map, impl, area_overhead)
             return WhitespaceArtifact(
                 key=key,
                 placement=result.placement,
-                strategy_spec=config.strategy_impl.spec,
-                requested_overhead=config.area_overhead,
+                strategy_spec=spec,
+                requested_overhead=area_overhead,
                 actual_overhead=result.actual_overhead,
                 inserted_rows=result.inserted_rows,
                 num_fillers=result.num_fillers,

@@ -225,8 +225,24 @@ def recover_store(root: Union[str, Path]) -> FsckReport:
     return report
 
 
+def recover_at_startup(root: Union[str, Path], owner: str) -> None:
+    """:func:`recover_store` as a campaign or serve daemon runs it before
+    touching its store: repairs are logged as warnings under ``owner``'s
+    name, and a pass that fails with an ``OSError`` is logged, not raised
+    (the read path still self-heals whatever it left behind)."""
+    try:
+        recovered = recover_store(root)
+        if recovered.num_repaired:
+            logger.warning(
+                "%s: recovered result store %s (%s)", owner, root, recovered.summary()
+            )
+    except OSError as error:
+        logger.warning("%s: store recovery pass failed: %s", owner, error)
+
+
 __all__ = [
     "FsckReport",
     "fsck_store",
+    "recover_at_startup",
     "recover_store",
 ]

@@ -48,7 +48,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..core import StrategySpec, parse_strategy_spec, resolve_strategy
+from ..core import StrategySpec, check_area_overhead, parse_strategy_spec, resolve_strategy
 from ..deadlines import Deadline, DeadlineExceeded, deadline_scope
 from ..engine import get_engine
 from ..faults import RetryPolicy, inject
@@ -64,6 +64,7 @@ from .experiment import (
     finish_evaluation,
     prepare_evaluation,
 )
+from .recover import recover_at_startup
 from .store import ResultStore, result_key, setup_digest
 
 #: Executors :class:`Campaign` accepts.
@@ -358,7 +359,8 @@ class Campaign:
             or a resolved strategy.  Specs are validated (and canonicalised
             to strings) here, so a typo fails at construction rather than
             deep inside the run.
-        overheads: Requested area-overhead sweep points.
+        overheads: Requested area-overhead sweep points; each must be finite
+            and non-negative, checked here like the specs.
         analyze_timing: Also run STA per point (slower).
         cache: Solver cache shared by all points; a fresh unbounded
             :class:`SolverCache` is created when omitted.  Ignored in favour
@@ -384,14 +386,14 @@ class Campaign:
             sharded worker processes and the ``repro serve`` daemon.
         executor: ``"thread"`` (default) fans points out over a GIL-sharing
             thread pool; ``"process"`` shards them across worker processes
-            (:mod:`repro.flow.shard`) whose baselines share power-map and
-            temperature-field arrays via ``multiprocessing.shared_memory``.
-            Both run the same prepare -> grouped solve -> finish core and
-            produce records bitwise-identical to a serial run.  Each process
-            worker runs its points through a graph over the on-disk tier of
-            ``flow``'s store (a pass-through when that store is
-            memory-only), so a disk-rooted artifact cache is shared by all
-            workers and later runs.
+            (:mod:`repro.flow.shard`), each unpickling its own copy of the
+            baselines at startup.  Both run the same prepare -> grouped
+            solve -> finish core and produce records bitwise-identical to
+            a serial run.  Each process worker runs its points through a
+            graph over the on-disk tier of ``flow``'s store (a
+            pass-through when that store is memory-only), so a
+            disk-rooted artifact cache is shared by all workers and later
+            runs.
         retry_policy: Per-point :class:`~repro.faults.RetryPolicy`.  The
             default never retries; a policy with ``max_attempts > 1``
             re-runs a point that raised a retryable exception, with
@@ -451,6 +453,8 @@ class Campaign:
         self.setups: Dict[str, ExperimentSetup] = dict(setups)
         self.strategies = tuple(resolve_strategy(spec).spec for spec in strategies)
         self.overheads = tuple(overheads)
+        for overhead in self.overheads:
+            check_area_overhead(overhead)
         self.analyze_timing = analyze_timing
         if flow is None:
             flow = FlowGraph.pass_through(cache)
@@ -875,20 +879,7 @@ class Campaign:
         # predecessor left behind, so this run's resume logic starts from a
         # clean store.
         if self.result_store is not None and self.result_store.root is not None:
-            from .recover import recover_store
-
-            try:
-                recovered = recover_store(self.result_store.root)
-                if recovered.num_repaired:
-                    logger.warning(
-                        "campaign %r: recovered result store %s (%s)",
-                        self.name, self.result_store.root, recovered.summary(),
-                    )
-            except OSError as error:
-                logger.warning(
-                    "campaign %r: store recovery pass failed: %s",
-                    self.name, error,
-                )
+            recover_at_startup(self.result_store.root, f"campaign {self.name!r}")
 
         # Resume sweep: reuse every point the result store already holds.
         stored: Dict[int, CampaignRecord] = {}

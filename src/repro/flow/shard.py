@@ -1,19 +1,12 @@
-"""Process-sharded campaign execution over shared-memory baselines.
+"""Process-sharded campaign execution.
 
 The thread executor scales until the Python-level work between the
 GIL-releasing SciPy kernels saturates one interpreter; past that point the
-campaign needs real processes.  The baselines are shipped to the workers
-once, and their bulky parts not at all:
-
-* The baseline's numeric payloads — the binned power map, the solved
-  temperature field, the warm-start rise vector, the per-cell power
-  vectors — are copied into ``multiprocessing.shared_memory`` segments
-  that every worker maps read-only, so memory stays O(1) in the worker
-  count.
-* The structural skeleton (netlist graph, placement rows, package stack)
-  is pickled once per worker at startup, with the array slots stripped;
-  workers re-attach the shared segments into the empty slots.
-* A task is then ``(slot, point, result key, attempt)``.
+campaign needs real processes.  The parent pickles the prepared baselines
+once per run and every worker unpickles its own copy at startup (a worker
+is never handed the parent's live objects: a forked child would inherit
+locks held by the parent's threads).  A task is then ``(slot, point,
+result key, attempt)``.
 
 Each worker runs its tasks through a worker-local
 :class:`~repro.flow.runner.Campaign` and its executor core
@@ -50,10 +43,7 @@ import signal
 import time
 import traceback
 from collections import Counter
-from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .. import faults
 from ..engine import get_engine, use_engine
@@ -77,98 +67,6 @@ _WATCHDOG_GRACE_S = 2.0
 #: quarantined (a deterministically crashing point would otherwise chew
 #: through the whole respawn budget).
 _MAX_CRASHES_PER_POINT = 3
-
-#: ``(owner attribute, array attribute)`` slots of an ``ExperimentSetup``
-#: whose ndarray payloads travel via shared memory instead of the pickled
-#: skeleton.  Missing or non-array values (e.g. a dict-backed power report,
-#: a ``None`` warm-start vector) simply stay in the skeleton.
-_SHARED_SLOTS: Tuple[Tuple[str, str], ...] = (
-    ("power_map", "power_w"),
-    ("thermal_map", "temperatures"),
-    ("thermal_map", "grid_rises"),
-    ("thermal_map", "full_field"),
-    ("power", "_switching"),
-    ("power", "_internal"),
-    ("power", "_leakage"),
-    ("power", "_total"),
-)
-
-#: One stripped array slot: (owner attr, array attr, segment name, shape,
-#: dtype string).
-_SlotSpec = Tuple[str, str, str, Tuple[int, ...], str]
-
-
-def pack_setups(setups: Dict[str, object]):
-    """Strip the baselines' arrays into shared memory and pickle the rest.
-
-    Returns:
-        ``(segments, skeleton, specs)`` — the owned
-        :class:`~multiprocessing.shared_memory.SharedMemory` segments (the
-        caller must close and unlink them when the run ends), the pickled
-        array-free setups dict, and the per-workload slot specs workers
-        use to re-attach.  The live setups are restored before returning.
-    """
-    segments: List[shared_memory.SharedMemory] = []
-    specs: Dict[str, List[_SlotSpec]] = {}
-    saved: List[Tuple[object, str, object]] = []
-    try:
-        for workload, setup in setups.items():
-            entries: List[_SlotSpec] = []
-            for owner_attr, array_attr in _SHARED_SLOTS:
-                owner = getattr(setup, owner_attr)
-                value = getattr(owner, array_attr, None)
-                if not isinstance(value, np.ndarray) or value.size == 0:
-                    continue
-                array = np.ascontiguousarray(value)
-                segment = shared_memory.SharedMemory(create=True, size=array.nbytes)
-                segments.append(segment)
-                view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
-                view[...] = array
-                entries.append(
-                    (owner_attr, array_attr, segment.name, array.shape, array.dtype.str)
-                )
-                saved.append((owner, array_attr, value))
-                setattr(owner, array_attr, None)
-            specs[workload] = entries
-        skeleton = pickle.dumps(setups, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        for segment in segments:
-            try:
-                segment.close()
-                segment.unlink()
-            except OSError:
-                pass
-        raise
-    finally:
-        for owner, array_attr, value in saved:
-            setattr(owner, array_attr, value)
-    return segments, skeleton, specs
-
-
-def attach_setups(skeleton: bytes, specs: Dict[str, List[_SlotSpec]]):
-    """Worker-side inverse of :func:`pack_setups`.
-
-    Returns:
-        ``(setups, segments)`` — the reconstructed setups dict, whose array
-        slots are read-only views over the parent's shared segments, and
-        the attached segments (closed by the worker when it exits).
-    """
-    setups = pickle.loads(skeleton)
-    segments: List[shared_memory.SharedMemory] = []
-    for workload, entries in specs.items():
-        setup = setups[workload]
-        for owner_attr, array_attr, name, shape, dtype in entries:
-            # Attaching re-registers the name with the (fork- or spawn-
-            # inherited, shared) resource tracker; that is idempotent, and
-            # the parent's unlink() removes it exactly once — so no
-            # explicit unregister here, which would double-remove.
-            segment = shared_memory.SharedMemory(name=name)
-            segments.append(segment)
-            view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf)
-            view.flags.writeable = False
-            setattr(getattr(setup, owner_attr), array_attr, view)
-    return setups, segments
-
 
 class _WorkerCampaign(Campaign):
     """A worker-local campaign that stamps the watchdog heartbeat whenever
@@ -206,10 +104,10 @@ def _take_counts(campaign: _WorkerCampaign) -> Tuple[Counter, Counter, Counter]:
 
 
 def _worker_main(
-    skeleton, specs, config, task_queue, result_queue, current, heartbeats,
+    pickled_setups, config, task_queue, result_queue, current, heartbeats,
     worker_index,
 ) -> None:
-    """One shard worker: attach baselines, run tasks until the sentinel.
+    """One shard worker: unpickle the baselines, run tasks until the sentinel.
 
     ``current[worker_index]`` mirrors the slot being evaluated (``_IDLE``
     between tasks) and ``heartbeats[worker_index]`` the monotonic instant
@@ -225,7 +123,7 @@ def _worker_main(
     if plan is not None:
         faults.activate(plan)
     try:
-        setups, segments = attach_setups(skeleton, specs)
+        setups = pickle.loads(pickled_setups)
     except Exception:
         result_queue.put(("fatal", None, traceback.format_exc()))
         return
@@ -241,42 +139,35 @@ def _worker_main(
         ),
         **config["campaign"],
     )
-    try:
-        with use_engine(config["engine"]):
-            while True:
-                task = task_queue.get()
-                if task is None:
-                    break
-                slot, point, key, attempt = task
-                beat()
-                current[worker_index] = slot
-                try:
-                    faults.inject(
-                        "shard.worker",
-                        {
-                            "workload": point.workload,
-                            "strategy": point.strategy,
-                            "overhead": point.overhead,
-                            "attempt": attempt,
-                        },
-                    )
-                    entries, groups = campaign._execute(
-                        [point], 1, keys=[key] if key is not None else None
-                    )
-                    result_queue.put(
-                        ("done", slot, (entries[0], groups, _take_counts(campaign)))
-                    )
-                except Exception:
-                    _take_counts(campaign)  # the failed task's counts go with it
-                    result_queue.put(("error", slot, traceback.format_exc()))
-                finally:
-                    current[worker_index] = _IDLE
-    finally:
-        for segment in segments:
+    with use_engine(config["engine"]):
+        while True:
+            task = task_queue.get()
+            if task is None:
+                break
+            slot, point, key, attempt = task
+            beat()
+            current[worker_index] = slot
             try:
-                segment.close()
-            except OSError:
-                pass
+                faults.inject(
+                    "shard.worker",
+                    {
+                        "workload": point.workload,
+                        "strategy": point.strategy,
+                        "overhead": point.overhead,
+                        "attempt": attempt,
+                    },
+                )
+                entries, groups = campaign._execute(
+                    [point], 1, keys=[key] if key is not None else None
+                )
+                result_queue.put(
+                    ("done", slot, (entries[0], groups, _take_counts(campaign)))
+                )
+            except Exception:
+                _take_counts(campaign)  # the failed task's counts go with it
+                result_queue.put(("error", slot, traceback.format_exc()))
+            finally:
+                current[worker_index] = _IDLE
 
 
 def run_sharded(
@@ -332,7 +223,7 @@ def run_sharded(
     workers_publish = store is not None and store.root is not None
 
     context = mp.get_context()
-    segments, skeleton, specs = pack_setups(campaign.setups)
+    pickled_setups = pickle.dumps(campaign.setups, protocol=pickle.HIGHEST_PROTOCOL)
     task_queue = context.Queue()
     result_queue = context.Queue()
     config = {
@@ -368,7 +259,7 @@ def run_sharded(
         worker = context.Process(
             target=_worker_main,
             args=(
-                skeleton, specs, config, task_queue, result_queue,
+                pickled_setups, config, task_queue, result_queue,
                 current, heartbeats, index,
             ),
             daemon=True,
@@ -557,13 +448,7 @@ def run_sharded(
                 worker.join(timeout=5.0)
         task_queue.close()
         result_queue.close()
-        for segment in segments:
-            try:
-                segment.close()
-                segment.unlink()
-            except OSError:
-                pass
     return records, num_groups
 
 
-__all__ = ["run_sharded", "pack_setups", "attach_setups"]
+__all__ = ["run_sharded"]

@@ -38,12 +38,12 @@ from collections import OrderedDict
 from concurrent.futures import Future, TimeoutError as FuturesTimeoutError
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..core import resolve_strategy
+from ..core import check_area_overhead, resolve_strategy
 from ..deadlines import Deadline, deadline_scope
 from ..faults import InjectedFault, inject
 from ..flow.cache import SolverCache
 from ..flow.experiment import ExperimentSetup
-from ..flow.recover import recover_store
+from ..flow.recover import recover_at_startup
 from ..flow.runner import Campaign, CampaignPoint, CampaignRecord, FailedPoint
 from ..flow.store import ResultStore
 from .admission import (
@@ -135,7 +135,11 @@ class SweepServer:
         max_rss_mb: Process memory budget for the resource governor;
             ``None`` disables graceful degradation.
         artifact_store: Optional artifact cache whose in-memory LRU the
-            governor shrinks under memory pressure.
+            governor shrinks under memory pressure.  Miss batches run on
+            a pass-through graph (their campaigns get no ``flow``), so the
+            server adds nothing to this cache: under ``repro serve
+            --artifact-cache DIR`` it holds only what preparing the
+            baselines stored there.
         shed_retry_after_s: Retry hint attached to shed/overload
             rejections (rate-limit rejections compute the exact
             token-bucket refill time instead).
@@ -201,15 +205,7 @@ class SweepServer:
         # shared store; clear what is provably abandoned before accepting
         # requests.
         if self.store.root is not None:
-            try:
-                recovered = recover_store(self.store.root)
-                if recovered.num_repaired:
-                    logger.warning(
-                        "recovered result store %s at startup (%s)",
-                        self.store.root, recovered.summary(),
-                    )
-            except OSError as error:
-                logger.warning("store recovery pass failed: %s", error)
+            recover_at_startup(self.store.root, "sweep server")
 
         # One batching campaign per analyze_timing flavour; both share the
         # server's setups and solver cache, so geometry reuse spans them.
@@ -526,6 +522,8 @@ class SweepServer:
                 resolve_strategy(spec).spec for spec in payload["strategies"]
             ]
             overheads = [float(value) for value in payload["overheads"]]
+            for overhead in overheads:
+                check_area_overhead(overhead)
         except (KeyError, TypeError, ValueError) as error:
             return {"ok": False, "error": f"bad sweep spec: {error}"}
         if not strategies or not overheads:

@@ -51,6 +51,18 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "has no parameter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.1"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("quickstart", "--overhead"), ("sweep", "--overheads"),
+         ("submit", "--overheads")],
+    )
+    def test_bad_overhead_exits_2(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, f"{flag}={value}"])
+        assert excinfo.value.code == 2
+        assert "finite and non-negative" in capsys.readouterr().err
+
     def test_comma_separated_specs_keep_param_commas(self):
         args = build_parser().parse_args(
             ["sweep", "--strategies", "default,hw:ring_um=8,max_source_units=3,hybrid"]

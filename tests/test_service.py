@@ -82,6 +82,22 @@ class TestProtocol:
         with pytest.raises(ServiceError, match="strategies and overheads"):
             client.sweep(name, [], OVERHEADS)
 
+    @pytest.mark.parametrize("overhead", [float("nan"), float("inf"), -0.1])
+    def test_bad_overheads_are_bad_sweep_specs(self, server, served_setup, overhead):
+        # A JSON NaN/Infinity (or a negative overhead) is rejected at the
+        # front door: nothing is queued or computed.
+        host, port = server.address
+        response = request_once(host, port, {
+            "op": "sweep", "workload": served_setup.workload.name,
+            "strategies": ["eri"], "overheads": [0.1, overhead],
+        })
+        assert response["ok"] is False
+        assert "bad sweep spec" in response["error"]
+        assert "finite and non-negative" in response["error"]
+        stats = server.stats()
+        assert stats["points_requested"] == 0
+        assert stats["points_solved"] == 0
+
     def test_shutdown_op(self, served_setup, tmp_path):
         instance = SweepServer(
             {served_setup.workload.name: served_setup},

@@ -1,15 +1,11 @@
-"""Process-sharded campaign execution: shared-memory packing + parity."""
+"""Process-sharded campaign execution: parity with the thread executor."""
 
 from __future__ import annotations
 
-import pickle
-
-import numpy as np
 import pytest
 
 from repro.bench import small_synthetic_circuit, scattered_hotspots_workload
 from repro.flow import ArtifactStore, Campaign, ExperimentSetup, FlowGraph, ResultStore
-from repro.flow.shard import attach_setups, pack_setups
 
 NX = NY = 16
 STRATEGIES = ("default", "eri")
@@ -31,60 +27,6 @@ def serial_result(shard_setup):
     return Campaign(
         shard_setup, STRATEGIES, OVERHEADS, name="serial"
     ).run(max_workers=1)
-
-
-class TestPacking:
-    def test_roundtrip_restores_arrays_bitwise(self, shard_setup):
-        setups = {"wl": shard_setup}
-        original_power = shard_setup.power_map.power_w.copy()
-        original_temps = shard_setup.thermal_map.temperatures.copy()
-
-        segments, skeleton, specs = pack_setups(setups)
-        try:
-            # The live setups must be intact after packing.
-            np.testing.assert_array_equal(
-                shard_setup.power_map.power_w, original_power
-            )
-            np.testing.assert_array_equal(
-                shard_setup.thermal_map.temperatures, original_temps
-            )
-            attached, attached_segments = attach_setups(skeleton, specs)
-            try:
-                clone = attached["wl"]
-                np.testing.assert_array_equal(
-                    clone.power_map.power_w, original_power
-                )
-                np.testing.assert_array_equal(
-                    clone.thermal_map.temperatures, original_temps
-                )
-                # Attached views are read-only windows on shared pages.
-                assert not clone.power_map.power_w.flags.writeable
-                with pytest.raises((ValueError, RuntimeError)):
-                    clone.power_map.power_w[0] = 0.0
-            finally:
-                for segment in attached_segments:
-                    segment.close()
-        finally:
-            for segment in segments:
-                segment.close()
-                segment.unlink()
-
-    def test_skeleton_excludes_shared_arrays(self, shard_setup):
-        setups = {"wl": shard_setup}
-        baseline = len(pickle.dumps(setups, protocol=pickle.HIGHEST_PROTOCOL))
-        segments, skeleton, specs = pack_setups(setups)
-        try:
-            shared_bytes = sum(
-                int(np.prod(shape)) * np.dtype(dtype).itemsize
-                for entries in specs.values()
-                for _oa, _aa, _name, shape, dtype in entries
-            )
-            assert shared_bytes > 0
-            assert len(skeleton) < baseline
-        finally:
-            for segment in segments:
-                segment.close()
-                segment.unlink()
 
 
 class TestShardedCampaign:

@@ -1,7 +1,7 @@
 """Tests for the pluggable whitespace-strategy API.
 
 Covers the registry (registration, duplicate rejection, resolution with
-parameters), the spec grammar round-trips, config resolution, and
+parameters), the spec grammar round-trips, spec resolution, and
 outcome sanity for the two new built-in strategies
 (``hybrid`` and ``gradient``) on the quickstart circuit.
 """
@@ -10,8 +10,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    AreaManagementConfig,
-    AreaManager,
     ERI_HOTSPOT_THRESHOLD,
     StrategyContext,
     StrategyResult,
@@ -19,6 +17,7 @@ from repro.core import (
     apply_row_insertions,
     available_strategies,
     format_strategy_spec,
+    manage_area,
     parse_strategy_spec,
     plan_gradient_insertion_points,
     register_strategy,
@@ -189,31 +188,25 @@ class TestSpecGrammar:
 
 class TestConfigResolution:
     def test_bare_builtin_names_stay_plain_names(self):
-        config = AreaManagementConfig(strategy="hw")
-        assert config.strategy == "hw" and type(config.strategy) is str
-        assert config.strategy_impl.overrides == {}
+        strategy = resolve_strategy("hw")
+        assert strategy.spec == "hw" and type(strategy.spec) is str
+        assert strategy.overrides == {}
 
     def test_parameterized_spec(self):
-        config = AreaManagementConfig(strategy="hw:ring_um=9")
-        # With overrides bound the field keeps the canonical spec, so
-        # equality and dataclasses.replace() preserve the parameters.
-        assert config.strategy == "hw:ring_um=9.0"
-        assert config.strategy_impl.overrides == {"ring_um": 9.0}
-        assert config != AreaManagementConfig(strategy="hw")
-        import dataclasses
-
-        copied = dataclasses.replace(config, area_overhead=0.3)
-        assert copied.strategy_impl.overrides == {"ring_um": 9.0}
-        assert copied.area_overhead == 0.3
+        strategy = resolve_strategy("hw:ring_um=9")
+        # With overrides bound the canonical spec names the parameters.
+        assert strategy.spec == "hw:ring_um=9.0"
+        assert strategy.overrides == {"ring_um": 9.0}
+        assert strategy != resolve_strategy("hw")
 
     def test_new_strategy_names_stay_strings(self):
-        config = AreaManagementConfig(strategy="hybrid")
-        assert config.strategy == "hybrid"
-        assert config.effective_hotspot_threshold == ERI_HOTSPOT_THRESHOLD
+        strategy = resolve_strategy("hybrid")
+        assert strategy.spec == "hybrid"
+        assert strategy.effective_hotspot_threshold() == ERI_HOTSPOT_THRESHOLD
 
     def test_spec_threshold_param_drives_detection(self):
-        config = AreaManagementConfig(strategy="eri:hotspot_threshold=0.9")
-        assert config.effective_hotspot_threshold == pytest.approx(0.9)
+        strategy = resolve_strategy("eri:hotspot_threshold=0.9")
+        assert strategy.effective_hotspot_threshold() == pytest.approx(0.9)
 
 
 class TestGradientPlanner:
@@ -253,10 +246,8 @@ class TestNewStrategiesOutcomes:
     @pytest.mark.parametrize("spec", ["hybrid", "gradient"])
     def test_reduction_positive_at_15_percent(self, inputs, spec):
         placement, power, thermal = inputs
-        manager = AreaManager(AreaManagementConfig(strategy=spec, area_overhead=0.15))
-        result = manager.optimize(placement, power, thermal)
+        result = manage_area(placement, power, thermal, spec, 0.15)
         new_map = simulate_placement(result.placement, power, warm_start=thermal)
-        assert result.strategy == spec
         assert result.actual_overhead >= 0.15 - 1e-9
         assert result.inserted_rows > 0
         assert result.placement.check_legal() == []
@@ -264,10 +255,7 @@ class TestNewStrategiesOutcomes:
 
     def test_hybrid_wraps_after_inserting_rows(self, inputs):
         placement, power, thermal = inputs
-        manager = AreaManager(
-            AreaManagementConfig(strategy="hybrid", area_overhead=0.2)
-        )
-        result = manager.optimize(placement, power, thermal)
+        result = manage_area(placement, power, thermal, "hybrid", 0.2)
         assert result.placement.floorplan.num_rows > placement.floorplan.num_rows
         assert "eri" in result.details and "wrapper" in result.details
 
@@ -275,9 +263,8 @@ class TestNewStrategiesOutcomes:
         placement, power, thermal = inputs
         flat = resolve_strategy("gradient:exponent=0.5")
         sharp = resolve_strategy("gradient:exponent=3")
-        config = AreaManagementConfig(strategy="gradient", area_overhead=0.15)
         ctx_args = dict(placement=placement, power=power, thermal_map=thermal,
-                        hotspots=[], config=config)
+                        hotspots=[], area_overhead=0.15)
         flat_rows = flat.apply(StrategyContext(**ctx_args)).details.insertion_points
         sharp_rows = sharp.apply(StrategyContext(**ctx_args)).details.insertion_points
         # A sharper exponent concentrates the budget on fewer distinct rows.
@@ -317,11 +304,9 @@ class TestCustomStrategyEndToEnd:
                 )
 
         try:
-            manager = AreaManager(
-                AreaManagementConfig(strategy="every-kth-row:k=3", area_overhead=0.1)
+            result = manage_area(
+                small_placement, small_power, small_thermal, "every-kth-row:k=3", 0.1
             )
-            result = manager.optimize(small_placement, small_power, small_thermal)
-            assert result.strategy == "every-kth-row:k=3"
             assert result.inserted_rows > 0
             assert result.placement.check_legal() == []
         finally:
