@@ -21,8 +21,9 @@ spec is the only parameter channel: every tunable of a transform
 from __future__ import annotations
 
 import math
+from typing import Callable, Optional
 
-from ..placement import Placement
+from ..placement import Placement, PlacementView
 from ..power import PowerReport
 from ..thermal import ThermalMap
 from .hotspot import detect_hotspots
@@ -47,6 +48,7 @@ def manage_area(
     thermal_map: ThermalMap,
     strategy: StrategySpec,
     area_overhead: float,
+    relax: Optional[Callable[[], PlacementView]] = None,
 ) -> StrategyResult:
     """Produce the modified placed netlist for one strategy and overhead.
 
@@ -62,6 +64,9 @@ def manage_area(
             parameterized spec (``"hw:ring_um=8"``), a mapping or a
             resolved :class:`~repro.core.strategy.WhitespaceStrategy`.
         area_overhead: User-specified fractional area overhead.
+        relax: Supplies the Default solution at ``area_overhead`` to the
+            strategy (:attr:`StrategyContext.relax`); the flow passes its
+            keyed ``relax`` stage.  Relaxed on demand when omitted.
 
     Raises:
         ValueError: On an unknown or malformed spec, or an overhead that
@@ -82,6 +87,7 @@ def manage_area(
             thermal_map=thermal_map,
             hotspots=hotspots,
             area_overhead=area_overhead,
+            relax=relax,
         )
     )
 

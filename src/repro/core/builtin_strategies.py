@@ -18,6 +18,9 @@ package (``examples/custom_strategy.py``).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+from ..placement import Placement, PlacementView
 from .default_spread import apply_default_spread
 from .empty_row import (
     apply_empty_row_insertion,
@@ -45,6 +48,24 @@ ERI_HOTSPOT_THRESHOLD = 0.5
 HW_HOTSPOT_THRESHOLD = 0.75
 
 
+def default_relaxation(baseline: Placement, area_overhead: float) -> PlacementView:
+    """Default's relaxed placement of ``baseline`` at ``area_overhead``, without fillers.
+
+    :func:`apply_default_spread` re-places a copy of the baseline netlist;
+    the result is frozen into a view over the baseline's own netlist, so
+    the copy dies here.  ``default`` fills this view and ``hw`` wraps it;
+    :class:`~repro.flow.graph.FlowGraph` keys it as its ``relax`` stage so
+    both share one relaxation per overhead.
+    """
+    relaxed = apply_default_spread(baseline, area_overhead, add_fillers=False).placement
+    return PlacementView.of(relaxed, baseline.netlist)
+
+
+def _relaxed_overhead(ctx: StrategyContext, relaxed: PlacementView) -> float:
+    """Core-area overhead of a relaxed placement over the baseline."""
+    return relaxed.floorplan.core_area / ctx.placement.floorplan.core_area - 1.0
+
+
 @register_strategy
 class DefaultSpreadStrategy(WhitespaceStrategy):
     """Uniform utilization relaxation (the paper's "Default" baseline)."""
@@ -53,12 +74,12 @@ class DefaultSpreadStrategy(WhitespaceStrategy):
     default_hotspot_threshold = ERI_HOTSPOT_THRESHOLD
 
     def apply(self, ctx: StrategyContext) -> StrategyResult:
-        result = apply_default_spread(ctx.placement, ctx.area_overhead)
+        relaxed = ctx.relaxed()
+        placement = relaxed.with_fillers()
         return StrategyResult(
-            placement=result.placement,
-            actual_overhead=result.actual_overhead,
-            num_fillers=result.num_fillers,
-            details=result,
+            placement=placement,
+            actual_overhead=_relaxed_overhead(ctx, relaxed),
+            num_fillers=len(placement.fillers) - len(relaxed.fillers),
         )
 
 
@@ -104,17 +125,23 @@ class _WrapperMixin(WhitespaceStrategy):
             )
         return validated
 
-    def _wrap(self, ctx: StrategyContext, placement, hotspots):
-        """Wrap ``placement`` in place: it is a transform's fresh result,
-        owned by this call, so the wrapper skips its defensive copy.  Rows
-        are rebuilt first so the result equals the copying wrapper's."""
-        placement.rebuild_rows()
-        return apply_hotspot_wrapper_in_place(
+    def _wrap(self, ctx: StrategyContext, view: PlacementView, hotspots):
+        """Wrap ``view``'s object form and freeze the result into a view.
+
+        :meth:`~repro.placement.PlacementView.to_placement` is one netlist
+        copy with rows in :meth:`~repro.placement.Placement.rebuild_rows`
+        order, so the in-place wrapper's result equals the copying
+        wrapper's; the copy dies here, and the returned wrapper result
+        carries the frozen view.
+        """
+        placement = view.to_placement()
+        result = apply_hotspot_wrapper_in_place(
             placement,
             project_hotspots(hotspots, ctx.placement, placement),
             ring_width_um=float(self.param("ring_um")),
             max_source_units=int(self.param("max_source_units")),
         )
+        return replace(result, placement=PlacementView.of(placement, ctx.placement.netlist))
 
 
 @register_strategy
@@ -129,13 +156,11 @@ class HotspotWrapperStrategy(_WrapperMixin):
         # Start from the Default solution at the requested overhead (as in
         # the paper's Figure 6), project the hotspots detected on the
         # baseline map onto that placement, then wrap them.
-        default_result = apply_default_spread(
-            ctx.placement, ctx.area_overhead, add_fillers=False
-        )
-        hw_result = self._wrap(ctx, default_result.placement, ctx.hotspots)
+        relaxed = ctx.relaxed()
+        hw_result = self._wrap(ctx, relaxed, ctx.hotspots)
         return StrategyResult(
             placement=hw_result.placement,
-            actual_overhead=default_result.actual_overhead,
+            actual_overhead=_relaxed_overhead(ctx, relaxed),
             num_fillers=hw_result.num_fillers,
             details=hw_result,
         )
@@ -151,9 +176,9 @@ class HybridStrategy(_WrapperMixin):
     placement's whitespace around the tight concentrated peaks (hotspots
     re-detected at ``tight_threshold``, projected onto the grown core).
     Targets scenarios with both a wide warm region and a sharp peak, where
-    neither ERI nor HW alone is a good fit.  The wrapper transforms the ERI
-    placement in place, so ``details["eri"].placement`` is the final
-    (wrapped) placement.
+    neither ERI nor HW alone is a good fit.  ``details["eri"].placement``
+    is the ERI view the wrapper started from, ``details["wrapper"]`` the
+    wrapped result.
     """
 
     name = "hybrid"

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..placement import Placement, insert_fillers, place_design
+from .area_manager import check_area_overhead
 
 
 @dataclass
@@ -62,10 +63,9 @@ def apply_default_spread(
         A :class:`DefaultSpreadResult`.
 
     Raises:
-        ValueError: If ``area_overhead`` is negative.
+        ValueError: If ``area_overhead`` is negative, NaN or infinite.
     """
-    if area_overhead < 0.0:
-        raise ValueError(f"area_overhead must be non-negative, got {area_overhead}")
+    check_area_overhead(area_overhead)
 
     base_area = baseline.floorplan.core_area
     base_utilization = baseline.utilization()

@@ -13,18 +13,26 @@ per hotspot row, additional empty rows are scheduled around the hotspot
 spans), the core grows by the corresponding number of rows, and every cell
 keeps its x coordinate while its row index is shifted upward by the number
 of empty rows inserted below it — exactly the "move rows of cells upward by
-an offset of a few rows" operation the paper describes.  The created
-whitespace rows are finally filled with dummy (filler) cells.
+an offset of a few rows" operation the paper describes, done as one array
+op on a :class:`~repro.placement.PlacementView` (no netlist copy).  The
+created whitespace rows are finally filled with dummy (filler) cells.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Set, Union
 
-from ..placement import Placement, insert_fillers
+from ..placement import Placement, PlacementView
+from ..placement.view import shift_rows
+from .area_manager import check_area_overhead
 from .hotspot import Hotspot
+
+# Unused here since the row shift fills views (PlacementView.with_fillers),
+# but kept as a module attribute: perfbench/spans.py wraps this name at
+# this lookup site.
+from ..placement import insert_fillers  # noqa: F401
 
 
 @dataclass
@@ -32,8 +40,8 @@ class EmptyRowInsertionResult:
     """Outcome of an empty-row-insertion transformation.
 
     Attributes:
-        placement: The transformed placement (cloned netlist; the baseline
-            placement is untouched).
+        placement: The transformed placement, a view over the baseline's
+            netlist (the baseline placement is untouched).
         inserted_rows: Number of empty rows inserted.
         insertion_points: Baseline row indices below which an empty row was
             inserted (one entry per inserted row, duplicates allowed when
@@ -44,7 +52,7 @@ class EmptyRowInsertionResult:
         num_fillers: Filler cells inserted into the new whitespace.
     """
 
-    placement: Placement
+    placement: PlacementView
     inserted_rows: int
     insertion_points: List[int] = field(default_factory=list)
     requested_overhead: Optional[float] = None
@@ -58,9 +66,11 @@ def rows_for_overhead(baseline: Placement, area_overhead: float) -> int:
     One inserted row adds ``row_height * core_width`` of core area, so the
     row count is the overhead times the baseline row count (rounded up, so
     the requested overhead is always reached).
+
+    Raises:
+        ValueError: If ``area_overhead`` is negative, NaN or infinite.
     """
-    if area_overhead < 0.0:
-        raise ValueError(f"area_overhead must be non-negative, got {area_overhead}")
+    check_area_overhead(area_overhead)
     return int(math.ceil(area_overhead * baseline.floorplan.num_rows - 1e-9))
 
 
@@ -191,8 +201,8 @@ def apply_empty_row_insertion(
         add_fillers: Fill the created whitespace with dummy cells.
 
     Returns:
-        An :class:`EmptyRowInsertionResult` whose placement lives on a
-        cloned netlist.
+        An :class:`EmptyRowInsertionResult` whose placement is a view over
+        the baseline's netlist.
 
     Raises:
         ValueError: If neither or both of ``num_rows``/``area_overhead`` are
@@ -213,7 +223,7 @@ def apply_empty_row_insertion(
 
 
 def apply_row_insertions(
-    baseline: Placement,
+    baseline: Union[Placement, PlacementView],
     insertion_points: Sequence[int],
     requested_overhead: Optional[float] = None,
     add_fillers: bool = True,
@@ -233,14 +243,16 @@ def apply_row_insertions(
         add_fillers: Fill the created whitespace with dummy cells.
 
     Returns:
-        An :class:`EmptyRowInsertionResult` whose placement lives on a
-        cloned netlist.
+        An :class:`EmptyRowInsertionResult` whose placement is a view over
+        the baseline's netlist: every placed cell keeps its x and moves up
+        by the empty rows inserted at or below its row.
 
     Raises:
         ValueError: If any insertion point is outside the baseline rows.
     """
     insertion_points = list(insertion_points)
-    num_baseline_rows = baseline.floorplan.num_rows
+    base_floorplan = baseline.floorplan
+    num_baseline_rows = base_floorplan.num_rows
     for row in insertion_points:
         if not 0 <= row < num_baseline_rows:
             raise ValueError(
@@ -248,48 +260,18 @@ def apply_row_insertions(
             )
 
     # Number of empty rows inserted below each baseline row index.
-    inserted_below: Dict[int, int] = {}
+    inserted_below = [0] * num_baseline_rows
     for row in insertion_points:
-        inserted_below[row] = inserted_below.get(row, 0) + 1
+        inserted_below[row] += 1
+    shifted = shift_rows(PlacementView.of(baseline), inserted_below)
+    placement = shifted.with_fillers() if add_fillers else shifted
 
-    base_floorplan = baseline.floorplan
-    new_floorplan = base_floorplan.with_extra_rows(len(insertion_points))
-
-    #
-
-    # Map baseline row -> new row index (shift up by the empties below it).
-    shift = 0
-    row_mapping: Dict[int, int] = {}
-    for row_index in range(base_floorplan.num_rows):
-        shift += inserted_below.get(row_index, 0)
-        row_mapping[row_index] = row_index + shift
-
-    netlist = baseline.netlist.copy()
-    placement = Placement(netlist, new_floorplan)
-    placement.regions = dict(baseline.regions)
-
-    for cell in netlist.cells.values():
-        if not cell.is_placed:
-            continue
-        old_row = base_floorplan.row_of_y(cell.y + 1e-9)
-        new_row = row_mapping.get(old_row, old_row)
-        placement.assign(cell, new_row, cell.x)
-    for row in placement.rows:
-        row.sort()
-    if baseline.fillers:
-        # The baseline's block fillers shift with their rows, like its cells.
-        placement.fillers = replace(
-            baseline.fillers, row=[row_mapping[r] for r in baseline.fillers.row.tolist()]
-        )
-
-    num_fillers = len(insert_fillers(placement)) if add_fillers else 0
-
-    actual_overhead = new_floorplan.core_area / base_floorplan.core_area - 1.0
+    actual_overhead = placement.floorplan.core_area / base_floorplan.core_area - 1.0
     return EmptyRowInsertionResult(
         placement=placement,
         inserted_rows=len(insertion_points),
         insertion_points=insertion_points,
         requested_overhead=requested_overhead,
         actual_overhead=actual_overhead,
-        num_fillers=num_fillers,
+        num_fillers=len(placement.fillers) - len(shifted.fillers),
     )

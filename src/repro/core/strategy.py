@@ -43,7 +43,7 @@ from typing import (
     Union,
 )
 
-from ..placement import Placement
+from ..placement import Placement, PlacementView
 from ..power import PowerReport
 from ..thermal import ThermalMap
 from .hotspot import Hotspot, detect_hotspots
@@ -62,13 +62,17 @@ class StrategyContext:
 
     Attributes:
         placement: The baseline placed design (strategies must not mutate
-            it; every built-in works on a cloned netlist).
+            it; the built-ins return views over its netlist).
         power: Cell-by-cell power report of the baseline.
         thermal_map: Thermal map of the baseline placement.
         hotspots: Hotspots pre-detected at the strategy's effective
             threshold, hottest first.
         area_overhead: The user-requested fractional area overhead.  Every
             other knob is a parameter of the strategy's own spec.
+        relax: Supplies :meth:`relaxed` — a
+            :class:`~repro.flow.graph.FlowGraph` passes its keyed ``relax``
+            stage, so strategies starting from the Default solution share
+            one relaxation per overhead; ``None`` relaxes on each call.
     """
 
     placement: Placement
@@ -76,6 +80,21 @@ class StrategyContext:
     thermal_map: ThermalMap
     hotspots: List[Hotspot]
     area_overhead: float
+    relax: Optional[Callable[[], PlacementView]] = None
+
+    def relaxed(self) -> PlacementView:
+        """The Default solution at :attr:`area_overhead`, without fillers.
+
+        The baseline re-placed at the utilization that spreads the overhead
+        uniformly (see
+        :func:`~repro.core.builtin_strategies.default_relaxation`), as a
+        view over the baseline's netlist.
+        """
+        if self.relax is not None:
+            return self.relax()
+        from .builtin_strategies import default_relaxation
+
+        return default_relaxation(self.placement, self.area_overhead)
 
     def detect(self, threshold_fraction: float) -> List[Hotspot]:
         """Re-detect hotspots on the baseline map at another threshold.
@@ -97,7 +116,10 @@ class StrategyResult:
     """What a strategy hands back to the area manager.
 
     Attributes:
-        placement: The transformed placement (on a cloned netlist).
+        placement: The transformed placement: a
+            :class:`~repro.placement.PlacementView` over the baseline's
+            netlist for the built-ins (a plugin may return a
+            :class:`~repro.placement.Placement`; the flow freezes it).
         actual_overhead: Core-area overhead actually introduced (0.0 for
             techniques that only redistribute existing whitespace).
         inserted_rows: Empty rows inserted, when the technique inserts rows.
@@ -105,7 +127,7 @@ class StrategyResult:
         details: Strategy-specific result object(s) for deeper inspection.
     """
 
-    placement: Placement
+    placement: Union[Placement, PlacementView]
     actual_overhead: float
     inserted_rows: int = 0
     num_fillers: int = 0

@@ -26,7 +26,8 @@ store it shares its tiered core and on-disk format with.
 
 * **Artifact dataclasses** — the frozen, typed value each stage produces
   (:class:`PlacementArtifact`, :class:`PowerArtifact`,
-  :class:`WhitespaceArtifact`, :class:`LegalizedArtifact`,
+  :class:`RelaxArtifact`, :class:`WhitespaceArtifact`,
+  :class:`LegalizedArtifact`,
   :class:`ThermalArtifact`, :class:`StaArtifact`), each carrying the stage
   input ``key`` it was computed for.
 """
@@ -36,12 +37,12 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
 from ..netlist import Netlist
-from ..placement import Placement
+from ..placement import Placement, PlacementView
 from ..power.power_map import PowerMap
 from ..power.power_model import PowerReport
 from ..thermal import Package, ThermalGrid, ThermalMap
@@ -169,6 +170,14 @@ def _feed_numbers(hasher, values: list, dtype: str) -> None:
     hasher.update(np.asarray(values, dtype=dtype).tobytes())
 
 
+def _feed_masked(hasher, values: np.ndarray, mask: np.ndarray, dtype: str) -> None:
+    """:func:`_feed_numbers` of an array whose unset entries ``mask`` clears:
+    the same bytes as feeding the list with ``None`` at those entries."""
+    hasher.update(b"V" + struct.pack("<q", values.shape[0]) + dtype.encode("ascii"))
+    hasher.update(mask.tobytes())
+    hasher.update(np.where(mask, values, 0).astype(dtype).tobytes())
+
+
 def netlist_digest(netlist: Netlist) -> str:
     """Structural content digest of a netlist (placement-independent).
 
@@ -214,35 +223,37 @@ def netlist_digest(netlist: Netlist) -> str:
     return digest
 
 
-def placement_digest(placement: Placement) -> str:
+def placement_digest(placement: Union[Placement, PlacementView]) -> str:
     """Content digest of a placed design: structure + geometry + coordinates.
 
     Cell x/y/row and port x/y are hashed as masked arrays, the filler
     block as its name prefix, first index, master names and row/x/master
-    arrays.  Memoised
+    arrays.  A :class:`~repro.placement.PlacementView` hashes exactly like
+    its :meth:`~repro.placement.PlacementView.to_placement`, so stage
+    keys do not depend on which form a placement takes.  A view is
+    immutable and hashed once; a :class:`Placement`'s digest is memoised
     against :meth:`~repro.netlist.netlist.Netlist.placement_state`: a move
     in this design (or a process-wide raw-write bump) re-hashes, while
     moves in any other design leave the memo valid.
     """
     netlist = placement.netlist
-    state = netlist.placement_state()
+    state = None if isinstance(placement, PlacementView) else netlist.placement_state()
     memo = getattr(placement, "_content_digest_memo", None)
     if memo is not None and memo[0] == state:
         return memo[1]
     floorplan = placement.floorplan
-    cells = list(netlist.cells.values())
-    ports = list(netlist.ports.values())
+    x, y, row, port_x, port_y = placement.coordinate_arrays()
     hasher = _new_hasher()
     _feed(hasher, ("placement", netlist_digest(netlist)))
     _feed(hasher, (
         floorplan.core_width, floorplan.core_height, floorplan.row_height,
         floorplan.site_width, floorplan.die_margin,
     ))
-    _feed_numbers(hasher, [cell.x for cell in cells], "<f8")
-    _feed_numbers(hasher, [cell.y for cell in cells], "<f8")
-    _feed_numbers(hasher, [cell.row for cell in cells], "<i8")
-    _feed_numbers(hasher, [port.x for port in ports], "<f8")
-    _feed_numbers(hasher, [port.y for port in ports], "<f8")
+    _feed_masked(hasher, x, ~np.isnan(x), "<f8")
+    _feed_masked(hasher, y, ~np.isnan(y), "<f8")
+    _feed_masked(hasher, row, row >= 0, "<i8")
+    _feed_masked(hasher, port_x, ~np.isnan(port_x), "<f8")
+    _feed_masked(hasher, port_y, ~np.isnan(port_y), "<f8")
     units = sorted(placement.regions)
     rects = [placement.regions[unit] for unit in units]
     _feed_strings(hasher, units)
@@ -362,6 +373,16 @@ class PowerArtifact:
 
 
 @dataclass(frozen=True)
+class RelaxArtifact:
+    """``relax`` output: the Default solution at one overhead, without
+    fillers — the baseline re-placed at the relaxed utilization, as a view
+    over the baseline's netlist."""
+
+    key: Optional[str]
+    placement: PlacementView
+
+
+@dataclass(frozen=True)
 class WhitespaceArtifact:
     """``whitespace`` output: the strategy-transformed placement.
 
@@ -369,11 +390,12 @@ class WhitespaceArtifact:
     extraction read (the strategy-specific ``details`` of the
     :class:`~repro.core.strategy.StrategyResult` are deliberately dropped:
     they are unused downstream and would drag arbitrary strategy internals
-    into the serialized store).
+    into the serialized store).  The placement is a view over the
+    baseline's netlist, so an artifact holds no netlist clone.
     """
 
     key: Optional[str]
-    placement: Placement
+    placement: PlacementView
     strategy_spec: str
     requested_overhead: float
     actual_overhead: float
@@ -423,6 +445,7 @@ __all__ = [
     "workload_digest",
     "PlacementArtifact",
     "PowerArtifact",
+    "RelaxArtifact",
     "WhitespaceArtifact",
     "LegalizedArtifact",
     "ThermalArtifact",

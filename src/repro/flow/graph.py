@@ -1,12 +1,23 @@
 """Staged flow-graph executor over content-addressed artifacts.
 
 :class:`FlowGraph` is the one implementation of the paper's evaluation
-pipeline (netlist -> placement -> power -> thermal -> STA), as six
+pipeline (netlist -> placement -> power -> thermal -> STA), as seven
 explicit stages::
 
     synth ──────┬─> legalize ─> thermal ─> sta        (baseline branch)
     power ──────┤
-    whitespace ─┴─> legalize ─> thermal ─> sta        (per-strategy branch)
+    relax ──> whitespace ─┴─> legalize ─> thermal ─> sta   (per-strategy branch)
+
+``relax`` is the Default solution at one overhead (the baseline re-placed
+at the relaxed utilization, no fillers), keyed per (baseline, overhead,
+engine): ``default`` fills it and ``hw`` wraps it, so a sweep relaxes once
+per overhead, not once per strategy.  ``whitespace`` runs the strategy and
+keeps its result as a :class:`~repro.placement.PlacementView` — coordinate
+arrays over the baseline's netlist — so no per-point netlist clone
+outlives its transform; ``legalize`` bins and ``sta`` times the view's
+arrays (never ``view.netlist``'s own cells, which are the baseline's).  To
+export a transformed design, call ``placement.to_placement()`` then
+``materialize_fillers()`` before :func:`~repro.netlist.write_def`.
 
 Every caller runs through it: :class:`~repro.flow.experiment.ExperimentSetup`,
 :func:`~repro.flow.experiment.evaluate_strategy`, the thread and process
@@ -47,9 +58,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core import StrategySpec, check_area_overhead, manage_area, resolve_strategy
+from ..core import builtin_strategies
 from ..engine import get_engine
 from ..netlist import Netlist
-from ..placement import Placement, place_design
+from ..placement import Placement, PlacementView, place_design
 from ..power import PowerModel, PowerReport, build_power_map, estimate_activity
 from ..power.power_map import PowerMap
 from ..thermal import Package, ThermalGrid, ThermalMap, default_package
@@ -60,6 +72,7 @@ from .artifacts import (
     LegalizedArtifact,
     PlacementArtifact,
     PowerArtifact,
+    RelaxArtifact,
     StaArtifact,
     ThermalArtifact,
     WhitespaceArtifact,
@@ -77,7 +90,7 @@ from .cache import SolverCache
 from .store import ArtifactStore
 
 #: Stage names in pipeline order.
-STAGES = ("synth", "power", "whitespace", "legalize", "thermal", "sta")
+STAGES = ("synth", "power", "relax", "whitespace", "legalize", "thermal", "sta")
 
 
 def _thermal_key(
@@ -267,6 +280,31 @@ class FlowGraph:
 
         return self._run("power", key, build)
 
+    def relax(self, placement: Placement, area_overhead: float) -> RelaxArtifact:
+        """``relax``: the Default solution at ``area_overhead``, without fillers.
+
+        Keyed on the baseline placement, the overhead (as a float, so
+        ``0`` and ``0.0`` share an artifact) and the engine.  Computed by
+        :func:`~repro.core.builtin_strategies.default_relaxation`, which
+        re-places one netlist copy and freezes it into a view over the
+        baseline's netlist.
+        """
+        check_area_overhead(area_overhead)
+        overhead = float(area_overhead)
+
+        def key() -> str:
+            return hash_parts(
+                FLOW_KEY_VERSION, "relax",
+                placement_digest(placement), overhead, get_engine(),
+            )
+
+        def build(key: Optional[str]) -> RelaxArtifact:
+            return RelaxArtifact(
+                key=key, placement=builtin_strategies.default_relaxation(placement, overhead)
+            )
+
+        return self._run("relax", key, build)
+
     def whitespace(
         self,
         placement: Placement,
@@ -279,29 +317,37 @@ class FlowGraph:
 
         Keyed on the baseline placement, the power report, the thermal map
         the hotspots are detected on, the *canonical* strategy spec and the
-        overhead — the spec carries every strategy parameter, so
-        ``"hw:ring_um=8"`` and ``"hw:ring_um=8.0"`` share an artifact while
-        any real parameter change invalidates it.
+        overhead (as a float) — the spec carries every strategy parameter,
+        so ``"hw:ring_um=8"`` and ``"hw:ring_um=8.0"`` share an artifact
+        while any real parameter change invalidates it.  Strategies that
+        start from the Default solution read this graph's :meth:`relax`.
+        The result is a :class:`~repro.placement.PlacementView` over the
+        baseline's netlist; a plugin's :class:`Placement` is frozen into
+        one.
         """
         impl = resolve_strategy(strategy)
         spec = impl.spec
         check_area_overhead(area_overhead)
+        overhead = float(area_overhead)
 
         def key() -> str:
             return hash_parts(
                 FLOW_KEY_VERSION, "whitespace",
                 placement_digest(placement), power_digest(power),
                 thermal_map_digest(thermal_map),
-                spec, area_overhead, get_engine(),
+                spec, overhead, get_engine(), "view",
             )
 
         def build(key: Optional[str]) -> WhitespaceArtifact:
-            result = manage_area(placement, power, thermal_map, impl, area_overhead)
+            result = manage_area(
+                placement, power, thermal_map, impl, overhead,
+                relax=lambda: self.relax(placement, overhead).placement,
+            )
             return WhitespaceArtifact(
                 key=key,
-                placement=result.placement,
+                placement=PlacementView.of(result.placement, placement.netlist),
                 strategy_spec=spec,
-                requested_overhead=area_overhead,
+                requested_overhead=overhead,
                 actual_overhead=result.actual_overhead,
                 inserted_rows=result.inserted_rows,
                 num_fillers=result.num_fillers,
@@ -433,7 +479,9 @@ class FlowGraph:
 
         Keyed on the placement content (wire delays depend on net lengths,
         so coordinates are part of the input), the delay-model temperature,
-        the clock period and the engine.
+        the clock period and the engine.  Wire lengths are measured on the
+        placement's own coordinates — a view's arrays, not its netlist's
+        (baseline) cells.
         """
         def key() -> str:
             return hash_parts(
@@ -448,6 +496,7 @@ class FlowGraph:
                 placement.netlist,
                 delay_model=delay_model,
                 clock_period_ps=clock_period_ps,
+                placement=placement,
             ).analyze()
             return StaArtifact(key=key, timing=timing)
 

@@ -360,7 +360,8 @@ class Campaign:
             to strings) here, so a typo fails at construction rather than
             deep inside the run.
         overheads: Requested area-overhead sweep points; each must be finite
-            and non-negative, checked here like the specs.
+            and non-negative, checked here like the specs, and is stored
+            as a float.
         analyze_timing: Also run STA per point (slower).
         cache: Solver cache shared by all points; a fresh unbounded
             :class:`SolverCache` is created when omitted.  Ignored in favour
@@ -452,9 +453,11 @@ class Campaign:
             )
         self.setups: Dict[str, ExperimentSetup] = dict(setups)
         self.strategies = tuple(resolve_strategy(spec).spec for spec in strategies)
-        self.overheads = tuple(overheads)
-        for overhead in self.overheads:
+        for overhead in overheads:
             check_area_overhead(overhead)
+        # Floats, so an int-spelled overhead (0) keys, computes and records
+        # exactly like its float spelling (0.0).
+        self.overheads = tuple(float(overhead) for overhead in overheads)
         self.analyze_timing = analyze_timing
         if flow is None:
             flow = FlowGraph.pass_through(cache)

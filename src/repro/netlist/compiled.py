@@ -743,14 +743,9 @@ class CompiledNetlist:
     # Vectorized HPWL
     # ------------------------------------------------------------------
 
-    def net_hpwl_um(self) -> np.ndarray:
-        """Half-perimeter wirelength of every net over its placed terminals.
-
-        Matches :meth:`Net.hpwl`: nets with fewer than two placed terminals
-        report ``0.0``.
-        """
-        terminals = self.connectivity.terminals(self._source())
-        cx, cy, placed = self.cell_center_arrays()
+    def terminal_coordinates(self) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
+        """This netlist's own cell centres and port positions,
+        ``((cx, cy, placed), (px, py, placed))``."""
         num_ports = len(self._ports)
         px = np.full(num_ports, np.nan)
         py = np.full(num_ports, np.nan)
@@ -760,6 +755,21 @@ class CompiledNetlist:
                 px[i] = port.x
                 py[i] = port.y
                 p_placed[i] = True
+        return self.cell_center_arrays(), (px, py, p_placed)
+
+    def net_hpwl_um(self, coordinates=None) -> np.ndarray:
+        """Half-perimeter wirelength of every net over its placed terminals.
+
+        Matches :meth:`Net.hpwl`: nets with fewer than two placed terminals
+        report ``0.0``.  ``coordinates`` are the terminal positions in
+        :meth:`terminal_coordinates` form — a
+        :class:`~repro.placement.PlacementView`'s, say — and default to
+        this netlist's own cells and ports.
+        """
+        terminals = self.connectivity.terminals(self._source())
+        if coordinates is None:
+            coordinates = self.terminal_coordinates()
+        (cx, cy, placed), (px, py, p_placed) = coordinates
 
         is_cell = terminals.is_cell
         ref = terminals.ref
@@ -807,14 +817,15 @@ class CompiledNetlist:
             hpwl[nonempty] = seg_hpwl
         return hpwl
 
-    def net_length_um(self, fallback_um: float) -> np.ndarray:
+    def net_length_um(self, fallback_um: float, coordinates=None) -> np.ndarray:
         """Estimated routed net lengths (HPWL with the wireload fallback).
 
         Matches :meth:`DelayModel.net_length_um`: nets whose HPWL is zero
         (fewer than two placed terminals, or coincident terminals) fall back
-        to ``fallback_um * max(num_sinks, 1)``.
+        to ``fallback_um * max(num_sinks, 1)``.  ``coordinates`` as for
+        :meth:`net_hpwl_um`.
         """
-        length = self.net_hpwl_um()
+        length = self.net_hpwl_um(coordinates)
         fallback = fallback_um * np.maximum(self.num_sinks, 1)
         return np.where(length <= 0.0, fallback, length)
 

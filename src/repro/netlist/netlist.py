@@ -68,6 +68,14 @@ class Netlist:
         """
         return (self._version, self._placement_stamp, CellInstance.placement_epoch)
 
+    def shares_structure_with(self, other: "Netlist") -> bool:
+        """Whether ``other`` reads this netlist's compiled connectivity.
+
+        True exactly when one is an unedited :meth:`copy` of the other (or
+        of a common source): same cells, nets and ports in the same order.
+        """
+        return self._connectivity is not None and self._connectivity is other._connectivity
+
     def place_port(self, port: Port, x: float, y: float) -> None:
         """Move a primary port to ``(x, y)`` and advance the placement stamp."""
         port.x = x

@@ -8,6 +8,7 @@ from .density import cell_density_map, density_in_rect, peak_density
 from .filler import filler_area, insert_fillers, remove_fillers
 from .detailed import improve_placement, improve_row
 from .placer import place_design, replace_at_utilization
+from .view import PlacementView, as_placement
 
 __all__ = [
     "Floorplan",
@@ -15,7 +16,9 @@ __all__ = [
     "slicing_partition",
     "FillerBlock",
     "Placement",
+    "PlacementView",
     "Row",
+    "as_placement",
     "GlobalPlacementResult",
     "QuadraticPlacer",
     "assign_port_positions",

@@ -16,6 +16,9 @@ cells when a consumer needs objects.
 
 from __future__ import annotations
 
+from typing import Iterable, List, Tuple
+
+from ..netlist import Netlist
 from .placement import FILLER_PREFIX, NO_FILLERS, FillerBlock, Placement
 
 
@@ -27,7 +30,8 @@ def insert_fillers(placement: Placement, prefix: str = FILLER_PREFIX) -> FillerB
     fillers extend the placement's filler block (names continue after the
     block, or after the netlist's own ``prefix``-named cells when the block
     is empty) and the placement stamp advances once; the netlist gains no
-    cell.
+    cell.  :meth:`~repro.placement.view.PlacementView.with_fillers` fills a
+    view the same way.
 
     Args:
         placement: Placement whose rows will be filled (modified in place).
@@ -36,9 +40,30 @@ def insert_fillers(placement: Placement, prefix: str = FILLER_PREFIX) -> FillerB
     Returns:
         The inserted fillers as a block of their own.
     """
-    fillers = placement.netlist.library.filler_cells()  # widest first
+    inserted = filler_block(
+        placement.netlist, ((row.index, row.gaps()) for row in placement.rows),
+        placement.fillers, prefix,
+    )
+    placement.fillers = placement.fillers.extended(inserted)
+    placement.netlist.mark_placement_changed()
+    return inserted
+
+
+def filler_block(
+    netlist: Netlist,
+    row_gaps: Iterable[Tuple[int, List[Tuple[float, float]]]],
+    existing: FillerBlock,
+    prefix: str = FILLER_PREFIX,
+) -> FillerBlock:
+    """The fillers covering ``row_gaps`` (``(row index, gaps)`` pairs), as a block.
+
+    Each gap is covered greedily from its left edge with the widest of
+    the library's fillers that fits; names continue after ``existing``
+    (or after ``netlist``'s own ``prefix``-named cells when it is empty).
+    """
+    fillers = netlist.library.filler_cells()  # widest first
     if not fillers:
-        return FillerBlock(prefix)
+        return FillerBlock(prefix, existing.end if existing else 0)
     choices = [(f.width_um, index) for index, f in enumerate(fillers)]
     min_width = min(width for width, _ in choices)
     # Per filler, in creation order: row, x and master index.
@@ -46,8 +71,8 @@ def insert_fillers(placement: Placement, prefix: str = FILLER_PREFIX) -> FillerB
     xs = []
     masters = []
 
-    for row in placement.rows:
-        for gap_start, gap_end in row.gaps():
+    for index, gaps in row_gaps:
+        for gap_start, gap_end in gaps:
             cursor = gap_start
             remaining = gap_end - cursor
             while remaining >= min_width - 1e-9:
@@ -56,18 +81,14 @@ def insert_fillers(placement: Placement, prefix: str = FILLER_PREFIX) -> FillerB
                         break
                 else:
                     break
-                rows.append(row.index)
+                rows.append(index)
                 xs.append(cursor)
                 masters.append(master)
                 cursor += width
                 remaining = gap_end - cursor
 
-    existing = placement.fillers
-    first = existing.end if existing else _next_filler_index(placement, prefix)
-    inserted = FillerBlock(prefix, first, tuple(fillers), rows, xs, masters)
-    placement.fillers = existing.extended(inserted)
-    placement.netlist.mark_placement_changed()
-    return inserted
+    first = existing.end if existing else _next_filler_index(netlist, prefix)
+    return FillerBlock(prefix, first, tuple(fillers), rows, xs, masters)
 
 
 def remove_fillers(placement: Placement, prefix: str = FILLER_PREFIX) -> int:
@@ -103,10 +124,10 @@ def filler_area(placement: Placement) -> float:
     return cells + sum(m.area_um2 for m in placement.fillers.master_cells())
 
 
-def _next_filler_index(placement: Placement, prefix: str) -> int:
+def _next_filler_index(netlist: Netlist, prefix: str) -> int:
     """First unused integer suffix for filler instance names."""
     highest = -1
-    for name in placement.netlist.cells:
+    for name in netlist.cells:
         if name.startswith(prefix):
             suffix = name[len(prefix):]
             if suffix.isdigit():

@@ -413,6 +413,29 @@ class Placement:
         """
         return self.netlist.compiled().cell_center_arrays()
 
+    def coordinate_arrays(self) -> Tuple[np.ndarray, ...]:
+        """``(x, y, row, port_x, port_y)`` in netlist cell and port order.
+
+        Cell lower-left corners and rows, port positions; an unset
+        coordinate is ``NaN`` and an unset row ``-1``.  The arrays a
+        :class:`~repro.placement.view.PlacementView` of this placement
+        holds.
+        """
+        cells = self.netlist.cells.values()
+        ports = self.netlist.ports.values()
+        return (
+            np.array([cell.x for cell in cells], dtype=np.float64),
+            np.array([cell.y for cell in cells], dtype=np.float64),
+            np.array([-1 if cell.row is None else cell.row for cell in cells], dtype=np.int64),
+            np.array([port.x for port in ports], dtype=np.float64),
+            np.array([port.y for port in ports], dtype=np.float64),
+        )
+
+    def terminal_coordinates(self) -> Tuple:
+        """Cell centres and port positions ``((cx, cy, placed), (px, py, placed))``,
+        as :meth:`~repro.netlist.compiled.CompiledNetlist.terminal_coordinates`."""
+        return self.netlist.compiled().terminal_coordinates()
+
     def total_hpwl(self) -> float:
         """Total half-perimeter wirelength over all nets, in micrometres."""
         return float(self.netlist.compiled().net_hpwl_um().sum())

@@ -23,7 +23,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from ..engine import resolve_engine
-from ..placement import Placement
+from ..placement import Placement, as_placement
 from .power_model import PowerReport
 
 
@@ -202,7 +202,9 @@ def build_power_map(
     filler cells contribute zero by construction.
 
     Args:
-        placement: The placed design.
+        placement: The placed design (a :class:`Placement` or a
+            :class:`~repro.placement.PlacementView`, binned from its
+            arrays).
         power: Per-cell power report.
         nx: Number of grid bins in x (the paper uses 40).
         ny: Number of grid bins in y (the paper uses 40).
@@ -219,7 +221,8 @@ def build_power_map(
 
     if resolve_engine(engine) == "reference":
         grid = np.zeros((ny, nx), dtype=float)
-        for cell, iy, ix in iter_cell_bins(placement, nx=nx, ny=ny, over_die=over_die):
+        cells = iter_cell_bins(as_placement(placement), nx=nx, ny=ny, over_die=over_die)
+        for cell, iy, ix in cells:
             cell_power = power.power_of(cell.name)
             if cell_power == 0.0:
                 continue

@@ -19,6 +19,7 @@ import numpy as np
 
 from ..engine import resolve_engine
 from ..netlist import Netlist
+from ..placement import as_placement
 from .delay import DelayModel
 
 #: Clock period corresponding to the paper's 1 GHz operating frequency.
@@ -81,6 +82,14 @@ class StaticTimingAnalyzer:
         delay_model: Delay calculator; a default one at nominal temperature
             is created when omitted.
         clock_period_ps: Clock period for slack computation.
+        placement: The placed design over ``netlist`` whose coordinates
+            the wire lengths are measured on — a
+            :class:`~repro.placement.Placement` or a
+            :class:`~repro.placement.PlacementView`; by default the
+            netlist's own cell and port positions.  A view's netlist
+            carries the *baseline's* coordinates, so analysing a
+            transformed view without passing it here would report the
+            baseline's timing.
     """
 
     def __init__(
@@ -88,10 +97,14 @@ class StaticTimingAnalyzer:
         netlist: Netlist,
         delay_model: Optional[DelayModel] = None,
         clock_period_ps: float = DEFAULT_CLOCK_PERIOD_PS,
+        placement=None,
     ) -> None:
+        if placement is not None and placement.netlist is not netlist:
+            raise ValueError("placement must be a view over the analysed netlist")
         self.netlist = netlist
         self.delay_model = delay_model if delay_model is not None else DelayModel()
         self.clock_period_ps = clock_period_ps
+        self.placement = placement
         self._order_cache = None
 
     @property
@@ -116,6 +129,14 @@ class StaticTimingAnalyzer:
                 engine (see :mod:`repro.engine`).
         """
         if resolve_engine(engine) == "reference":
+            if self.placement is not None:
+                # The pin-by-pin engine walks cell objects: analyse the
+                # placement's object form.
+                return StaticTimingAnalyzer(
+                    as_placement(self.placement).netlist,
+                    delay_model=self.delay_model,
+                    clock_period_ps=self.clock_period_ps,
+                ).analyze(temperature, engine)
             arrival, predecessor = self._propagate(temperature)
             endpoints = self._collect_endpoints(arrival)
         else:
@@ -159,7 +180,10 @@ class StaticTimingAnalyzer:
 
         # Per-net electrical vectors, extended by the zero/trash slots so
         # fanin/output slot arrays can index them directly.
-        lengths = comp.net_length_um(model.fallback_wireload_um)
+        lengths = comp.net_length_um(
+            model.fallback_wireload_um,
+            None if self.placement is None else self.placement.terminal_coordinates(),
+        )
         load_ff = comp.sink_pin_cap_ff + model.wire_cap_per_um * lengths
         wire_delay = (
             0.5

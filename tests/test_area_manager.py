@@ -93,14 +93,14 @@ class TestAreaManager:
         result = manage_area(placement, power, thermal, "eri", 0.15)
         assert result.inserted_rows > 0
         assert result.placement.floorplan.num_rows > placement.floorplan.num_rows
-        assert result.placement.check_legal() == []
+        assert result.placement.to_placement().check_legal() == []
 
     def test_hw_strategy_result(self, inputs):
         placement, power, thermal = inputs
         result = manage_area(placement, power, thermal, "hw", 0.15)
         # HW starts from the Default solution, so the core grew.
         assert result.actual_overhead >= 0.15 - 1e-9
-        assert result.placement.check_legal() == []
+        assert result.placement.to_placement().check_legal() == []
 
     def test_optimized_placement_resimulates_cooler(self, inputs):
         placement, power, thermal = inputs

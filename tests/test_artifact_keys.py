@@ -33,7 +33,7 @@ from repro.flow import artifacts
 from repro.flow.artifacts import hash_parts, power_digest, thermal_map_digest
 from repro.netlist import Netlist
 from repro.netlist.cell import CellInstance
-from repro.placement import assign_port_positions
+from repro.placement import PlacementView, assign_port_positions
 
 _SETTINGS = dict(max_examples=20, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -434,35 +434,43 @@ class TestHashCounts:
 
 
 class TestCopyCounts:
-    """A batched sweep copies the netlist once per point and never
-    re-levelizes: every copy shares the baseline's compiled connectivity
-    (count gates, not wall-clock floors)."""
+    """A batched sweep relaxes once per overhead and copies the netlist
+    only inside the wrapper transforms, never re-levelizing: every copy
+    shares the baseline's compiled connectivity and dies with its
+    transform (count gates, not wall-clock floors)."""
 
     STRATEGIES = ("default", "eri", "hw", "hybrid", "gradient")
 
     @pytest.mark.parametrize("max_workers", [1, 2])
-    def test_one_copy_per_point_and_no_new_levelization(
+    def test_copies_relaxations_and_no_new_levelization(
         self, sweep_setup, monkeypatch, max_workers
     ):
+        from repro.core import builtin_strategies, default_spread
         from repro.netlist.compiled import Connectivity
 
-        counts = {"copy": 0, "levelize": 0}
+        counts = {"copy": 0, "levelize": 0, "place_design": 0, "apply_default_spread": 0}
         lock = threading.Lock()
-        real_copy, real_levelize = Netlist.copy, Connectivity._levelize
 
-        def copy(self, *args, **kwargs):
-            with lock:
-                counts["copy"] += 1
-            return real_copy(self, *args, **kwargs)
-
-        def levelize(self, netlist):
-            with lock:
-                counts["levelize"] += 1
-            return real_levelize(self, netlist)
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                with lock:
+                    counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
 
         sweep_setup.placement.netlist.compiled().levels  # built by prepare
-        monkeypatch.setattr(Netlist, "copy", copy)
-        monkeypatch.setattr(Connectivity, "_levelize", levelize)
+        monkeypatch.setattr(Netlist, "copy", counting("copy", Netlist.copy))
+        monkeypatch.setattr(
+            Connectivity, "_levelize", counting("levelize", Connectivity._levelize)
+        )
+        monkeypatch.setattr(
+            default_spread, "place_design",
+            counting("place_design", default_spread.place_design),
+        )
+        monkeypatch.setattr(
+            builtin_strategies, "apply_default_spread",
+            counting("apply_default_spread", builtin_strategies.apply_default_spread),
+        )
         flow = FlowGraph()
         campaign = Campaign(
             sweep_setup, strategies=self.STRATEGIES, overheads=(0.1, 0.3),
@@ -470,7 +478,12 @@ class TestCopyCounts:
         )
         result = campaign.run(max_workers=max_workers)
         assert len(result.records) == 10
-        assert counts == {"copy": 10, "levelize": 0}
+        # One relaxation per overhead (shared by default and hw), one copy
+        # per relaxation and one per wrapper point (hw, hybrid).
+        assert counts == {
+            "copy": 6, "levelize": 0, "place_design": 2, "apply_default_spread": 2,
+        }
+        assert flow.stage_executions["relax"] == 2
 
 
 @pytest.fixture(scope="module", params=[1, 2], ids=["workers1", "workers2"])
@@ -533,6 +546,14 @@ class TestFillerCounts:
         _, hashed, _ = filler_sweep
         assert hashed.count("netlist_digest") == 0
         assert hashed.count("placement_digest") == 10
+
+    def test_every_artifact_is_a_view_over_the_baseline_netlist(
+        self, filler_sweep, sweep_setup
+    ):
+        _, _, seen = filler_sweep
+        for ws in seen:
+            assert isinstance(ws.placement, PlacementView)
+            assert ws.placement.netlist is sweep_setup.netlist
 
     def test_every_point_owns_its_fillers_as_a_block(self, filler_sweep):
         _, _, seen = filler_sweep

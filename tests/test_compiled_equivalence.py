@@ -535,7 +535,7 @@ class TestSharedConnectivity:
 
     def test_copy_after_eri(self, placed):
         result = apply_row_insertions(placed, [0, 2, 2, 5])
-        moved = result.placement.netlist
+        moved = result.placement.to_placement().netlist
         assert result.num_fillers > 0
         port = next(iter(moved.ports.values()))
         moved.place_port(port, port.x + 3.0, port.y + 7.0)

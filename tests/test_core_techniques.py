@@ -21,7 +21,7 @@ from repro.core import (
 from repro.core.wrapper import apply_hotspot_wrapper_in_place
 from repro.flow import placement_digest
 from repro.netlist import write_def
-from repro.placement import Rect, density_in_rect
+from repro.placement import Rect, as_placement, density_in_rect
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +110,15 @@ class TestEmptyRowInsertion:
         with pytest.raises(ValueError):
             rows_for_overhead(small_placement, -0.2)
 
+    @pytest.mark.parametrize("overhead", [float("nan"), float("inf"), -0.2])
+    def test_overhead_entry_points_reject_non_finite(self, small_placement, overhead):
+        """The library entry points below ``manage_area`` raise the overhead
+        error itself, not an arithmetic failure further down."""
+        with pytest.raises(ValueError, match="area_overhead must be finite"):
+            rows_for_overhead(small_placement, overhead)
+        with pytest.raises(ValueError, match="area_overhead must be finite"):
+            apply_default_spread(small_placement, overhead)
+
     def test_requires_exactly_one_sizing_argument(self, small_placement, detected):
         with pytest.raises(ValueError):
             apply_empty_row_insertion(small_placement, detected)
@@ -128,20 +137,21 @@ class TestEmptyRowInsertion:
 
     def test_placement_stays_legal(self, small_placement, detected):
         result = apply_empty_row_insertion(small_placement, detected, num_rows=8)
-        assert result.placement.check_legal() == []
+        assert result.placement.to_placement().check_legal() == []
 
     def test_logic_cells_preserved_and_x_unchanged(self, small_placement, detected):
         result = apply_empty_row_insertion(small_placement, detected, num_rows=8,
                                            add_fillers=False)
-        assert _logic_cell_names(result.placement) == _logic_cell_names(small_placement)
+        placement = result.placement.to_placement()
+        assert _logic_cell_names(placement) == _logic_cell_names(small_placement)
         for cell in small_placement.netlist.logic_cells():
-            moved = result.placement.netlist.cells[cell.name]
+            moved = placement.netlist.cells[cell.name]
             assert moved.x == pytest.approx(cell.x)
             assert moved.y >= cell.y - 1e-9  # rows only ever shift upward
 
     def test_empty_rows_are_filler_only(self, small_placement, detected):
         result = apply_empty_row_insertion(small_placement, detected, num_rows=6)
-        placement = result.placement
+        placement = result.placement.to_placement()
         # Rows that received no logic cells must contain only fillers: no
         # cells, whitespace covered by the block up to one filler width.
         min_width = min(f.width_um for f in placement.netlist.library.filler_cells())
@@ -175,7 +185,7 @@ class TestEmptyRowInsertion:
         result = apply_empty_row_insertion(small_placement, detected, num_rows=many,
                                            add_fillers=False)
         assert result.inserted_rows == many
-        assert result.placement.check_legal() == []
+        assert result.placement.to_placement().check_legal() == []
 
     def test_power_density_drops_in_hotspot(self, small_placement, detected):
         hotspot = detected[0]
@@ -190,7 +200,7 @@ class TestEmptyRowInsertion:
             hotspot.rect.x1,
             hotspot.rect.y1 + 10 * small_placement.floorplan.row_height,
         )
-        after = density_in_rect(result.placement, grown)
+        after = density_in_rect(result.placement.to_placement(), grown)
         assert after < before
 
 
@@ -278,7 +288,7 @@ def test_materialized_fillers_export_the_same_def(
         result = apply_empty_row_insertion(small_placement, detected, num_rows=6)
     else:
         result = apply_hotspot_wrapper(small_placement, detected_tight)
-    placement = result.placement
+    placement = as_placement(result.placement)
     assert len(placement.materialize_fillers()) == result.num_fillers > 0
     floorplan = placement.floorplan
     text = write_def(

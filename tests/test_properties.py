@@ -88,14 +88,15 @@ class TestTransformationProperties:
         result = apply_empty_row_insertion(small_placement, hotspots, num_rows=num_rows,
                                            add_fillers=False)
         # Logic cell area is invariant (only whitespace is added).
-        assert result.placement.netlist.total_cell_area() == pytest.approx(
+        placement = result.placement.to_placement()
+        assert placement.netlist.total_cell_area() == pytest.approx(
             small_placement.netlist.total_cell_area()
         )
         # Power is keyed by cell name, so the report still applies: the total
         # power of the transformed design is identical.
         total = sum(
             small_power.power_of(c.name)
-            for c in result.placement.netlist.logic_cells()
+            for c in placement.netlist.logic_cells()
         )
         assert total == pytest.approx(small_power.total(), rel=1e-9)
         # Overhead accounting matches the row count exactly.

@@ -15,6 +15,7 @@ from repro.engine import get_engine
 from repro.flow import (
     Campaign,
     ExperimentSetup,
+    FlowGraph,
     ResultStore,
     prune_store,
     result_key,
@@ -280,6 +281,28 @@ class TestCampaignResume:
         assert [r.outcome for r in rerun.records] == [
             r.outcome for r in first.records
         ]
+
+    def test_int_spelled_overheads_replay_a_float_spelled_store(
+        self, store_setup, tmp_path
+    ):
+        """``0`` and ``0.0`` name one point: an int-spelled rerun is served
+        entirely from the float-spelled run's store, executing no stage."""
+        store = ResultStore(root=tmp_path / "results")
+        first = Campaign(
+            store_setup, ("eri", "default"), [0.0, 1.0], result_store=store,
+            flow=FlowGraph(),
+        ).run(max_workers=1)
+        assert first.metadata["num_evaluated"] == 4
+        flow = FlowGraph()
+        rerun = Campaign(
+            store_setup, ("eri", "default"), [0, 1],
+            result_store=ResultStore(root=tmp_path / "results"), flow=flow,
+        ).run(max_workers=1)
+        assert rerun.metadata["store_hits"] == 4
+        assert sum(flow.stage_executions.values()) == 0
+        assert [r.point for r in rerun.records] == [r.point for r in first.records]
+        assert all(type(r.point.overhead) is float for r in rerun.records)
+        assert [r.outcome for r in rerun.records] == [r.outcome for r in first.records]
 
     def test_store_reuse_matches_fresh_run_bitwise(self, store_setup, tmp_path):
         reference = Campaign(

@@ -250,7 +250,7 @@ class TestNewStrategiesOutcomes:
         new_map = simulate_placement(result.placement, power, warm_start=thermal)
         assert result.actual_overhead >= 0.15 - 1e-9
         assert result.inserted_rows > 0
-        assert result.placement.check_legal() == []
+        assert result.placement.to_placement().check_legal() == []
         assert new_map.reduction_versus(thermal) > 0.0
 
     def test_hybrid_wraps_after_inserting_rows(self, inputs):
@@ -308,6 +308,6 @@ class TestCustomStrategyEndToEnd:
                 small_placement, small_power, small_thermal, "every-kth-row:k=3", 0.1
             )
             assert result.inserted_rows > 0
-            assert result.placement.check_legal() == []
+            assert result.placement.to_placement().check_legal() == []
         finally:
             unregister_strategy("every-kth-row")
