@@ -10,8 +10,9 @@ that ignores where the hotspots are.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
-from ..placement import Placement, insert_fillers, place_design
+from ..placement import Placement, PlacementView, insert_fillers, place_design
 from .area_manager import check_area_overhead
 
 
@@ -38,7 +39,7 @@ class DefaultSpreadResult:
 
 
 def apply_default_spread(
-    baseline: Placement,
+    baseline: Union[Placement, PlacementView],
     area_overhead: float,
     use_quadratic: bool = True,
     detailed: bool = True,
@@ -51,8 +52,8 @@ def apply_default_spread(
     every region's cell density drops by the same ratio.
 
     Args:
-        baseline: The reference placement (defines the baseline core area
-            and utilization factor).
+        baseline: The reference placement or view (defines the baseline
+            core area and utilization factor).
         area_overhead: Requested fractional area overhead (e.g. ``0.161``
             for the paper's 16.1% point); must be non-negative.
         use_quadratic: Forwarded to :func:`repro.placement.place_design`.

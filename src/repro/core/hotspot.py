@@ -15,12 +15,12 @@ is what the hotspot wrapper uses to tell "hot" cells from bystanders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import ndimage
 
-from ..placement import Placement, Rect
+from ..placement import Placement, PlacementView, Rect, as_placement
 from ..power import PowerReport
 from ..thermal import ThermalMap
 
@@ -74,7 +74,7 @@ class Hotspot:
 
 def detect_hotspots(
     thermal_map: ThermalMap,
-    placement: Placement,
+    placement: Union[Placement, PlacementView],
     power: Optional[PowerReport] = None,
     threshold_fraction: float = 0.85,
     min_bins: int = 1,
@@ -93,7 +93,8 @@ def detect_hotspots(
     Args:
         thermal_map: Solved active-layer temperatures (40 x 40 grid).
         placement: The placed design the map was computed for (provides the
-            grid-to-micrometre mapping and the cells in each hotspot).
+            grid-to-micrometre mapping and the cells in each hotspot); a
+            :class:`Placement` or a :class:`~repro.placement.PlacementView`.
         power: Optional per-cell power report used to rank the units that
             cause each hotspot.
         threshold_fraction: Fraction of the lateral temperature range
@@ -149,6 +150,8 @@ def detect_hotspots(
             cell_power = power.total_for_names(comp.cell_names)
         else:
             cell_power = comp.cell_area_um2
+    else:
+        placement = as_placement(placement)
 
     for component in range(1, num_components + 1):
         ys, xs = np.nonzero(labels == component)

@@ -28,9 +28,9 @@ whitespace around the hotspots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Sequence, Union
 
-from ..placement import Placement, insert_fillers, remove_fillers
+from ..placement import Placement, PlacementView, insert_fillers, remove_fillers
 from ..placement.floorplan import Rect
 from ..placement.legalize import pack_into_region
 from .hotspot import Hotspot
@@ -83,7 +83,7 @@ class HotspotWrapperResult:
 
 
 def apply_hotspot_wrapper(
-    baseline: Placement,
+    baseline: Union[Placement, PlacementView],
     hotspots: Sequence[Hotspot],
     ring_width_um: float = 6.0,
     max_source_units: int = 2,
@@ -92,8 +92,8 @@ def apply_hotspot_wrapper(
     """Wrap each hotspot in whitespace and thin out its cell density.
 
     Args:
-        baseline: Placement to transform (typically a "Default" placement
-            at relaxed utilization); left untouched.
+        baseline: Placement or view to transform (typically a "Default"
+            placement at relaxed utilization); left untouched.
         hotspots: Detected hotspots, hottest first.
         ring_width_um: Width of the whitespace ring around each hotspot.
         max_source_units: Maximum number of units treated as the hotspot's
@@ -102,13 +102,14 @@ def apply_hotspot_wrapper(
         add_fillers: Fill the resulting whitespace with dummy cells.
 
     Returns:
-        A :class:`HotspotWrapperResult` on a copy of ``baseline``.
+        A :class:`HotspotWrapperResult` on a copy of ``baseline`` (the
+        object form of a view, :meth:`PlacementView.to_placement`).
 
     Raises:
         ValueError: If ``ring_width_um`` is negative.
     """
     return apply_hotspot_wrapper_in_place(
-        baseline.copy(), hotspots, ring_width_um=ring_width_um,
+        PlacementView.of(baseline).to_placement(), hotspots, ring_width_um=ring_width_um,
         max_source_units=max_source_units, add_fillers=add_fillers,
     )
 

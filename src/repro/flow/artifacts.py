@@ -14,13 +14,13 @@ store it shares its tiered core and on-disk format with.
   mutator, a cell move, a strategy-parameter change or a solver-method
   change produces a new one.  Netlist and placement digests encode each
   per-cell / per-net attribute as one array column (length-prefixed string
-  lists, masked float64/int64 coordinate arrays) and are memoised against
-  :meth:`~repro.netlist.netlist.Netlist.placement_state` — the design's
-  structural version, its own placement stamp and the process-wide
-  raw-write generation — so an unchanged design is hashed once, however
-  many sibling copies move meanwhile; a :meth:`Netlist.copy` inherits its
-  source's netlist digest.  A placement digest also covers the
-  placement's filler block (its row/x/master arrays).
+  lists, masked float64/int64 coordinate arrays).  A netlist digest is
+  memoised against the structural version (a :meth:`Netlist.copy`
+  inherits its source's); a placement digest is memoised only on an
+  immutable :class:`~repro.placement.PlacementView`, which is hashed once,
+  while a mutable :class:`~repro.placement.Placement` is never memoised.
+  A placement digest also covers the placement's filler block (its
+  row/x/master arrays).
   :data:`FLOW_KEY_VERSION` 3 marks this encoding: artifact and result
   stores written with older keys simply miss.
 
@@ -230,21 +230,19 @@ def placement_digest(placement: Union[Placement, PlacementView]) -> str:
     block as its name prefix, first index, master names and row/x/master
     arrays.  A :class:`~repro.placement.PlacementView` hashes exactly like
     its :meth:`~repro.placement.PlacementView.to_placement`, so stage
-    keys do not depend on which form a placement takes.  A view is
-    immutable and hashed once; a :class:`Placement`'s digest is memoised
-    against :meth:`~repro.netlist.netlist.Netlist.placement_state`: a move
-    in this design (or a process-wide raw-write bump) re-hashes, while
-    moves in any other design leave the memo valid.
+    keys do not depend on which form a placement takes.  The placement is
+    hashed as :meth:`PlacementView.of` freezes it: a view is immutable and
+    hashed once, while a mutable :class:`Placement` is frozen and hashed
+    afresh on every call, so a raw ``cell.x`` write is always seen.
     """
-    netlist = placement.netlist
-    state = None if isinstance(placement, PlacementView) else netlist.placement_state()
-    memo = getattr(placement, "_content_digest_memo", None)
-    if memo is not None and memo[0] == state:
-        return memo[1]
-    floorplan = placement.floorplan
-    x, y, row, port_x, port_y = placement.coordinate_arrays()
+    view = PlacementView.of(placement)
+    memo = getattr(view, "_content_digest_memo", None)
+    if memo is not None:
+        return memo
+    floorplan = view.floorplan
+    x, y, row, port_x, port_y = view.coordinate_arrays()
     hasher = _new_hasher()
-    _feed(hasher, ("placement", netlist_digest(netlist)))
+    _feed(hasher, ("placement", netlist_digest(view.netlist)))
     _feed(hasher, (
         floorplan.core_width, floorplan.core_height, floorplan.row_height,
         floorplan.site_width, floorplan.die_margin,
@@ -254,18 +252,18 @@ def placement_digest(placement: Union[Placement, PlacementView]) -> str:
     _feed_masked(hasher, row, row >= 0, "<i8")
     _feed_masked(hasher, port_x, ~np.isnan(port_x), "<f8")
     _feed_masked(hasher, port_y, ~np.isnan(port_y), "<f8")
-    units = sorted(placement.regions)
-    rects = [placement.regions[unit] for unit in units]
+    units = sorted(view.regions)
+    rects = [view.regions[unit] for unit in units]
     _feed_strings(hasher, units)
     _feed_numbers(hasher, [v for r in rects for v in (r.x0, r.y0, r.x1, r.y1)], "<f8")
-    fillers = placement.fillers
+    fillers = view.fillers
     _feed(hasher, (
         "fillers", fillers.prefix, fillers.first_index,
         [master.name for master in fillers.masters],
         fillers.row, fillers.x, fillers.master,
     ))
     digest = hasher.hexdigest()
-    placement._content_digest_memo = (state, digest)
+    view._content_digest_memo = digest
     return digest
 
 
@@ -358,10 +356,11 @@ def workload_digest(workload, netlist: Netlist) -> str:
 
 @dataclass(frozen=True)
 class PlacementArtifact:
-    """``synth`` output: the design placed at the baseline utilization."""
+    """``synth`` output: the design placed at the baseline utilization,
+    frozen into a view over the placed netlist."""
 
     key: Optional[str]
-    placement: Placement
+    placement: PlacementView
 
 
 @dataclass(frozen=True)

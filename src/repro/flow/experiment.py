@@ -33,7 +33,7 @@ from typing import List, Optional, Sequence
 from ..bench import Workload
 from ..core import Hotspot, StrategySpec, detect_hotspots
 from ..netlist import Netlist
-from ..placement import Placement
+from ..placement import PlacementView
 from ..power import PowerReport
 from ..power.power_map import PowerMap
 from ..thermal import Package, ThermalGrid, ThermalMap, default_package
@@ -58,9 +58,13 @@ class ExperimentSetup:
     """Baseline state shared by all strategy evaluations of one experiment.
 
     Attributes:
-        netlist: The benchmark design.
+        netlist: The benchmark design (the placement's netlist; its cells
+            carry the baseline coordinates).
         workload: The workload shaping the hotspots.
-        placement: Baseline placement at the baseline utilization factor.
+        placement: Baseline placement at the baseline utilization factor,
+            frozen as a :class:`~repro.placement.PlacementView` (call
+            :meth:`~repro.placement.PlacementView.to_placement` for cell
+            objects).
         power: Cell-by-cell power report (unchanged by the techniques).
         thermal_map: Thermal map of the baseline placement.
         power_map: Power map of the baseline placement.
@@ -74,7 +78,7 @@ class ExperimentSetup:
 
     netlist: Netlist
     workload: Workload
-    placement: Placement
+    placement: PlacementView
     power: PowerReport
     thermal_map: ThermalMap
     power_map: PowerMap

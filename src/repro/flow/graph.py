@@ -230,19 +230,22 @@ class FlowGraph:
         """``synth``/global-place: floorplan and place at ``utilization``.
 
         Keyed on the netlist's structural content plus the placer knobs —
-        the whole-design prefix every strategy evaluation shares.
+        the whole-design prefix every strategy evaluation shares.  The
+        placement is frozen into a :class:`~repro.placement.PlacementView`
+        over the placed ``netlist`` (whose cells carry the same
+        coordinates), so every later stage reads an immutable baseline.
         """
         def key() -> str:
             return hash_parts(
                 FLOW_KEY_VERSION, "synth",
-                netlist_digest(netlist), utilization, use_quadratic,
+                netlist_digest(netlist), utilization, use_quadratic, "view",
             )
 
         def build(key: Optional[str]) -> PlacementArtifact:
             placement = place_design(
                 netlist, utilization=utilization, use_quadratic=use_quadratic
             )
-            return PlacementArtifact(key=key, placement=placement)
+            return PlacementArtifact(key=key, placement=PlacementView.of(placement))
 
         return self._run("synth", key, build)
 

@@ -1,36 +1,21 @@
 """Cell instances and pins for placed gate-level netlists.
 
-Every cell instance carries an ``owner`` back-reference to the
-:class:`~repro.netlist.netlist.Netlist` that holds it.  Moving a cell
-through :meth:`CellInstance.place` writes a fresh, process-unique value
-into the owner's *placement stamp*, so caches derived from one design's
-coordinates (content digests, compiled coordinate arrays) are invalidated
-by moves in that design only — never by moves in a sibling copy.  The
-process-wide :attr:`CellInstance.placement_epoch` survives only as the
-hammer for raw ``x``/``y`` writes (:meth:`CellInstance.bump_placement_epoch`).
+A cell's ``x``/``y``/``row`` are plain attributes: nothing derived from
+them is cached on the cell or its netlist.  Coordinate caches (content
+digests, centre arrays) live only on the immutable
+:class:`~repro.placement.PlacementView`, so a raw write is always seen by
+the next digest or gather of a mutable placement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from typing import Dict, Optional, TYPE_CHECKING
 
 from .library import MasterCell, ROW_HEIGHT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .net import Net
-    from .netlist import Netlist
-
-#: Source of placement stamps and raw-write generations.  ``next()`` on a
-#: C-level counter is atomic under the GIL, so concurrent Campaign workers
-#: never draw the same value.
-_STAMPS = count(1)
-
-
-def next_stamp() -> int:
-    """A fresh, process-unique placement stamp."""
-    return next(_STAMPS)
 
 
 @dataclass
@@ -79,18 +64,9 @@ class CellInstance:
     """
 
     __slots__ = ("name", "master", "pins", "x", "y", "row", "unit", "fixed",
-                 "width", "area", "owner")
+                 "width", "area")
 
-    #: Process-wide raw-write generation, advanced only by
-    #: :meth:`bump_placement_epoch`.  It is part of every design's
-    #: :meth:`~repro.netlist.netlist.Netlist.placement_state`, so one bump
-    #: after direct ``x``/``y`` writes invalidates every coordinate cache.
-    placement_epoch: int = 0
-
-    def __init__(
-        self, name: str, master: MasterCell, unit: str = "",
-        owner: Optional["Netlist"] = None,
-    ) -> None:
+    def __init__(self, name: str, master: MasterCell, unit: str = "") -> None:
         self.name = name
         self.master = master
         self.pins: Dict[str, Pin] = {}
@@ -108,9 +84,6 @@ class CellInstance:
         # the master-cell property chain would dominate the profile.
         self.width: float = master.width_um
         self.area: float = master.area_um2
-        #: The netlist holding this cell, whose placement stamp :meth:`place`
-        #: advances (``None`` for a free-standing cell).
-        self.owner = owner
 
     # -- geometry -----------------------------------------------------------
 
@@ -135,43 +108,11 @@ class CellInstance:
             raise ValueError(f"cell {self.name} is not placed")
         return (self.x + self.width / 2.0, self.y + self.height / 2.0)
 
-    @staticmethod
-    def bump_placement_epoch() -> None:
-        """Advance the process-wide raw-write generation.
-
-        Call after assigning ``x``/``y`` directly instead of through
-        :meth:`place`, so every cached coordinate array and placement
-        digest is invalidated.  When the design is known, the cheaper
-        :meth:`~repro.netlist.netlist.Netlist.mark_placement_changed`
-        invalidates that design only.
-        """
-        CellInstance.placement_epoch = next_stamp()
-
     def place(self, x: float, y: float, row: Optional[int] = None) -> None:
-        """Place the cell with its lower-left corner at ``(x, y)``.
-
-        Coordinates are written *before* the owner's stamp advances, so a
-        gather that races the move is invalidated by the move's own stamp.
-        """
+        """Place the cell with its lower-left corner at ``(x, y)``."""
         self.x = x
         self.y = y
         self.row = row
-        owner = self.owner
-        if owner is not None:
-            owner._placement_stamp = next(_STAMPS)
-
-    # -- pickling ------------------------------------------------------------
-
-    def __getstate__(self):
-        """Slot state without ``owner``: a cell pickled on its own must not
-        drag its whole design along (netlists pickle through their own flat
-        ``__reduce__``, which re-attaches owners on load)."""
-        return {slot: getattr(self, slot) for slot in self.__slots__ if slot != "owner"}
-
-    def __setstate__(self, state) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-        self.owner = None
 
     # -- connectivity --------------------------------------------------------
 

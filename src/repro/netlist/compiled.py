@@ -29,16 +29,14 @@ is immutable and shared *by reference* between a netlist and its
 :meth:`~Netlist.copy` clones, so a whitespace transform that only moves
 cells never recompiles it (its fillers are a placement-owned block, not
 netlist cells).  A :class:`CompiledNetlist` is the per-netlist view on
-top: its own port objects and the coordinate cache.
+top: its own cell and port objects.
 
 Views are obtained through :meth:`Netlist.compiled`, which caches the view
 against the netlist's structural version and hands it the netlist's shared
 connectivity (see :meth:`Netlist.copy` for the sharing rules).  Placement
-coordinates are *not* baked in: coordinate-dependent arrays are gathered on
-demand and cached against :meth:`Netlist.placement_state` — the design's own
-placement stamp plus the process-wide raw-write generation — so moving cells
-never stales a compiled netlist, and moves in another design never evict
-this one's coordinates.
+coordinates are *not* baked in: coordinate-dependent arrays are gathered
+from the cells on every call and never cached, so moving cells never stales
+a compiled netlist.
 """
 
 from __future__ import annotations
@@ -470,7 +468,7 @@ class CompiledNetlist:
     """One netlist's compiled view over a shared :class:`Connectivity`.
 
     The view holds what differs between netlists sharing a connectivity:
-    its own cell and port objects and the coordinate cache.  Everything
+    its own cell and port objects.  Everything
     else is read through to the shared sections.  Build via
     :meth:`Netlist.compiled` (cached, shared); constructing one directly
     without ``connectivity`` compiles a fresh, unshared lowering.
@@ -508,10 +506,6 @@ class CompiledNetlist:
         self.unit_codes = vectors.unit_codes
         self.unit_names: List[str] = list(vectors.unit_code_of)
         self.num_units = len(self.unit_names)
-
-        # -- coordinate cache (placement-state keyed) ---------------------
-        self._coords_state: Optional[Tuple[int, int, int]] = None
-        self._coords: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def _source(self) -> Netlist:
         """The netlist shared sections are read (or first built) through.
@@ -709,20 +703,16 @@ class CompiledNetlist:
                 self._eval_group(group, values)
 
     # ------------------------------------------------------------------
-    # Coordinate-dependent arrays (placement-state cached)
+    # Coordinate-dependent arrays (gathered on every call)
     # ------------------------------------------------------------------
 
     def cell_center_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-cell centre coordinates ``(cx, cy, placed_mask)``.
 
         Arrays are aligned with :attr:`cell_names`; unplaced cells carry
-        ``NaN`` coordinates and ``False`` in the mask.  The gather is cached
-        against :meth:`Netlist.placement_state`, so repeated calls with no
-        intervening move in this design are free.
+        ``NaN`` coordinates and ``False`` in the mask.  Gathered from the
+        cells on every call, so a raw ``x``/``y`` write is always seen.
         """
-        state = self.netlist.placement_state()
-        if self._coords is not None and self._coords_state == state:
-            return self._coords
         n = self.num_cells
         cx = np.full(n, np.nan)
         cy = np.full(n, np.nan)
@@ -735,9 +725,7 @@ class CompiledNetlist:
             cx[i] = x + cell.width / 2.0
             cy[i] = cell.y + half_h
             placed[i] = True
-        self._coords = (cx, cy, placed)
-        self._coords_state = state
-        return self._coords
+        return cx, cy, placed
 
     # ------------------------------------------------------------------
     # Vectorized HPWL

@@ -9,9 +9,9 @@ net/fanout statistics.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from .cell import CellInstance, Pin, next_stamp
+from .cell import CellInstance, Pin
 from .library import CellLibrary, MasterCell
 from .net import Net, Port
 
@@ -38,35 +38,11 @@ class Netlist:
         #: :meth:`copy`); ``None`` until compiled or copied, and after any
         #: edit that changes the connectivity.
         self._connectivity = None
-        #: Placement stamp: a process-unique value rewritten by every move
-        #: of one of this design's cells or ports (see
-        #: :meth:`placement_state`).
-        self._placement_stamp = next_stamp()
 
     def _invalidate(self) -> None:
         """Record a structural edit that changes the connectivity."""
         self._version += 1
         self._connectivity = None
-
-    def mark_placement_changed(self) -> None:
-        """Record that this design's cell or port coordinates changed.
-
-        :meth:`CellInstance.place` and :meth:`place_port` advance the stamp
-        themselves; call this after assigning ``cell.x`` / ``cell.y`` /
-        ``cell.row`` directly.
-        """
-        self._placement_stamp = next_stamp()
-
-    def placement_state(self) -> Tuple[int, int, int]:
-        """The state every coordinate-derived cache is keyed on.
-
-        ``(structural version, placement stamp, process-wide raw-write
-        generation)``: it changes when the structure changes, when a cell
-        or port of *this* design moves, or when
-        :meth:`CellInstance.bump_placement_epoch` is called.  Stamps are
-        unique across designs, so two netlists never share a state.
-        """
-        return (self._version, self._placement_stamp, CellInstance.placement_epoch)
 
     def shares_structure_with(self, other: "Netlist") -> bool:
         """Whether ``other`` reads this netlist's compiled connectivity.
@@ -77,10 +53,9 @@ class Netlist:
         return self._connectivity is not None and self._connectivity is other._connectivity
 
     def place_port(self, port: Port, x: float, y: float) -> None:
-        """Move a primary port to ``(x, y)`` and advance the placement stamp."""
+        """Move a primary port to ``(x, y)``."""
         port.x = x
         port.y = y
-        self.mark_placement_changed()
 
     def invalidate_compiled(self) -> None:
         """Force recompilation of the cached array form.
@@ -139,7 +114,7 @@ class Netlist:
         if name in self.cells:
             raise ValueError(f"duplicate cell instance {name!r}")
         master_cell = self.library[master] if isinstance(master, str) else master
-        inst = CellInstance(name, master_cell, unit=unit, owner=self)
+        inst = CellInstance(name, master_cell, unit=unit)
         self.cells[name] = inst
         self._invalidate()
         return inst
@@ -160,7 +135,7 @@ class Netlist:
             raise ValueError("duplicate cell instance among the filler names")
         if not all(m.is_filler for m in masters):
             raise ValueError("add_fillers accepts filler masters only")
-        created = [CellInstance(n, m, owner=self) for n, m in zip(names, masters)]
+        created = [CellInstance(n, m) for n, m in zip(names, masters)]
         cells.update(zip(names, created))
         self._invalidate()
         return created
@@ -410,7 +385,7 @@ class Netlist:
         # once per strategy evaluation on the full design.
         clone_cells = clone.cells
         for inst in self.cells.values():
-            new = CellInstance(inst.name, inst.master, unit=inst.unit, owner=clone)
+            new = CellInstance(inst.name, inst.master, unit=inst.unit)
             new.x = inst.x
             new.y = inst.y
             new.row = inst.row
@@ -534,7 +509,7 @@ def _netlist_from_state(name, library, cells, ports, nets) -> Netlist:
     netlist = Netlist(name, library)
     clone_cells = netlist.cells
     for cell_name, master_name, unit, x, y, row, fixed in cells:
-        inst = CellInstance(cell_name, library[master_name], unit=unit, owner=netlist)
+        inst = CellInstance(cell_name, library[master_name], unit=unit)
         inst.x = x
         inst.y = y
         inst.row = row

@@ -29,8 +29,7 @@ def insert_fillers(placement: Placement, prefix: str = FILLER_PREFIX) -> FillerB
     until the remaining space is narrower than the narrowest filler.  The
     fillers extend the placement's filler block (names continue after the
     block, or after the netlist's own ``prefix``-named cells when the block
-    is empty) and the placement stamp advances once; the netlist gains no
-    cell.  :meth:`~repro.placement.view.PlacementView.with_fillers` fills a
+    is empty); the netlist gains no cell.  :meth:`~repro.placement.view.PlacementView.with_fillers` fills a
     view the same way.
 
     Args:
@@ -45,7 +44,6 @@ def insert_fillers(placement: Placement, prefix: str = FILLER_PREFIX) -> FillerB
         placement.fillers, prefix,
     )
     placement.fillers = placement.fillers.extended(inserted)
-    placement.netlist.mark_placement_changed()
     return inserted
 
 
@@ -106,7 +104,6 @@ def remove_fillers(placement: Placement, prefix: str = FILLER_PREFIX) -> int:
     if block and block.prefix == prefix:
         removed = len(block)
         placement.fillers = NO_FILLERS
-        placement.netlist.mark_placement_changed()
     to_remove = [
         cell
         for cell in placement.netlist.cells.values()

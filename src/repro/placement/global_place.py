@@ -45,7 +45,7 @@ def assign_port_positions(netlist: Netlist, floorplan: Floorplan) -> None:
     Ports are ordered by name and distributed clockwise along the core
     perimeter starting at the lower-left corner.  Positions are stored on
     the ports themselves (``port.x``, ``port.y``) through
-    :meth:`Netlist.place_port`, so the design's placement stamp advances.
+    :meth:`Netlist.place_port`.
     """
     ports = sorted(netlist.ports.values(), key=lambda p: p.name)
     if not ports:

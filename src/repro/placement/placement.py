@@ -308,9 +308,7 @@ class Placement:
         regions: Optional mapping of unit name to the region it was placed
             in; populated by the placer and used by the hotspot wrapper.
         fillers: The filler cells placed in the rows' whitespace, as a
-            :class:`FillerBlock` (not netlist cells).  Replace it only
-            together with :meth:`Netlist.mark_placement_changed`, as
-            :func:`~repro.placement.filler.insert_fillers` does.
+            :class:`FillerBlock` (not netlist cells).
     """
 
     def __init__(self, netlist: Netlist, floorplan: Floorplan) -> None:
@@ -348,9 +346,7 @@ class Placement:
         """Rebuild the per-row cell lists from the cells' coordinates.
 
         This is the supported entry point after assigning ``cell.x`` /
-        ``cell.y`` directly (bypassing :meth:`CellInstance.place`), so it
-        also advances the design's placement stamp — cached coordinate
-        arrays and digests must see the moves.
+        ``cell.y`` directly (bypassing :meth:`CellInstance.place`).
         """
         for row in self.rows:
             row.cells.clear()
@@ -363,7 +359,6 @@ class Placement:
             self.rows[index].cells.append(cell)
         for row in self.rows:
             row.sort()
-        self.netlist.mark_placement_changed()
 
     def placed_cells(self, include_fillers: bool = True) -> List[CellInstance]:
         """All placed cell instances, optionally excluding filler cells.
@@ -405,13 +400,14 @@ class Placement:
     def cell_center_arrays(self) -> Tuple:
         """Per-cell centre coordinate arrays ``(cx, cy, placed_mask)``.
 
-        Aligned with the netlist's compiled cell order and cached against
-        :meth:`Netlist.placement_state` (see
-        :meth:`repro.netlist.compiled.CompiledNetlist.cell_center_arrays`),
-        so the thermal-grid binning and temperature lookups pay the gather
-        only when this design's cells have actually moved.
+        Aligned with the netlist's compiled cell order.  The placement is
+        frozen afresh on every call (a mutable placement is never
+        memoised), so a raw ``x``/``y`` write is seen by the next binning
+        or lookup.
         """
-        return self.netlist.compiled().cell_center_arrays()
+        from .view import PlacementView
+
+        return PlacementView.of(self).cell_center_arrays()
 
     def coordinate_arrays(self) -> Tuple[np.ndarray, ...]:
         """``(x, y, row, port_x, port_y)`` in netlist cell and port order.
@@ -698,7 +694,6 @@ class Placement:
         for row in filled_rows.values():
             row.sort()
         self.fillers = NO_FILLERS
-        self.netlist.mark_placement_changed()
         return created
 
     def statistics(self) -> Dict[str, float]:

@@ -131,6 +131,10 @@ class PlacementView:
         """Mask of the cells with both coordinates set."""
         return _read_only(~(np.isnan(self.x) | np.isnan(self.y)), bool)
 
+    def utilization(self) -> float:
+        """Core utilization factor, as :meth:`Placement.utilization`."""
+        return self.floorplan.utilization(self.netlist)
+
     def cell_center_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-cell centres ``(cx, cy, placed_mask)`` in compiled cell order.
 
@@ -217,7 +221,6 @@ class PlacementView:
         for port, x, y in zip(netlist.ports.values(), self.port_x.tolist(), self.port_y.tolist()):
             port.x = None if x != x else x
             port.y = None if y != y else y
-        netlist.mark_placement_changed()
         placement = Placement(netlist, self.floorplan)
         placement.regions = dict(self.regions)
         placement.fillers = self.fillers

@@ -24,6 +24,8 @@ down a three-step ladder keyed to RSS against a configured budget:
 RSS comes from ``/proc/self/statm`` (Linux), falling back to
 ``resource.getrusage`` peak RSS — stdlib only, a few microseconds per
 sample, so the server checks on every admission and after every batch.
+Without a budget a check samples nothing (there is no ladder to walk);
+``health()`` samples on its own.
 
 Fault seam: ``governor.pressure`` fires on every check; a seeded plan
 can force a ``critical`` episode deterministically (an injected fault is
@@ -63,9 +65,10 @@ class ResourceGovernor:
     """Budget-driven degradation for the daemon's in-memory caches.
 
     Thread-safe; :meth:`check` may be called from request handlers and
-    the batch scheduler concurrently.  With no budget configured the
-    governor only samples (for ``health()``'s ``rss_mb``) and never
-    degrades anything.
+    the batch scheduler concurrently.  With no budget configured
+    :meth:`check` never samples RSS and never degrades anything (only the
+    fault seam can force a critical level); :meth:`rss_mb` still samples
+    for ``health()``.
 
     Args:
         max_rss_mb: Memory budget; ``None`` disables the ladder.
@@ -123,17 +126,18 @@ class ResourceGovernor:
     # -- the ladder ----------------------------------------------------------
 
     def check(self) -> str:
-        """Sample RSS, walk the ladder, return the current level."""
-        rss = self.rss_mb()
+        """Sample RSS under a budget, walk the ladder, return the current level."""
+        rss = None
         level = "ok"
         if self.max_rss_mb is not None:
+            rss = self.rss_mb()
             if rss >= self.max_rss_mb:
                 level = "critical"
             elif rss >= self.elevated_fraction * self.max_rss_mb:
                 level = "elevated"
         try:
             inject("governor.pressure", {
-                "rss_mb": round(rss, 1), "level": level,
+                "rss_mb": None if rss is None else round(rss, 1), "level": level,
             })
         except InjectedFault:
             # The chaos plan says the budget is exhausted: take the

@@ -23,7 +23,7 @@ import scipy.sparse.linalg as spla
 
 from ..deadlines import check_active
 from ..faults import InjectedFault, inject
-from ..placement import Placement
+from ..placement import Placement, PlacementView, as_placement
 from ..power import PowerReport, build_power_map, iter_cell_bins
 from ..power.power_map import PowerMap
 from .grid import ThermalGrid
@@ -498,7 +498,7 @@ def cell_temperature_array(
 
 
 def cell_temperatures(
-    placement: Placement,
+    placement: Union[Placement, PlacementView],
     thermal_map: ThermalMap,
     nx: int = 40,
     ny: int = 40,
@@ -526,7 +526,9 @@ def cell_temperatures(
     if resolve_engine(engine) == "reference":
         return {
             cell.name: float(thermal_map.temperatures[iy, ix])
-            for cell, iy, ix in iter_cell_bins(placement, nx=nx, ny=ny, over_die=True)
+            for cell, iy, ix in iter_cell_bins(
+                as_placement(placement), nx=nx, ny=ny, over_die=True
+            )
         }
     comp = placement.netlist.compiled()
     iy, ix, placed = cell_bin_indices(placement, nx=nx, ny=ny, over_die=True)

@@ -23,6 +23,7 @@ from repro.flow import (
     sweep_overheads,
 )
 from repro.bench import concentrated_hotspot_workload
+from repro.placement import PlacementView
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +82,9 @@ def reference_concentrated_hotspot_table(setup, row_counts, analyze_timing):
 
 class TestSetup:
     def test_baseline_state(self, setup):
-        assert setup.placement.check_legal() == []
+        assert isinstance(setup.placement, PlacementView)
+        assert setup.placement.netlist is setup.netlist
+        assert setup.placement.to_placement().check_legal() == []
         assert setup.power.total() > 0.0
         assert setup.thermal_map.peak_rise > 0.5
         assert setup.hotspots

@@ -88,6 +88,20 @@ class TestGovernorLadder:
         assert governor.check() == "ok"
         assert len(store) == 10
 
+    def test_no_budget_never_samples(self):
+        calls = []
+
+        def rss():
+            calls.append(1)
+            return 10_000.0
+
+        governor = ResourceGovernor(rss_fn=rss)
+        for _ in range(5):
+            assert governor.check() == "ok"
+        assert calls == []
+        assert governor.rss_mb() == 10_000.0  # health() still samples
+        assert len(calls) == 1
+
     def test_elevated_halves_memory_tiers(self):
         store = ResultStore()
         artifacts = ArtifactStore()

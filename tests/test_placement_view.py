@@ -18,10 +18,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import available_strategies, manage_area, unregister_strategy
+from repro.core import (
+    available_strategies, detect_hotspots, manage_area, unregister_strategy,
+)
 from repro.flow import ArtifactStore, FlowGraph, placement_digest
 from repro.placement import PlacementView, insert_fillers
 from repro.power import build_power_map
+from repro.thermal import cell_temperatures
 from repro.timing import DelayModel, StaticTimingAnalyzer
 
 BUILTINS = ("default", "eri", "hw", "hybrid", "gradient")
@@ -96,6 +99,50 @@ class TestViewMatchesObjectForm:
         assert placement_digest(loaded) == placement_digest(view)
         assert not any(array.flags.writeable for array in loaded.coordinate_arrays())
         assert pickle.loads(pickle.dumps(view)).fillers.x.tobytes() == view.fillers.x.tobytes()
+
+
+@pytest.mark.parametrize("engine", ["compiled", "reference"])
+@pytest.mark.parametrize("form", ["placement", "view"])
+class TestBaselineConsumersAcceptViews:
+    """Every consumer of a baseline gives the same answer for a
+    :class:`Placement` and its frozen view, under each engine."""
+
+    @staticmethod
+    def _baseline(small_placement, form):
+        return small_placement if form == "placement" else PlacementView.of(small_placement)
+
+    def test_detect_hotspots(self, small_placement, small_power, small_thermal, form, engine):
+        baseline = self._baseline(small_placement, form)
+        got = detect_hotspots(small_thermal, baseline, power=small_power, engine=engine)
+        want = detect_hotspots(small_thermal, small_placement, power=small_power, engine=engine)
+        assert got and got == want
+
+    def test_cell_temperatures(self, small_placement, small_thermal, form, engine):
+        baseline = self._baseline(small_placement, form)
+        got = cell_temperatures(baseline, small_thermal, engine=engine)
+        assert got == cell_temperatures(small_placement, small_thermal, engine=engine)
+
+    def test_default_spread(self, small_placement, form, engine):
+        from repro.core import apply_default_spread
+        from repro.engine import use_engine
+
+        with use_engine(engine):
+            got = apply_default_spread(self._baseline(small_placement, form), 0.2)
+            want = apply_default_spread(small_placement, 0.2)
+        assert got.actual_overhead == want.actual_overhead
+        assert placement_digest(got.placement) == placement_digest(want.placement)
+
+    def test_hotspot_wrapper(self, small_placement, small_power, small_thermal, form, engine):
+        from repro.core import apply_hotspot_wrapper
+        from repro.engine import use_engine
+
+        hotspots = detect_hotspots(small_thermal, small_placement, power=small_power)
+        with use_engine(engine):
+            got = apply_hotspot_wrapper(self._baseline(small_placement, form), hotspots)
+            want = apply_hotspot_wrapper(small_placement, hotspots)
+        assert got.wrapped == want.wrapped
+        assert placement_digest(got.placement) == placement_digest(want.placement)
+        assert got.placement.netlist is not small_placement.netlist
 
 
 def test_default_fills_the_relaxed_view_like_insert_fillers(small_placement):

@@ -193,7 +193,6 @@ class TestFillers:
         assert len(cells) == len(inserted) and not bulk.fillers
         assert filler_layout(bulk) == filler_layout(loop)
         assert bulk.netlist._version == version + 1  # one structural edit
-        assert all(cell.owner is bulk.netlist for cell in cells)
 
     def test_second_insertion_extends_the_block(self, library):
         netlist = Netlist("fill3", library)
