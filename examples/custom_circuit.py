@@ -20,7 +20,7 @@ from repro.analysis import compare
 from repro.bench import UnitSpec, build_synthetic_circuit, custom_workload
 from repro.core import apply_hotspot_wrapper, detect_hotspots
 from repro.netlist import write_def, write_verilog
-from repro.placement import place_design
+from repro.placement import as_placement, place_design
 from repro.power import PowerModel, build_power_map, estimate_activity
 from repro.thermal import (
     ThermalNetwork,
@@ -81,11 +81,14 @@ def main() -> None:
     print(f"detected {len(hotspots)} hotspot(s); "
           f"hottest caused by {hotspots[0].dominant_units[:2]}")
     wrapped = apply_hotspot_wrapper(placement, hotspots)
-    new_thermal = simulate_placement(wrapped.placement, power)
+    # The result is a view over the baseline's netlist, whose cells keep
+    # the baseline's coordinates; its object form carries the wrapped ones.
+    wrapped_placement = as_placement(wrapped.placement)
+    new_thermal = simulate_placement(wrapped_placement, power)
 
     baseline_timing = analyze_timing(netlist, temperature=thermal.peak)
-    new_timing = analyze_timing(wrapped.placement.netlist, temperature=new_thermal.peak)
-    metrics = compare(placement, thermal, wrapped.placement, new_thermal,
+    new_timing = analyze_timing(wrapped_placement.netlist, temperature=new_thermal.peak)
+    metrics = compare(placement, thermal, wrapped_placement, new_thermal,
                       baseline_timing, new_timing)
     print(f"hotspot wrapper: {metrics.temperature_reduction * 100:.2f}% peak-rise "
           f"reduction, {metrics.timing_overhead * 100:+.2f}% timing overhead, "

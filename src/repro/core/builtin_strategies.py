@@ -18,8 +18,6 @@ package (``examples/custom_strategy.py``).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from ..placement import Placement, PlacementView
 from .default_spread import apply_default_spread
 from .empty_row import (
@@ -35,7 +33,7 @@ from .strategy import (
     WhitespaceStrategy,
     register_strategy,
 )
-from .wrapper import apply_hotspot_wrapper_in_place
+from .wrapper import apply_hotspot_wrapper
 
 #: Default hotspot-detection threshold for empty row insertion: the method
 #: acts on "the area around a given hotspot", so a generous fraction of the
@@ -126,22 +124,14 @@ class _WrapperMixin(WhitespaceStrategy):
         return validated
 
     def _wrap(self, ctx: StrategyContext, view: PlacementView, hotspots):
-        """Wrap ``view``'s object form and freeze the result into a view.
-
-        :meth:`~repro.placement.PlacementView.to_placement` is one netlist
-        copy with rows in :meth:`~repro.placement.Placement.rebuild_rows`
-        order, so the in-place wrapper's result equals the copying
-        wrapper's; the copy dies here, and the returned wrapper result
-        carries the frozen view.
-        """
-        placement = view.to_placement()
-        result = apply_hotspot_wrapper_in_place(
-            placement,
-            project_hotspots(hotspots, ctx.placement, placement),
+        """Wrap ``view`` around ``hotspots`` projected onto its core; the
+        result's placement is a view over the same netlist."""
+        return apply_hotspot_wrapper(
+            view,
+            project_hotspots(hotspots, ctx.placement, view),
             ring_width_um=float(self.param("ring_um")),
             max_source_units=int(self.param("max_source_units")),
         )
-        return replace(result, placement=PlacementView.of(placement, ctx.placement.netlist))
 
 
 @register_strategy

@@ -137,8 +137,9 @@ def detect_hotspots(
     # centre arrays, unit codes and per-cell powers are gathered once here
     # and shared by every component below.  Matches the cell-at-a-time
     # reference (placement.cells_in_rect + dict accumulation) exactly:
-    # same half-open rectangle test, same cell order, and bincount adds
-    # each unit's contributions in the same sequence the loop would.
+    # same half-open rectangle test, same cell order, and bincount and the
+    # running total add each contribution in the same sequence the loop
+    # would, so even ``power_w`` agrees to the last bit.
     from ..engine import resolve_engine
 
     compiled_engine = resolve_engine(engine) != "reference"
@@ -197,7 +198,9 @@ def detect_hotspots(
                 comp.unit_names[code]
                 for code in sorted(appearance.tolist(), key=lambda c: -unit_sums[c])
             ]
-            total_power = float(cell_power[selected].sum())
+            # Accumulated in cell order, as the reference adds one cell at a
+            # time (``.sum()`` is pairwise and can differ in the last bit).
+            total_power = float(np.cumsum(cell_power[selected])[-1]) if selected.size else 0.0
             num_cells = int(selected.size)
         else:
             cells = placement.cells_in_rect(rect) if rect.area > 0 else []

@@ -9,12 +9,14 @@ we reduce the cell density inside the wrapper by moving cells not belonging
 to the hotspot outside the wrapper and uniformly distribute the remaining
 cells in the wrapper area."
 
-Implementation, per hotspot:
+Implementation, on a :class:`~repro.placement.PlacementView`'s coordinate
+arrays (:class:`~repro.placement.legalize.RowOccupancy`), per hotspot:
 
 1. the hotspot rectangle is expanded by the wrapper (ring) width;
-2. every cell inside the expanded rectangle that does not belong to the
-   hotspot's source units is evicted and re-inserted into the nearest free
-   space outside (the "exclusive move bounds" of commercial tools);
+2. every cell whose centre lies inside the expanded rectangle and that
+   does not belong to the hotspot's source units is evicted and re-inserted
+   into the nearest free space outside (the "exclusive move bounds" of
+   commercial tools);
 3. the hotspot's own cells are re-distributed uniformly over the rows of
    the *inner* rectangle, leaving the surrounding ring as pure whitespace;
 4. the whitespace (ring and in-between gaps) is filled with filler cells.
@@ -30,10 +32,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence, Union
 
-from ..placement import Placement, PlacementView, insert_fillers, remove_fillers
+import numpy as np
+
+from ..netlist.compiled import cell_centers
+from ..placement import Placement, PlacementView
+from ..placement.filler import filler_block
 from ..placement.floorplan import Rect
-from ..placement.legalize import pack_into_region
+from ..placement.legalize import RowOccupancy
+from ..placement.placement import NO_FILLERS
 from .hotspot import Hotspot
+
+# Unused here since the wrapper packs and fills coordinate lists
+# (RowOccupancy.pack, filler_block), but kept as module
+# attributes: perfbench/spans.py wraps these names at this lookup site.
+from ..placement import insert_fillers  # noqa: F401
+from ..placement.legalize import pack_into_region  # noqa: F401
 
 
 @dataclass
@@ -65,77 +78,59 @@ class HotspotWrapperResult:
     """Outcome of the hotspot-wrapper transformation.
 
     Attributes:
-        placement: The transformed placement: a copy of the input for
-            :func:`apply_hotspot_wrapper`, the input placement itself for
-            :func:`apply_hotspot_wrapper_in_place`.
+        placement: The transformed placement, a view over the input's
+            netlist (``as_placement(result.placement)`` gives cell
+            objects).
         wrapped: Per-hotspot book-keeping.
         num_fillers: Filler cells inserted after the transformation.
     """
 
-    placement: Placement
+    placement: PlacementView
     wrapped: List[WrappedHotspot] = field(default_factory=list)
     num_fillers: int = 0
 
-    @property
-    def total_evicted(self) -> int:
-        """Total bystander cells moved out of all wrappers."""
-        return sum(w.num_evicted for w in self.wrapped)
-
 
 def apply_hotspot_wrapper(
-    baseline: Union[Placement, PlacementView],
+    placement: Union[Placement, PlacementView],
     hotspots: Sequence[Hotspot],
     ring_width_um: float = 6.0,
     max_source_units: int = 2,
-    add_fillers: bool = True,
 ) -> HotspotWrapperResult:
     """Wrap each hotspot in whitespace and thin out its cell density.
 
+    Hotspots are wrapped in order, each on the cells as the previous ones
+    left them.  The input's filler block is dropped and the whitespace
+    refilled at the end; filler cells of the netlist itself
+    (:meth:`~repro.placement.Placement.materialize_fillers`) stay where
+    they are.
+
     Args:
-        baseline: Placement or view to transform (typically a "Default"
-            placement at relaxed utilization); left untouched.
+        placement: Placement or view to transform (typically a "Default"
+            placement at relaxed utilization); left untouched.  A
+            :class:`~repro.placement.Placement` is frozen into a view first.
         hotspots: Detected hotspots, hottest first.
         ring_width_um: Width of the whitespace ring around each hotspot.
         max_source_units: Maximum number of units treated as the hotspot's
             source: the hottest prefix of its detection-time
             ``dominant_units`` ranking (cells of other units are evicted).
-        add_fillers: Fill the resulting whitespace with dummy cells.
 
     Returns:
-        A :class:`HotspotWrapperResult` on a copy of ``baseline`` (the
-        object form of a view, :meth:`PlacementView.to_placement`).
+        A :class:`HotspotWrapperResult` whose placement is a new view over
+        the same netlist, filled with fillers.
 
     Raises:
         ValueError: If ``ring_width_um`` is negative.
     """
-    return apply_hotspot_wrapper_in_place(
-        PlacementView.of(baseline).to_placement(), hotspots, ring_width_um=ring_width_um,
-        max_source_units=max_source_units, add_fillers=add_fillers,
-    )
-
-
-def apply_hotspot_wrapper_in_place(
-    placement: Placement,
-    hotspots: Sequence[Hotspot],
-    ring_width_um: float = 6.0,
-    max_source_units: int = 2,
-    add_fillers: bool = True,
-) -> HotspotWrapperResult:
-    """:func:`apply_hotspot_wrapper` transforming ``placement`` itself.
-
-    For callers that own a placement nobody else reads, such as one a
-    transform just built, which saves the netlist copy.  Its row lists must
-    be in :meth:`~repro.placement.Placement.rebuild_rows` order for the
-    result to equal the copying form's bitwise.
-    """
     if ring_width_um < 0.0:
         raise ValueError(f"ring_width_um must be non-negative, got {ring_width_um}")
 
-    # Any fillers present in the input (e.g. a Default placement that was
-    # already filled) are removed first; whitespace is re-filled at the end.
-    remove_fillers(placement)
+    view = PlacementView.of(placement)
+    comp = view.netlist.compiled()
+    widths = comp.cell_width_um
+    occupancy = RowOccupancy.of_arrays(view.floorplan, view.x, view.y, view.row, widths)
+    logic = ~comp.is_filler
     wrapped: List[WrappedHotspot] = []
-    core = placement.floorplan.core_rect
+    core = view.floorplan.core_rect
 
     for hotspot in hotspots:
         inner = hotspot.rect.clipped(core)
@@ -150,32 +145,39 @@ def apply_hotspot_wrapper_in_place(
             continue
         hot_units = hotspot.dominant_units[:max_source_units]
 
-        # 1. Detach everything currently inside the wrapper: the hotspot's
-        #    own ("hot") cells and the bystanders.
-        hot_cells = [
-            cell for cell in placement.cells_in_rect(outer) if cell.unit in hot_units
-        ]
-        bystanders = placement.evict_from_rect(outer, keep_units=hot_units)
+        # 1. Detach everything whose centre is inside the wrapper: the
+        #    hotspot's own ("hot") cells and the bystanders.
+        cx, cy, _ = cell_centers(np.array(occupancy.x), np.array(occupancy.y), widths)
+        inside = (
+            logic & (cx >= outer.x0) & (cx < outer.x1) & (cy >= outer.y0) & (cy < outer.y1)
+        )
+        hot_codes = [code for code, unit in enumerate(comp.unit_names) if unit in hot_units]
+        hot = inside & np.isin(comp.unit_codes, hot_codes)
+        hot_cells = np.flatnonzero(hot).tolist()
+        bystanders = np.flatnonzero(inside & ~hot).tolist()
+        for cell in bystanders:
+            occupancy.remove(cell)
 
         # 2. Spread the hot cells uniformly over the *inner* rectangle,
         #    leaving the surrounding ring as whitespace.
         if hot_cells:
+            targets = list(zip(cx[hot_cells].tolist(), cy[hot_cells].tolist()))
             try:
-                pack_into_region(placement, hot_cells, inner)
+                occupancy.pack(hot_cells, inner, targets)
             except ValueError:
                 # The inner rectangle cannot hold them (extremely dense
                 # hotspot): fall back to the full wrapper rectangle.
-                pack_into_region(placement, hot_cells, outer)
+                occupancy.pack(hot_cells, outer, targets)
 
         # 3. Re-insert the bystanders into the nearest free space outside
         #    the wrapper.  Whitespace is fragmented (every row is spread
         #    evenly), so cells that do not fit into any single gap are
         #    force-inserted by consolidating the whitespace of the closest
         #    row with enough total slack — the placement always stays legal.
-        unmoved = placement.relocate_outside(bystanders, outer)
-        leftover = placement.relocate_outside(unmoved, Rect(0.0, 0.0, 0.0, 0.0))
+        unmoved = occupancy.relocate_outside(bystanders, outer)
+        leftover = occupancy.relocate_outside(unmoved, Rect(0.0, 0.0, 0.0, 0.0))
         for cell in leftover:
-            placement.force_insert(cell, avoid_rect=outer)
+            occupancy.force_insert(cell, avoid_rect=outer)
 
         wrapped.append(
             WrappedHotspot(
@@ -189,5 +191,9 @@ def apply_hotspot_wrapper_in_place(
             )
         )
 
-    num_fillers = len(insert_fillers(placement)) if add_fillers else 0
-    return HotspotWrapperResult(placement=placement, wrapped=wrapped, num_fillers=num_fillers)
+    fillers = filler_block(view.netlist, occupancy.all_gaps(), NO_FILLERS)
+    result = PlacementView(
+        view.netlist, view.floorplan, occupancy.x, occupancy.y, occupancy.row,
+        view.port_x, view.port_y, regions=view.regions, fillers=fillers,
+    )
+    return HotspotWrapperResult(placement=result, wrapped=wrapped, num_fillers=len(fillers))

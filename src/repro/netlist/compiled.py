@@ -464,6 +464,20 @@ class Connectivity:
         return levels
 
 
+def _gather_xy(items) -> np.ndarray:
+    """``(n, 2)`` array of the items' ``x``/``y``; ``None`` becomes ``NaN``."""
+    return np.array([(item.x, item.y) for item in items], dtype=np.float64).reshape(-1, 2)
+
+
+def cell_centers(
+    x: np.ndarray, y: np.ndarray, widths: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cell centres ``(cx, cy, placed)`` from lower-left corners (``NaN`` where unplaced)."""
+    placed = ~(np.isnan(x) | np.isnan(y))
+    cx = np.where(placed, x + widths / 2.0, np.nan)
+    return cx, np.where(placed, y + ROW_HEIGHT / 2.0, np.nan), placed
+
+
 class CompiledNetlist:
     """One netlist's compiled view over a shared :class:`Connectivity`.
 
@@ -713,19 +727,8 @@ class CompiledNetlist:
         ``NaN`` coordinates and ``False`` in the mask.  Gathered from the
         cells on every call, so a raw ``x``/``y`` write is always seen.
         """
-        n = self.num_cells
-        cx = np.full(n, np.nan)
-        cy = np.full(n, np.nan)
-        placed = np.zeros(n, dtype=bool)
-        half_h = ROW_HEIGHT / 2.0
-        for i, cell in enumerate(self._cells):
-            x = cell.x
-            if x is None or cell.y is None:
-                continue
-            cx[i] = x + cell.width / 2.0
-            cy[i] = cell.y + half_h
-            placed[i] = True
-        return cx, cy, placed
+        x, y = _gather_xy(self._cells).T
+        return cell_centers(x, y, self.cell_width_um)
 
     # ------------------------------------------------------------------
     # Vectorized HPWL
@@ -734,16 +737,9 @@ class CompiledNetlist:
     def terminal_coordinates(self) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
         """This netlist's own cell centres and port positions,
         ``((cx, cy, placed), (px, py, placed))``."""
-        num_ports = len(self._ports)
-        px = np.full(num_ports, np.nan)
-        py = np.full(num_ports, np.nan)
-        p_placed = np.zeros(num_ports, dtype=bool)
-        for i, port in enumerate(self._ports):
-            if port.x is not None:
-                px[i] = port.x
-                py[i] = port.y
-                p_placed[i] = True
-        return self.cell_center_arrays(), (px, py, p_placed)
+        px, py = _gather_xy(self._ports).T
+        p_placed = ~np.isnan(px)
+        return self.cell_center_arrays(), (px, np.where(p_placed, py, np.nan), p_placed)
 
     def net_hpwl_um(self, coordinates=None) -> np.ndarray:
         """Half-perimeter wirelength of every net over its placed terminals.

@@ -108,30 +108,6 @@ class Net:
     def num_sinks(self) -> int:
         return len(self.sink_pins) + len(self.sink_ports)
 
-    @property
-    def num_terminals(self) -> int:
-        """Total number of pin/port terminals on the net."""
-        return self.num_sinks + (1 if self.has_driver else 0)
-
-    def terminals_xy(self) -> List[tuple]:
-        """Return the ``(x, y)`` coordinates of all placed terminals.
-
-        Cell terminals use the cell centre; port terminals use the port
-        position when assigned.  Unplaced terminals are skipped.
-        """
-        points: List[tuple] = []
-        if self.driver_pin is not None and self.driver_pin.cell.is_placed:
-            points.append(self.driver_pin.cell.center)
-        if self.driver_port is not None and self.driver_port.x is not None:
-            points.append((self.driver_port.x, self.driver_port.y))
-        for pin in self.sink_pins:
-            if pin.cell.is_placed:
-                points.append(pin.cell.center)
-        for port in self.sink_ports:
-            if port.x is not None:
-                points.append((port.x, port.y))
-        return points
-
     def hpwl(self) -> float:
         """Half-perimeter wirelength of the net over its placed terminals.
 

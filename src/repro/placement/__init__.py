@@ -3,7 +3,7 @@
 from .floorplan import Floorplan, Rect, slicing_partition
 from .placement import FillerBlock, Placement, Row
 from .global_place import GlobalPlacementResult, QuadraticPlacer, assign_port_positions
-from .legalize import pack_into_region, tetris_legalize
+from .legalize import RowOccupancy, pack_into_region, pack_regions
 from .density import cell_density_map, density_in_rect, peak_density
 from .filler import filler_area, insert_fillers, remove_fillers
 from .detailed import improve_placement, improve_row
@@ -22,8 +22,9 @@ __all__ = [
     "GlobalPlacementResult",
     "QuadraticPlacer",
     "assign_port_positions",
+    "RowOccupancy",
     "pack_into_region",
-    "tetris_legalize",
+    "pack_regions",
     "cell_density_map",
     "density_in_rect",
     "peak_density",

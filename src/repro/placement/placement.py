@@ -1,11 +1,13 @@
 """Row-based placement database.
 
-:class:`Placement` is the object the post-placement techniques manipulate:
-it couples a netlist with a :class:`~repro.placement.floorplan.Floorplan`
+:class:`Placement` is the object form of a placed design (the placer's
+output, DEF export, the reference engines): it couples a netlist with a :class:`~repro.placement.floorplan.Floorplan`
 and keeps, for every placement row, the ordered list of cells in that row.
-It provides legality checks, wirelength and utilization queries, and the
-row-level editing operations (insert, remove, pack, spread) that the empty
-row insertion and hotspot wrapper transformations are built from.
+It provides legality checks, wirelength and utilization queries and
+row-level editing (add, remove, pack, spread).  The whitespace transforms
+do not edit it: they work on :class:`~repro.placement.view.PlacementView`
+arrays, and the legalization routines they share with the placer on
+:class:`~repro.placement.legalize.RowOccupancy`.
 
 Filler cells are not netlist cells: a placement records them as one
 :class:`FillerBlock` of row/x/master arrays (:attr:`Placement.fillers`),
@@ -134,6 +136,20 @@ class FillerBlock:
 NO_FILLERS = FillerBlock()
 
 
+def free_intervals(occupants, x_start: float, x_end: float) -> List[Tuple[float, float]]:
+    """Free intervals ``(x0, x1)`` of ``[x_start, x_end)`` around x-ordered
+    ``(x, width, ...)`` occupants, which may overlap."""
+    gaps: List[Tuple[float, float]] = []
+    cursor = x_start
+    for x, width, *_ in occupants:
+        if x > cursor:
+            gaps.append((cursor, x))
+        cursor = max(cursor, x + width)
+    if cursor < x_end:
+        gaps.append((cursor, x_end))
+    return gaps
+
+
 class Row:
     """A single placement row: ordered, non-overlapping cells.
 
@@ -206,15 +222,7 @@ class Row:
 
     def gaps(self) -> List[Tuple[float, float]]:
         """Free intervals ``(x0, x1)`` between cells and block fillers, left to right."""
-        gaps: List[Tuple[float, float]] = []
-        cursor = self.x_start
-        for x, width, _ in self._occupants():
-            if x > cursor:
-                gaps.append((cursor, x))
-            cursor = max(cursor, x + width)
-        if cursor < self.x_end:
-            gaps.append((cursor, self.x_end))
-        return gaps
+        return free_intervals(self._occupants(), self.x_start, self.x_end)
 
     def overlaps(self) -> List[Tuple[str, str]]:
         """Pairs of cell (or block filler) names that overlap in this row."""
@@ -268,32 +276,6 @@ class Row:
         for cell in self.cells:
             cell.place(cursor, self.y, self.index)
             cursor += cell.width + gap
-
-    def insert_at_best_gap(self, cell: CellInstance, target_x: float) -> bool:
-        """Insert ``cell`` in the free gap closest to ``target_x``.
-
-        Returns:
-            ``True`` on success, ``False`` if no gap is wide enough.
-        """
-        best: Optional[Tuple[float, float]] = None
-        best_cost = float("inf")
-        for gap_start, gap_end in self.gaps():
-            if gap_end - gap_start < cell.width - 1e-9:
-                continue
-            x = min(max(target_x, gap_start), gap_end - cell.width)
-            cost = abs(x - target_x)
-            if cost < best_cost:
-                best_cost = cost
-                best = (x, gap_start)
-        if best is None:
-            return False
-        self.add(cell, best[0])
-        self.sort()
-        return True
-
-    def cells_in_span(self, x0: float, x1: float) -> List[CellInstance]:
-        """Cells whose centre x lies in ``[x0, x1)``."""
-        return [c for c in self.cells if x0 <= c.x + c.width / 2.0 < x1]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Row({self.index}, y={self.y:.1f}, cells={len(self.cells)})"
@@ -381,14 +363,6 @@ class Placement:
                 found.append(cell)
         return found
 
-    def rows_in_span(self, y0: float, y1: float) -> List[Row]:
-        """Rows whose vertical span intersects ``[y0, y1)``."""
-        return [
-            row
-            for row in self.rows
-            if row.y + self.floorplan.row_height > y0 and row.y < y1
-        ]
-
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
@@ -440,10 +414,6 @@ class Placement:
         """Core area in square micrometres."""
         return self.floorplan.core_area
 
-    def row_utilizations(self) -> List[float]:
-        """Utilization of each row, bottom to top."""
-        return [row.utilization() for row in self.rows]
-
     # ------------------------------------------------------------------
     # Legality
     # ------------------------------------------------------------------
@@ -488,158 +458,27 @@ class Placement:
         return problems
 
     # ------------------------------------------------------------------
-    # Whitespace / relocation helpers used by the core techniques
+    # Relocation
     # ------------------------------------------------------------------
 
-    def evict_from_rect(
-        self, rect: Rect, keep_units: Sequence[str] = (), include_fillers: bool = False
-    ) -> List[CellInstance]:
-        """Remove from their rows all cells inside ``rect`` not in ``keep_units``.
-
-        The cells' coordinates are cleared of row membership but preserved as
-        a relocation hint; the caller is responsible for re-inserting them
-        (see :meth:`relocate_outside`).
-
-        Returns:
-            The evicted cells.
-        """
-        keep = set(keep_units)
-        evicted: List[CellInstance] = []
-        for cell in self.cells_in_rect(rect, include_fillers=include_fillers):
-            if cell.unit in keep:
-                continue
-            self.remove(cell)
-            evicted.append(cell)
-        return evicted
-
     def relocate_outside(self, cells: Sequence[CellInstance], rect: Rect) -> List[CellInstance]:
-        """Re-insert evicted cells into the nearest legal free space outside ``rect``.
+        """Re-insert detached cells into the nearest legal free space outside ``rect``.
 
-        Cells are inserted into row gaps, preferring rows close to their
-        original y and positions close to their original x, while keeping
-        their centres outside ``rect``.
+        The object form of
+        :meth:`~repro.placement.legalize.RowOccupancy.relocate_outside`:
+        widest first, each cell goes to the closest row (by its y) holding
+        a free gap it fits whose centre stays outside ``rect``, as close to
+        its x as the gap allows.
 
         Returns:
             Cells that could not be relocated (no free space found).
         """
-        failed: List[CellInstance] = []
-        row_height = self.floorplan.row_height
+        from .legalize import _occupancy_of, _write_back
 
-        # ``rect`` is fixed for the whole call and the sub-interval chosen by
-        # :meth:`_gap_outside_rect` is always the longest one, so each row's
-        # usable intervals can be computed once and reused for every cell,
-        # invalidated only when a relocation mutates that row.  A cell fits a
-        # gap exactly when the gap's longest usable sub-interval is at least
-        # as wide, so the per-cell test collapses to one comparison.
-        usable_cache: dict = {}
-
-        def usable_intervals(row_index: int) -> List[Tuple[float, float]]:
-            cached = usable_cache.get(row_index)
-            if cached is None:
-                row = self.rows[row_index]
-                row_mid_y = row.y + row_height / 2.0
-                cached = []
-                for gap_start, gap_end in row.gaps():
-                    interval = self._gap_outside_rect(
-                        gap_start, gap_end, rect, row_mid_y, 0.0
-                    )
-                    if interval is not None and interval[1] > interval[0]:
-                        cached.append(interval)
-                usable_cache[row_index] = cached
-            return cached
-
-        for cell in sorted(cells, key=lambda c: -c.width):
-            origin_x = cell.x if cell.x is not None else 0.0
-            origin_y = cell.y if cell.y is not None else 0.0
-            origin_row = self.floorplan.row_of_y(origin_y)
-            width = cell.width
-            placed = False
-            # Search rows by increasing distance from the original row.
-            for offset in range(0, len(self.rows)):
-                for row_index in {origin_row - offset, origin_row + offset}:
-                    if row_index < 0 or row_index >= len(self.rows):
-                        continue
-                    if placed:
-                        break
-                    for lo, hi in usable_intervals(row_index):
-                        if hi - lo < width:
-                            continue
-                        row = self.rows[row_index]
-                        x = min(max(origin_x, lo), hi - width)
-                        row.add(cell, x)
-                        row.sort()
-                        usable_cache.pop(row_index, None)
-                        placed = True
-                        break
-                if placed:
-                    break
-            if not placed:
-                failed.append(cell)
-        return failed
-
-    def force_insert(self, cell: CellInstance, avoid_rect: Optional[Rect] = None) -> bool:
-        """Insert ``cell`` even when no single free gap is wide enough.
-
-        Whitespace in a spread-out placement is fragmented into many small
-        gaps; this helper picks the closest row with enough *total* free
-        width (preferring rows outside ``avoid_rect``), packs that row to
-        consolidate its whitespace, and appends the cell at the packed end.
-        Used as a last resort by the hotspot wrapper so evicted cells never
-        end up overlapping.  Packing moves fillers too, so a chosen row
-        holding block fillers materializes the block first.
-
-        Returns:
-            ``True`` if the cell was inserted, ``False`` if no row has
-            enough free width.
-        """
-        origin_row = self.floorplan.row_of_y((cell.y or 0.0) + 1e-9)
-        row_height = self.floorplan.row_height
-
-        def row_priority(row: Row) -> Tuple[int, int]:
-            mid_y = row.y + row_height / 2.0
-            inside_avoid = (
-                1
-                if avoid_rect is not None
-                and avoid_rect.y0 <= mid_y < avoid_rect.y1
-                and avoid_rect.area > 0
-                else 0
-            )
-            return (inside_avoid, abs(row.index - origin_row))
-
-        for row in sorted(self.rows, key=row_priority):
-            if row.free_width >= cell.width - 1e-9:
-                if row.block_fillers():
-                    self.materialize_fillers()
-                row.pack()
-                cursor = row.x_start + row.occupied_width
-                row.add(cell, cursor)
-                row.sort()
-                return True
-        return False
-
-    @staticmethod
-    def _gap_outside_rect(
-        gap_start: float, gap_end: float, rect: Rect, row_mid_y: float, width: float
-    ) -> Optional[Tuple[float, float]]:
-        """Largest sub-interval of a row gap whose centre stays outside ``rect``.
-
-        Returns ``None`` if no sub-interval of at least ``width`` exists.
-        """
-        if not (rect.y0 <= row_mid_y < rect.y1):
-            # The row does not intersect the rectangle vertically.
-            if gap_end - gap_start >= width:
-                return (gap_start, gap_end)
-            return None
-        # Row crosses the rectangle: usable sub-gaps are left and right of it.
-        candidates = []
-        left = (gap_start, min(gap_end, rect.x0))
-        right = (max(gap_start, rect.x1), gap_end)
-        for lo, hi in (left, right):
-            if hi - lo >= width:
-                candidates.append((lo, hi))
-        if not candidates:
-            return None
-        return max(candidates, key=lambda interval: interval[1] - interval[0])
+        occupancy, objects, index = _occupancy_of(self, cells)
+        failed = occupancy.relocate_outside([index[id(cell)] for cell in cells], rect)
+        _write_back(self, occupancy, objects)
+        return [objects[i] for i in failed]
 
     def copy(self) -> "Placement":
         """Deep-copy the placement (cloned netlist, same floorplan geometry).

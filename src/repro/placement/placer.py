@@ -20,7 +20,7 @@ from ..netlist import Netlist
 from .detailed import improve_placement
 from .floorplan import Floorplan, slicing_partition
 from .global_place import QuadraticPlacer, assign_port_positions
-from .legalize import pack_into_region
+from .legalize import pack_regions
 from .placement import Placement
 
 
@@ -80,9 +80,14 @@ def place_design(
         )
         targets = placer.run().positions
 
-    for unit, region in regions.items():
-        unit_cells = [c for c in netlist.logic_cells() if c.unit == unit]
-        pack_into_region(placement, unit_cells, region, targets=targets)
+    pack_regions(
+        placement,
+        [
+            ([c for c in netlist.logic_cells() if c.unit == unit], region)
+            for unit, region in regions.items()
+        ],
+        targets=targets,
+    )
 
     if detailed:
         improve_placement(placement)

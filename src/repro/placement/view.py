@@ -14,8 +14,11 @@ cells' own coordinates are the *baseline's*.  Every coordinate consumer
 reads the view's arrays — thermal binning through
 :meth:`PlacementView.cell_center_arrays`, compiled STA through
 :meth:`PlacementView.terminal_coordinates`, the placement digest through
-:meth:`PlacementView.coordinate_arrays`.  Consumers that need objects
-(the reference engine, the hotspot wrapper, DEF export) call
+:meth:`PlacementView.coordinate_arrays`.  The transforms take and return
+views: the hotspot wrapper edits the arrays as row occupancy
+(:class:`~repro.placement.legalize.RowOccupancy`), which also fills a
+view's gaps in :meth:`PlacementView.with_fillers`.  Consumers that need
+objects (the reference engine, DEF export) call
 :meth:`PlacementView.to_placement`, which builds a
 :class:`~repro.placement.placement.Placement` on one
 :meth:`~repro.netlist.netlist.Netlist.copy`; call
@@ -27,14 +30,15 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..netlist import Netlist
-from ..netlist.library import ROW_HEIGHT
+from ..netlist.compiled import cell_centers
 from .filler import filler_block
 from .floorplan import Floorplan, Rect
+from .legalize import RowOccupancy
 from .placement import FILLER_PREFIX, NO_FILLERS, FillerBlock, Placement, _read_only
 
 #: ``(x, y, row, port_x, port_y)``: cell lower-left corners and rows, port
@@ -141,11 +145,7 @@ class PlacementView:
         Bitwise equal to :meth:`Placement.cell_center_arrays` of
         :meth:`to_placement`: unplaced cells carry ``NaN`` and ``False``.
         """
-        placed = self.placed
-        widths = self.netlist.compiled().cell_width_um
-        cx = np.where(placed, self.x + widths / 2.0, np.nan)
-        cy = np.where(placed, self.y + ROW_HEIGHT / 2.0, np.nan)
-        return cx, cy, placed
+        return cell_centers(self.x, self.y, self.netlist.compiled().cell_width_um)
 
     def terminal_coordinates(self) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
         """Cell centres and port positions ``((cx, cy, placed), (px, py, placed))``.
@@ -157,50 +157,24 @@ class PlacementView:
         port_placed = ~np.isnan(self.port_x)
         return self.cell_center_arrays(), (self.port_x, self.port_y, port_placed)
 
-    def row_gaps(self) -> List[List[Tuple[float, float]]]:
-        """Free intervals ``(x0, x1)`` of every row, left to right.
-
-        Computed as :meth:`~repro.placement.placement.Row.gaps` computes
-        them, on the arrays: cells (placed, with a row) and block fillers
-        occupy ``[x, x + width)``, and a gap opens wherever an occupant
-        starts right of the running maximum of the ends before it.
-        """
-        x_end = self.floorplan.core_width
-        occupied = self.placed & (self.row >= 0)
-        widths = self.netlist.compiled().cell_width_um
-        block = self.fillers
-        rows = np.concatenate([self.row[occupied], block.row])
-        starts = np.concatenate([self.x[occupied], block.x])
-        ends = np.concatenate([self.x[occupied] + widths[occupied], block.x + block.widths])
-        order = np.argsort(starts, kind="stable")
-        num_rows = self.floorplan.num_rows
-        gaps: List[List[Tuple[float, float]]] = [[] for _ in range(num_rows)]
-        cursors = [0.0] * num_rows
-        for index, start, end in zip(
-            rows[order].tolist(), starts[order].tolist(), ends[order].tolist()
-        ):
-            cursor = cursors[index]
-            if start > cursor:
-                gaps[index].append((cursor, start))
-            cursors[index] = max(cursor, end)
-        for row_gaps, cursor in zip(gaps, cursors):
-            if cursor < x_end:
-                row_gaps.append((cursor, x_end))
-        return gaps
-
     # ------------------------------------------------------------------
     # Derived views
     # ------------------------------------------------------------------
 
     def with_fillers(self, prefix: str = FILLER_PREFIX) -> "PlacementView":
-        """This view with every row gap filled, as :func:`insert_fillers` fills a placement.
+        """This view with every row gap filled, as :func:`insert_fillers` fills
+        :meth:`to_placement`.
 
-        The inserted fillers extend the block, widest filler first per gap,
-        with the same names, masters and positions.
+        The gaps are :meth:`RowOccupancy.gaps
+        <repro.placement.legalize.RowOccupancy.gaps>` of the rows rebuilt
+        from the arrays; the inserted fillers extend the block, widest
+        filler first per gap, with the same names, masters and positions.
         """
-        inserted = filler_block(
-            self.netlist, enumerate(self.row_gaps()), self.fillers, prefix
+        occupancy = RowOccupancy.of_arrays(
+            self.floorplan, self.x, self.y, self.row,
+            self.netlist.compiled().cell_width_um, self.fillers,
         )
+        inserted = filler_block(self.netlist, occupancy.all_gaps(), self.fillers, prefix)
         return _replace(self, fillers=self.fillers.extended(inserted))
 
     def to_placement(self) -> Placement:

@@ -406,9 +406,9 @@ class TestHashCounts:
 
 class TestCopyCounts:
     """A batched sweep relaxes once per overhead and copies the netlist
-    only inside the wrapper transforms, never re-levelizing: every copy
-    shares the baseline's compiled connectivity and dies with its
-    transform (count gates, not wall-clock floors)."""
+    only to re-place it there, never re-levelizing: every copy shares the
+    baseline's compiled connectivity and dies with its relaxation (count
+    gates, not wall-clock floors)."""
 
     STRATEGIES = ("default", "eri", "hw", "hybrid", "gradient")
 
@@ -449,12 +449,40 @@ class TestCopyCounts:
         )
         result = campaign.run(max_workers=max_workers)
         assert len(result.records) == 10
-        # One relaxation per overhead (shared by default and hw), one copy
-        # per relaxation and one per wrapper point (hw, hybrid).
+        # One relaxation per overhead (shared by default and hw) and one
+        # copy per relaxation; the wrapper points (hw, hybrid) copy nothing.
         assert counts == {
-            "copy": 6, "levelize": 0, "place_design": 2, "apply_default_spread": 2,
+            "copy": 2, "levelize": 0, "place_design": 2, "apply_default_spread": 2,
         }
         assert flow.stage_executions["relax"] == 2
+
+    @pytest.mark.parametrize("strategy", ["hw", "hybrid"])
+    def test_wrapper_stage_copies_and_builds_no_cells(self, sweep_setup, monkeypatch, strategy):
+        """The wrapper works on the view's arrays: its ``whitespace`` stage
+        (after a warm ``relax``) makes no netlist copy and no cell object."""
+        setup = sweep_setup
+        flow = FlowGraph()
+        flow.relax(setup.placement, 0.3)
+        counts = {"copy": 0, "cells": 0}
+        real_copy, real_init = Netlist.copy, CellInstance.__init__
+
+        def copy(self, *args, **kwargs):
+            counts["copy"] += 1
+            return real_copy(self, *args, **kwargs)
+
+        def init(self, *args, **kwargs):
+            counts["cells"] += 1
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Netlist, "copy", copy)
+        monkeypatch.setattr(CellInstance, "__init__", init)
+        artifact = flow.whitespace(
+            setup.placement, setup.power, setup.thermal_map, strategy, 0.3
+        )
+        assert artifact.num_fillers > 0
+        assert artifact.placement.netlist is setup.placement.netlist
+        assert counts == {"copy": 0, "cells": 0}
+        assert flow.stage_executions == {"relax": 1, "whitespace": 1}
 
 
 @pytest.fixture(scope="module", params=[1, 2], ids=["workers1", "workers2"])

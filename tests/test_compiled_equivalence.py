@@ -731,6 +731,44 @@ class TestPlacementEpoch:
         assert cy2[idx] == pytest.approx(cell.center[1])
 
 
+def reference_terminal_coordinates(netlist):
+    """The executable spec of the netlist's own coordinate gather: one
+    cell and one port at a time."""
+    cells, ports = list(netlist.cells.values()), list(netlist.ports.values())
+    cx, cy = np.full(len(cells), np.nan), np.full(len(cells), np.nan)
+    placed = np.zeros(len(cells), dtype=bool)
+    for i, cell in enumerate(cells):
+        if cell.x is None or cell.y is None:
+            continue
+        cx[i] = cell.x + cell.width / 2.0
+        cy[i] = cell.y + cell.height / 2.0
+        placed[i] = True
+    px, py = np.full(len(ports), np.nan), np.full(len(ports), np.nan)
+    p_placed = np.zeros(len(ports), dtype=bool)
+    for i, port in enumerate(ports):
+        if port.x is not None:
+            px[i], py[i], p_placed[i] = port.x, port.y, True
+    return (cx, cy, placed), (px, py, p_placed)
+
+
+class TestCoordinateGather:
+    def test_gather_matches_cell_by_cell_reference_bitwise(self):
+        netlist = random_netlist(70, num_gates=40)
+        placement = place_design(netlist, utilization=0.8)
+        cells, ports = list(netlist.cells.values()), list(netlist.ports.values())
+        cells[0].x = cells[0].y = None  # unplaced
+        cells[1].y = None  # half placed
+        ports[0].x = ports[0].y = None
+        ports[1].x, ports[1].y = 3.25, None  # placed x, no y
+        ports[2].x, ports[2].y = None, 7.5  # no x, placed y
+        got = netlist.compiled().terminal_coordinates()
+        want = reference_terminal_coordinates(netlist)
+        for got_arrays, want_arrays in zip(got, want):
+            for a, b in zip(got_arrays, want_arrays):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert placement.cell_center_arrays()[2].tolist() == want[0][2].tolist()
+
+
 class TestNetHpwlArrays:
     def test_trailing_terminal_less_nets(self):
         """Nets without terminals must not corrupt neighbouring segments.

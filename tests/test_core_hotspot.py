@@ -43,9 +43,10 @@ class TestDetection:
     def test_engines_agree_exactly(self, small_placement, small_power):
         """Compiled bincount attribution == reference dict accumulation.
 
-        Same hotspots, same cell counts, bitwise-equal unit powers and —
-        critically — identical dominant_units ordering, including the
-        first-seen tie-break the dict accumulation implies.
+        Same hotspots, same cell counts, bitwise-equal unit powers and
+        total power (both add cells in order), and — critically — identical
+        dominant_units ordering, including the first-seen tie-break the
+        dict accumulation implies.
         """
         thermal_map = _synthetic_map(
             small_placement, [(8, 8, 4.0, 2.5), (30, 32, 3.5, 2.5)]
@@ -65,7 +66,7 @@ class TestDetection:
                 assert fast.rect == slow.rect
                 assert fast.num_cells == slow.num_cells
                 assert fast.dominant_units == slow.dominant_units
-                assert fast.power_w == pytest.approx(slow.power_w, rel=1e-12)
+                assert fast.power_w == slow.power_w
 
     def test_max_hotspots_limits_count(self, small_placement):
         thermal_map = _synthetic_map(

@@ -18,8 +18,6 @@ from repro.core import (
     plan_insertion_points,
     rows_for_overhead,
 )
-from repro.core.wrapper import apply_hotspot_wrapper_in_place
-from repro.flow import placement_digest
 from repro.netlist import write_def
 from repro.placement import Rect, as_placement, density_in_rect
 
@@ -213,33 +211,35 @@ class TestHotspotWrapper:
 
     def test_placement_stays_legal(self, small_placement, detected_tight):
         result = apply_hotspot_wrapper(small_placement, detected_tight)
-        assert result.placement.check_legal() == []
+        assert as_placement(result.placement).check_legal() == []
 
     def test_placement_stays_legal_even_for_huge_hotspots(self, small_placement, detected):
         # At a very low detection threshold the "hotspot" covers most of the
         # die; the wrapper must refuse to wrap it rather than corrupt the
         # placement.
         result = apply_hotspot_wrapper(small_placement, detected)
-        assert result.placement.check_legal() == []
+        assert as_placement(result.placement).check_legal() == []
 
     def test_logic_cells_preserved(self, small_placement, detected_tight):
-        result = apply_hotspot_wrapper(small_placement, detected_tight, add_fillers=False)
-        assert _logic_cell_names(result.placement) == _logic_cell_names(small_placement)
+        result = apply_hotspot_wrapper(small_placement, detected_tight)
+        wrapped = as_placement(result.placement)
+        assert _logic_cell_names(wrapped) == _logic_cell_names(small_placement)
+        assert all(cell.is_placed for cell in wrapped.netlist.logic_cells())
 
     def test_bystanders_evicted_from_wrapper(self, small_placement, detected_tight):
-        result = apply_hotspot_wrapper(small_placement, detected_tight, add_fillers=False)
+        result = apply_hotspot_wrapper(small_placement, detected_tight)
         assert result.wrapped
         for wrapped in result.wrapped:
-            inside = result.placement.cells_in_rect(wrapped.outer_rect)
+            inside = as_placement(result.placement).cells_in_rect(wrapped.outer_rect)
             outsiders = [c for c in inside if c.unit not in wrapped.hot_units]
             # Allow the few cells the relocator reported as unmovable.
             assert len(outsiders) <= wrapped.num_unmoved
 
     def test_density_in_wrapper_decreases(self, small_placement, detected_tight):
-        result = apply_hotspot_wrapper(small_placement, detected_tight, add_fillers=False)
+        result = apply_hotspot_wrapper(small_placement, detected_tight)
         wrapped = result.wrapped[0]
         before = density_in_rect(small_placement, wrapped.outer_rect)
-        after = density_in_rect(result.placement, wrapped.outer_rect)
+        after = density_in_rect(as_placement(result.placement), wrapped.outer_rect)
         assert after < before
 
     def test_negative_ring_rejected(self, small_placement, detected_tight):
@@ -255,19 +255,6 @@ class TestHotspotWrapper:
         apply_hotspot_wrapper(small_placement, detected_tight)
         after = {c.name: (c.x, c.y) for c in small_placement.netlist.logic_cells()}
         assert before == after
-
-    def test_in_place_core_matches_copying_wrapper(self, small_placement, detected_tight):
-        """The strategies' copy-free path is bitwise the public one."""
-        owned = apply_default_spread(small_placement, 0.2, add_fillers=False).placement
-        expected = apply_hotspot_wrapper(owned, detected_tight)
-        owned.rebuild_rows()
-        result = apply_hotspot_wrapper_in_place(owned, detected_tight)
-        assert result.placement is owned
-        assert result.num_fillers == expected.num_fillers > 0
-        assert placement_digest(owned) == placement_digest(expected.placement)
-        assert [[c.name for c in row.cells] for row in owned.rows] == [
-            [c.name for c in row.cells] for row in expected.placement.rows
-        ]
 
 
 #: sha256 of the DEF text of each transform of the small design, as written

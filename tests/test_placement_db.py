@@ -60,12 +60,6 @@ class TestRow:
         assert row.cells[0].x > 0.0
         assert row.cells[-1].x + row.cells[-1].width < row.x_end
 
-    def test_insert_at_best_gap(self, small_db):
-        netlist = small_db.netlist
-        new = netlist.add_cell("new", "NAND2_X1")
-        assert small_db.row(0).insert_at_best_gap(new, target_x=6.0)
-        assert small_db.row(0).overlaps() == []
-
     def test_insert_fails_when_full(self, library):
         netlist = Netlist("full", library)
         floorplan = Floorplan(core_width=1.6, core_height=1.8)
@@ -75,11 +69,8 @@ class TestRow:
         placement.assign(a, 0, 0.0)
         placement.assign(b, 0, 0.8)
         c = netlist.add_cell("c", "NAND2_X1")
-        assert not placement.row(0).insert_at_best_gap(c, target_x=0.0)
-
-    def test_cells_in_span(self, small_db):
-        row = small_db.row(0)
-        assert [c.name for c in row.cells_in_span(0.0, 1.0)] == ["c0"]
+        assert placement.relocate_outside([c], Rect(0.0, 0.0, 0.0, 0.0)) == [c]
+        assert c not in placement.row(0).cells and not c.is_placed
 
 
 class TestPlacement:
@@ -101,10 +92,6 @@ class TestPlacement:
         rect = Rect(0.0, 0.0, 3.0, 1.8)
         names = {c.name for c in small_db.cells_in_rect(rect)}
         assert names == {"c0"}
-
-    def test_rows_in_span(self, small_db):
-        rows = small_db.rows_in_span(0.0, 3.6)
-        assert [r.index for r in rows] == [0, 1]
 
     def test_utilization_matches_area_ratio(self, small_db):
         expected = small_db.netlist.total_cell_area() / small_db.floorplan.core_area
@@ -137,9 +124,11 @@ class TestPlacement:
 
     def test_evict_and_relocate(self, small_db):
         rect = Rect(0.0, 3.6, 20.0, 5.4)  # row 2
-        evicted = small_db.evict_from_rect(rect, keep_units=["u0"])
         # c3..c5 are unit u1 and live in row 2 -> evicted.
+        evicted = [c for c in small_db.cells_in_rect(rect) if c.unit != "u0"]
         assert {c.name for c in evicted} == {"c3", "c4", "c5"}
+        for cell in evicted:
+            small_db.remove(cell)
         failed = small_db.relocate_outside(evicted, rect)
         assert failed == []
         for cell in evicted:

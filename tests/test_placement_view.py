@@ -142,7 +142,7 @@ class TestBaselineConsumersAcceptViews:
             want = apply_hotspot_wrapper(small_placement, hotspots)
         assert got.wrapped == want.wrapped
         assert placement_digest(got.placement) == placement_digest(want.placement)
-        assert got.placement.netlist is not small_placement.netlist
+        assert got.placement.netlist is small_placement.netlist
 
 
 def test_default_fills_the_relaxed_view_like_insert_fillers(small_placement):

@@ -22,7 +22,6 @@ from repro.placement import (
     remove_fillers,
     replace_at_utilization,
     slicing_partition,
-    tetris_legalize,
 )
 
 
@@ -96,18 +95,6 @@ class TestLegalization:
         placement = Placement(netlist, floorplan)
         with pytest.raises(ValueError, match="do not fit"):
             pack_into_region(placement, cells, Rect(0, 0, 10.0, 1.8))
-
-    def test_tetris_legalize_no_overlaps(self, library):
-        netlist = Netlist("tetris", library)
-        cells = [netlist.add_cell(f"c{i}", "NAND2_X1") for i in range(40)]
-        floorplan = Floorplan(core_width=30.0, core_height=6 * 1.8)
-        placement = Placement(netlist, floorplan)
-        rng = np.random.default_rng(3)
-        targets = {
-            c.name: (float(rng.uniform(0, 30)), float(rng.uniform(0, 10.8))) for c in cells
-        }
-        tetris_legalize(placement, cells, targets=targets)
-        assert placement.check_legal() == []
 
 
 def reference_insert_fillers(placement, prefix="FILLER_"):
@@ -240,21 +227,6 @@ class TestFillers:
         assert f"filler {first} lies outside the core" in placement.check_legal()
         placement.fillers = replace(block, row=[5] + block.row.tolist()[1:])
         assert f"filler {first} lies outside the core" in placement.check_legal()
-
-    def test_force_insert_into_a_filled_row_materializes(self, library):
-        """Packing a filled row moves its fillers, so they become cells."""
-        netlist = Netlist("fill5", library)
-        placement = Placement(netlist, Floorplan(core_width=8.0, core_height=1.8))
-        a = netlist.add_cell("a", "INV_X1")
-        placement.assign(a, 0, 2.0)
-        count = len(insert_fillers(placement))
-        placement.remove(a)
-        netlist.remove_cell("a")  # leaves a 0.6 um hole between fillers
-        b = netlist.add_cell("b", "INV_X1")
-        assert placement.force_insert(b)
-        assert not placement.fillers and len(netlist.filler_cells()) == count
-        assert b.x == pytest.approx(8.0 - b.width)
-        assert placement.check_legal() == []
 
 
 class TestPlaceDesign:
