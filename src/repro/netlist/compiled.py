@@ -464,9 +464,10 @@ class Connectivity:
         return levels
 
 
-def _gather_xy(items) -> np.ndarray:
-    """``(n, 2)`` array of the items' ``x``/``y``; ``None`` becomes ``NaN``."""
-    return np.array([(item.x, item.y) for item in items], dtype=np.float64).reshape(-1, 2)
+def _gather_xy(items) -> Tuple[np.ndarray, np.ndarray]:
+    """The items' ``x`` and ``y`` as arrays; ``None`` becomes ``NaN``."""
+    xs = np.array([item.x for item in items], dtype=np.float64)
+    return xs, np.array([item.y for item in items], dtype=np.float64)
 
 
 def cell_centers(
@@ -727,7 +728,7 @@ class CompiledNetlist:
         ``NaN`` coordinates and ``False`` in the mask.  Gathered from the
         cells on every call, so a raw ``x``/``y`` write is always seen.
         """
-        x, y = _gather_xy(self._cells).T
+        x, y = _gather_xy(self._cells)
         return cell_centers(x, y, self.cell_width_um)
 
     # ------------------------------------------------------------------
@@ -737,7 +738,7 @@ class CompiledNetlist:
     def terminal_coordinates(self) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
         """This netlist's own cell centres and port positions,
         ``((cx, cy, placed), (px, py, placed))``."""
-        px, py = _gather_xy(self._ports).T
+        px, py = _gather_xy(self._ports)
         p_placed = ~np.isnan(px)
         return self.cell_center_arrays(), (px, np.where(p_placed, py, np.nan), p_placed)
 

@@ -23,9 +23,6 @@ from ..netlist.library import ROW_HEIGHT
 from .floorplan import Floorplan, Rect
 from .placement import NO_FILLERS, FillerBlock, Placement, free_intervals
 
-_NAN = float("nan")
-
-
 @lru_cache(maxsize=4096)
 def _visiting_order(origin: int, num_rows: int) -> Tuple[int, ...]:
     """Rows by increasing distance from ``origin``; a pair at equal distance
@@ -51,14 +48,8 @@ class RowOccupancy:
     """
 
     def __init__(
-        self,
-        floorplan: Floorplan,
-        x: List[float],
-        y: List[float],
-        row: List[int],
-        width: Sequence[float],
-        rows: List[List[int]],
-        fillers: FillerBlock = NO_FILLERS,
+        self, floorplan: Floorplan, x: List[float], y: List[float], row: List[int],
+        width: Sequence[float], rows: List[List[int]], fillers: FillerBlock = NO_FILLERS,
     ) -> None:
         self.floorplan = floorplan
         self.x = x
@@ -71,13 +62,8 @@ class RowOccupancy:
 
     @classmethod
     def of_arrays(
-        cls,
-        floorplan: Floorplan,
-        x: np.ndarray,
-        y: np.ndarray,
-        row: np.ndarray,
-        width: np.ndarray,
-        fillers: FillerBlock = NO_FILLERS,
+        cls, floorplan: Floorplan, x: np.ndarray, y: np.ndarray, row: np.ndarray,
+        width: np.ndarray, fillers: FillerBlock = NO_FILLERS,
     ) -> "RowOccupancy":
         """Occupancy of cells at ``x``/``y``/``row``, rows rebuilt from ``y``.
 
@@ -358,8 +344,8 @@ def _occupancy_of(
             cells.append(cell)
     occupancy = RowOccupancy(
         placement.floorplan,
-        [_NAN if cell.x is None else cell.x for cell in cells],
-        [_NAN if cell.y is None else cell.y for cell in cells],
+        [np.nan if cell.x is None else cell.x for cell in cells],
+        [np.nan if cell.y is None else cell.y for cell in cells],
         [-1 if cell.row is None else cell.row for cell in cells],
         [cell.width for cell in cells],
         [[index[id(cell)] for cell in row.cells] for row in placement.rows],

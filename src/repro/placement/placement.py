@@ -1,8 +1,9 @@
 """Row-based placement database.
 
 :class:`Placement` is the object form of a placed design (the placer's
-output, DEF export, the reference engines): it couples a netlist with a :class:`~repro.placement.floorplan.Floorplan`
-and keeps, for every placement row, the ordered list of cells in that row.
+output, DEF export, the reference engines): it couples a netlist with a
+:class:`~repro.placement.floorplan.Floorplan` and keeps, for every
+placement row, the ordered list of cells in that row.
 It provides legality checks, wirelength and utilization queries and
 row-level editing (add, remove, pack, spread).  The whitespace transforms
 do not edit it: they work on :class:`~repro.placement.view.PlacementView`
