@@ -46,17 +46,16 @@ ERI_HOTSPOT_THRESHOLD = 0.5
 HW_HOTSPOT_THRESHOLD = 0.75
 
 
-def default_relaxation(baseline: Placement, area_overhead: float) -> PlacementView:
+def default_relaxation(baseline: Placement | PlacementView, area_overhead: float) -> PlacementView:
     """Default's relaxed placement of ``baseline`` at ``area_overhead``, without fillers.
 
-    :func:`apply_default_spread` re-places a copy of the baseline netlist;
-    the result is frozen into a view over the baseline's own netlist, so
-    the copy dies here.  ``default`` fills this view and ``hw`` wraps it;
-    :class:`~repro.flow.graph.FlowGraph` keys it as its ``relax`` stage so
-    both share one relaxation per overhead.
+    :func:`apply_default_spread` re-places the baseline's netlist on
+    coordinate arrays and returns a view over it; no netlist is copied
+    and no cell object built.  ``default`` fills this view and ``hw``
+    wraps it; :class:`~repro.flow.graph.FlowGraph` keys it as its
+    ``relax`` stage so both share one relaxation per overhead.
     """
-    relaxed = apply_default_spread(baseline, area_overhead, add_fillers=False).placement
-    return PlacementView.of(relaxed, baseline.netlist)
+    return apply_default_spread(baseline, area_overhead, add_fillers=False).placement
 
 
 def _relaxed_overhead(ctx: StrategyContext, relaxed: PlacementView) -> float:

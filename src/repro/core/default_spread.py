@@ -12,8 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from ..placement import Placement, PlacementView, insert_fillers, place_design
+from ..placement import Placement, PlacementView, place_view
 from .area_manager import check_area_overhead
+
+# Unused here, but perfbench/spans.py wraps these names at this lookup site.
+from ..placement import insert_fillers, place_design  # noqa: F401
 
 
 @dataclass
@@ -21,8 +24,8 @@ class DefaultSpreadResult:
     """Outcome of a uniform utilization relaxation.
 
     Attributes:
-        placement: The re-placed design (a fresh placement of a cloned
-            netlist; the baseline is untouched).
+        placement: The re-placed design, a view over the baseline's
+            netlist (whose own cells keep the baseline's coordinates).
         requested_overhead: Area overhead requested (fraction of the
             baseline core area).
         actual_overhead: Area overhead actually obtained after snapping the
@@ -31,7 +34,7 @@ class DefaultSpreadResult:
         num_fillers: Filler cells inserted into the remaining whitespace.
     """
 
-    placement: Placement
+    placement: PlacementView
     requested_overhead: float
     actual_overhead: float
     utilization: float
@@ -48,17 +51,21 @@ def apply_default_spread(
     """Spread the requested area overhead uniformly over the core.
 
     The baseline core area is multiplied by ``1 + area_overhead`` by
-    re-placing the design at a proportionally lower utilization factor, so
-    every region's cell density drops by the same ratio.
+    re-placing the design (:func:`repro.placement.place_view`, warm-started
+    from the baseline's cells) at a proportionally lower utilization
+    factor, so every region's cell density drops by the same ratio.  The
+    result is a view over the baseline's netlist; nothing is copied or
+    moved, so relaxations of one baseline may run concurrently.
 
     Args:
         baseline: The reference placement or view (defines the baseline
-            core area and utilization factor).
+            core area, utilization factor and start coordinates).
         area_overhead: Requested fractional area overhead (e.g. ``0.161``
             for the paper's 16.1% point); must be non-negative.
-        use_quadratic: Forwarded to :func:`repro.placement.place_design`.
-        detailed: Forwarded to :func:`repro.placement.place_design`.
-        add_fillers: Fill the resulting whitespace with dummy cells.
+        use_quadratic: Forwarded to :func:`repro.placement.place_view`.
+        detailed: Forwarded to :func:`repro.placement.place_view`.
+        add_fillers: Fill the resulting whitespace with dummy cells
+            (:meth:`PlacementView.with_fillers`).
 
     Returns:
         A :class:`DefaultSpreadResult`.
@@ -68,26 +75,23 @@ def apply_default_spread(
     """
     check_area_overhead(area_overhead)
 
-    base_area = baseline.floorplan.core_area
-    base_utilization = baseline.utilization()
-    target_utilization = base_utilization / (1.0 + area_overhead)
-
-    netlist = baseline.netlist.copy()
-    placement = place_design(
-        netlist,
+    base = PlacementView.of(baseline)
+    target_utilization = base.utilization() / (1.0 + area_overhead)
+    relaxed = place_view(
+        base.netlist,
         utilization=target_utilization,
-        aspect_ratio=baseline.floorplan.core_height / baseline.floorplan.core_width,
-        die_margin=baseline.floorplan.die_margin,
+        aspect_ratio=base.floorplan.core_height / base.floorplan.core_width,
+        die_margin=base.floorplan.die_margin,
         use_quadratic=use_quadratic,
         detailed=detailed,
+        start=(base.x, base.y, base.row),
     )
-    num_fillers = len(insert_fillers(placement)) if add_fillers else 0
+    placement = relaxed.with_fillers() if add_fillers else relaxed
 
-    actual_overhead = placement.floorplan.core_area / base_area - 1.0
     return DefaultSpreadResult(
         placement=placement,
         requested_overhead=area_overhead,
-        actual_overhead=actual_overhead,
-        utilization=placement.utilization(),
-        num_fillers=num_fillers,
+        actual_overhead=relaxed.floorplan.core_area / base.floorplan.core_area - 1.0,
+        utilization=relaxed.utilization(),
+        num_fillers=len(placement.fillers),
     )

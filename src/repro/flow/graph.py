@@ -289,8 +289,9 @@ class FlowGraph:
         Keyed on the baseline placement, the overhead (as a float, so
         ``0`` and ``0.0`` share an artifact) and the engine.  Computed by
         :func:`~repro.core.builtin_strategies.default_relaxation`, which
-        re-places one netlist copy and freezes it into a view over the
-        baseline's netlist.
+        re-places the baseline's netlist on coordinate arrays
+        (:func:`~repro.placement.place_view`): the artifact is a view over
+        that netlist, and no netlist is copied or moved.
         """
         check_area_overhead(area_overhead)
         overhead = float(area_overhead)

@@ -343,6 +343,21 @@ class Connectivity:
             _frozen(term_is_cell, bool), _frozen(term_ref, np.int64), offsets
         )
 
+    # -- cell nets --------------------------------------------------------------
+
+    def cell_nets(self, netlist: Netlist) -> Tuple[Tuple[int, ...], ...]:
+        """Per cell, the distinct nets on its pins, in pin order."""
+        return self._section("cell_nets", netlist, self._build_cell_nets)
+
+    def _build_cell_nets(self, netlist: Netlist) -> Tuple[Tuple[int, ...], ...]:
+        net_index = self.names(netlist).net_index
+        return tuple(
+            tuple(dict.fromkeys(
+                net_index[pin.net.name] for pin in cell.pins.values() if pin.net is not None
+            ))
+            for cell in netlist.cells.values()
+        )
+
     # -- levelization -----------------------------------------------------------
 
     def levels(self, netlist: Netlist) -> List[List[GateGroup]]:

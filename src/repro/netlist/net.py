@@ -111,8 +111,8 @@ class Net:
     def hpwl(self) -> float:
         """Half-perimeter wirelength of the net over its placed terminals.
 
-        Single-pass over the terminals without building the point list;
-        this runs in the innermost loop of the detailed placer.
+        Single-pass over the terminals without building the point list
+        (the reference delay model runs it per net).
 
         Returns:
             The HPWL in micrometres, or 0.0 if fewer than two terminals are

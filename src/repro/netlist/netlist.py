@@ -52,11 +52,6 @@ class Netlist:
         """
         return self._connectivity is not None and self._connectivity is other._connectivity
 
-    def place_port(self, port: Port, x: float, y: float) -> None:
-        """Move a primary port to ``(x, y)``."""
-        port.x = x
-        port.y = y
-
     def invalidate_compiled(self) -> None:
         """Force recompilation of the cached array form.
 

@@ -2,12 +2,12 @@
 
 from .floorplan import Floorplan, Rect, slicing_partition
 from .placement import FillerBlock, Placement, Row
-from .global_place import GlobalPlacementResult, QuadraticPlacer, assign_port_positions
-from .legalize import RowOccupancy, pack_into_region, pack_regions
+from .global_place import QuadraticPlacer, port_positions
+from .legalize import RowOccupancy, pack_into_region
 from .density import cell_density_map, density_in_rect, peak_density
 from .filler import filler_area, insert_fillers, remove_fillers
-from .detailed import improve_placement, improve_row
-from .placer import place_design, replace_at_utilization
+from .detailed import improve_rows
+from .placer import place_design, place_view
 from .view import PlacementView, as_placement
 
 __all__ = [
@@ -19,20 +19,17 @@ __all__ = [
     "PlacementView",
     "Row",
     "as_placement",
-    "GlobalPlacementResult",
     "QuadraticPlacer",
-    "assign_port_positions",
+    "port_positions",
     "RowOccupancy",
     "pack_into_region",
-    "pack_regions",
     "cell_density_map",
     "density_in_rect",
     "peak_density",
     "filler_area",
     "insert_fillers",
     "remove_fillers",
-    "improve_placement",
-    "improve_row",
+    "improve_rows",
     "place_design",
-    "replace_at_utilization",
+    "place_view",
 ]

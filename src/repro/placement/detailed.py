@@ -5,127 +5,112 @@ tools run after legalization: adjacent cells within a row are swapped when
 the swap reduces total half-perimeter wirelength.  The pass preserves
 legality (cells stay in the same row span) and is intentionally local so
 that the post-placement thermal techniques remain the dominant effect on
-the layout.
+the layout.  It runs on a :class:`~repro.placement.legalize.RowOccupancy`'s
+coordinate lists and the netlist's compiled terminals, ports held fixed.
 """
 
 from __future__ import annotations
 
+from typing import Dict, Sequence
+
+import numpy as np
 
 from ..deadlines import check_active
-from ..netlist import CellInstance
-from .placement import Placement, Row
+from ..netlist import Netlist
+from ..netlist.library import ROW_HEIGHT
+from .legalize import RowOccupancy
 
 
-def _cell_hpwl(cell: CellInstance) -> float:
-    """Sum of HPWL over all nets attached to ``cell``."""
-    total = 0.0
-    seen = set()
-    for pin in cell.pins.values():
-        net = pin.net
-        if net is None or net.name in seen:
-            continue
-        seen.add(net.name)
-        total += net.hpwl()
-    return total
+class _Wirelength:
+    """:meth:`~repro.netlist.net.Net.hpwl` of each net over an occupancy's
+    coordinates and fixed ports, cached until :meth:`invalidate`.
 
-
-def _swap_positions(row: Row, a: CellInstance, b: CellInstance) -> None:
-    """Swap two adjacent cells ``a`` (left) and ``b`` (right) within a row."""
-    new_b_x = a.x
-    new_a_x = a.x + b.width
-    b.place(new_b_x, row.y, row.index)
-    a.place(new_a_x, row.y, row.index)
-    row.sort()
-
-
-def _swap_adjacent(row: Row, i: int) -> None:
-    """Swap the cells at list positions ``i`` and ``i + 1`` in a sorted row.
-
-    Equivalent to :func:`_swap_positions` on the pair, but exchanges the two
-    list entries directly instead of re-sorting the whole row — the swap is
-    the innermost operation of the detailed placer.
-    """
-    a = row.cells[i]
-    b = row.cells[i + 1]
-    new_b_x = a.x
-    new_a_x = a.x + b.width
-    b.place(new_b_x, row.y, row.index)
-    a.place(new_a_x, row.y, row.index)
-    row.cells[i] = b
-    row.cells[i + 1] = a
-
-
-def _pair_hpwl(a: CellInstance, b: CellInstance, cache: dict) -> float:
-    """``_cell_hpwl(a) + _cell_hpwl(b)`` served from a per-net HPWL cache.
-
-    HPWL is a pure function of terminal positions, so cached values are
-    bitwise identical to fresh ones as long as the caller invalidates the
-    nets of any cell it moves (see :func:`_invalidate_cell_nets`); the
-    per-cell summation order — and therefore every accept/reject decision —
-    is exactly the uncached behaviour.  Adjacent cells usually share nets
-    and consecutive pairs share a cell, so the cache removes most of the
-    dominant cost of the swap evaluation.
+    Swaps move cells along their rows only, so a net's placed terminals,
+    y spread and port x range are taken once; extremes do not depend on
+    the order they are taken in, so every value is bitwise the loop's.
     """
 
-    def one(cell: CellInstance) -> float:
+    def __init__(self, occupancy: RowOccupancy, netlist: Netlist, port_x, port_y) -> None:
+        compiled = netlist.compiled()
+        terminals = compiled.connectivity.terminals(netlist)
+        self.is_cell = terminals.is_cell.tolist()
+        self.ref = terminals.ref.tolist()
+        self.offsets = terminals.offsets.tolist()
+        self.cell_nets = compiled.connectivity.cell_nets(netlist)
+        self.x, self.y = occupancy.x, occupancy.y
+        self.half_width = (compiled.cell_width_um / 2.0).tolist()
+        self.port_x = np.asarray(port_x, dtype=np.float64).tolist()
+        self.port_y = np.asarray(port_y, dtype=np.float64).tolist()
+        self.fixed: Dict[int, tuple] = {}
+        self.cache: Dict[int, float] = {}
+
+    def _fixed_part(self, net: int):
+        """``((cell, half width), ...), port x range, y spread`` of ``net``,
+        or ``None`` when fewer than two of its terminals are placed."""
+        x, y, port_x, port_y = self.x, self.y, self.port_x, self.port_y
+        cells, ports = [], []
+        for t in range(self.offsets[net], self.offsets[net + 1]):
+            i = self.ref[t]
+            if self.is_cell[t]:
+                if x[i] == x[i] and y[i] == y[i]:
+                    cells.append(i)
+            elif port_x[i] == port_x[i]:
+                ports.append(i)
+        if len(cells) + len(ports) < 2:
+            return None
+        ys = [y[c] + ROW_HEIGHT / 2.0 for c in cells] + [port_y[p] for p in ports]
+        xs = [port_x[p] for p in ports]
+        return (
+            tuple((c, self.half_width[c]) for c in cells),
+            [min(xs), max(xs)] if xs else [],
+            max(ys) - min(ys),
+        )
+
+    def net(self, net: int) -> float:
+        """HPWL of ``net``."""
+        fixed = self.fixed.get(net, self)
+        if fixed is self:
+            fixed = self.fixed[net] = self._fixed_part(net)
+        if fixed is None:
+            return 0.0
+        cells, port_range, y_spread = fixed
+        x = self.x
+        xs = [x[c] + half for c, half in cells]
+        xs += port_range
+        return (max(xs) - min(xs)) + y_spread
+
+    def cell(self, cell: int) -> float:
+        """Sum of the HPWL of ``cell``'s nets, in pin order."""
+        cache = self.cache
         total = 0.0
-        seen = set()
-        for pin in cell.pins.values():
-            net = pin.net
-            if net is None or net.name in seen:
-                continue
-            seen.add(net.name)
-            value = cache.get(net.name)
+        for net in self.cell_nets[cell]:
+            value = cache.get(net)
             if value is None:
-                value = net.hpwl()
-                cache[net.name] = value
+                value = cache[net] = self.net(net)
             total += value
         return total
 
-    return one(a) + one(b)
+    def invalidate(self, cell: int) -> None:
+        """Drop the cached HPWL of every net of a moved cell."""
+        for net in self.cell_nets[cell]:
+            self.cache.pop(net, None)
 
 
-def _invalidate_cell_nets(cell: CellInstance, cache: dict) -> None:
-    """Drop the cached HPWL of every net attached to a moved cell."""
-    for pin in cell.pins.values():
-        net = pin.net
-        if net is not None:
-            cache.pop(net.name, None)
-
-
-def _snapshot_pair_nets(a: CellInstance, b: CellInstance, cache: dict) -> dict:
-    """Cached HPWL entries of every net attached to either cell.
-
-    Taken right after ``_pair_hpwl`` computed them, so the snapshot covers
-    exactly the nets a subsequent swap of the pair can disturb.
-    """
-    saved: dict = {}
-    for cell in (a, b):
-        for pin in cell.pins.values():
-            net = pin.net
-            if net is not None and net.name in cache:
-                saved[net.name] = cache[net.name]
-    return saved
-
-
-def improve_row(placement: Placement, row: Row) -> int:
-    """One pass of adjacent-pair swaps over a row.
-
-    Returns:
-        The number of swaps applied.
-    """
-    row.sort()
+def _improve_row(occupancy: RowOccupancy, row: int, wires: _Wirelength) -> int:
+    """One pass of adjacent-pair swaps over ``row``; returns the swaps applied."""
+    occupancy.sort(row)
+    cells = occupancy.rows[row]
+    x, width = occupancy.x, occupancy.width
+    site_width = occupancy.floorplan.site_width
+    cache = wires.cache
+    cache.clear()
     swaps = 0
-    i = 0
-    site_width = placement.floorplan.site_width
-    hpwl_cache: dict = {}
-    while i + 1 < len(row.cells):
-        left = row.cells[i]
-        right = row.cells[i + 1]
+    for i in range(len(cells) - 1):
+        left = cells[i]
+        right = cells[i + 1]
         # Only swap abutting or near-abutting neighbours so whitespace
         # created on purpose (wrappers, spread rows) is not disturbed.
-        if right.x - (left.x + left.width) > site_width:
-            i += 1
+        if x[right] - (x[left] + width[left]) > site_width:
             continue
         # A reverted swap of an *exactly* abutting pair restores both x
         # coordinates bitwise, so the pre-swap HPWL cache entries stay
@@ -133,48 +118,59 @@ def improve_row(placement: Placement, row: Row) -> int:
         # rejected, and this halves the placer's HPWL evaluations.  A pair
         # with a sub-site gap reverts with the gap migrated, so its nets
         # are invalidated as before.
-        abutting = right.x == left.x + left.width
-        before = _pair_hpwl(left, right, hpwl_cache)
+        abutting = x[right] == x[left] + width[left]
+        before = wires.cell(left) + wires.cell(right)
         saved = (
-            _snapshot_pair_nets(left, right, hpwl_cache) if abutting else None
+            {net: cache[net] for c in (left, right) for net in wires.cell_nets[c]}
+            if abutting else None
         )
-        _swap_adjacent(row, i)
-        _invalidate_cell_nets(left, hpwl_cache)
-        _invalidate_cell_nets(right, hpwl_cache)
-        after = _pair_hpwl(left, right, hpwl_cache)
+        # The right cell takes the left one's x and the left one follows.
+        x[right], x[left] = x[left], x[left] + width[right]
+        wires.invalidate(left)
+        wires.invalidate(right)
+        after = wires.cell(left) + wires.cell(right)
         if after >= before - 1e-9:
-            # Revert: swap back (right is now left of left).
-            _swap_adjacent(row, i)
+            # Revert: the pair swapped back the same way.
+            x[left], x[right] = x[right], x[right] + width[left]
             if saved is not None:
-                hpwl_cache.update(saved)
+                cache.update(saved)
             else:
-                _invalidate_cell_nets(left, hpwl_cache)
-                _invalidate_cell_nets(right, hpwl_cache)
+                wires.invalidate(left)
+                wires.invalidate(right)
         else:
+            cells[i], cells[i + 1] = right, left
             swaps += 1
-        i += 1
     return swaps
 
 
-def improve_placement(placement: Placement, max_passes: int = 2) -> int:
-    """Run adjacent-swap improvement over every row.
+def improve_rows(
+    occupancy: RowOccupancy, netlist: Netlist,
+    port_x: Sequence[float], port_y: Sequence[float], max_passes: int = 2,
+) -> int:
+    """Run adjacent-swap improvement over every row of ``occupancy``.
 
     Args:
-        placement: Placement to improve in place.
+        occupancy: Rows and cell coordinates to improve in place; cells
+            keep their rows.
+        netlist: The netlist the occupancy's cells index (structure only).
+        port_x: Port x positions in ``netlist.ports`` order (``NaN`` where
+            unplaced).
+        port_y: Port y positions, likewise.
         max_passes: Maximum number of full sweeps over all rows; the loop
             stops early when a sweep applies no swap.
 
     Returns:
         Total number of swaps applied.
     """
+    wires = _Wirelength(occupancy, netlist, port_x, port_y)
     total = 0
     for _ in range(max_passes):
         swaps = 0
-        for row in placement.rows:
+        for row in range(len(occupancy.rows)):
             # Cooperative cancellation between rows: a pass over a large
             # design is the placer's long-running unit of work.
             check_active("placement.detailed")
-            swaps += improve_row(placement, row)
+            swaps += _improve_row(occupancy, row, wires)
         total += swaps
         if swaps == 0:
             break

@@ -15,64 +15,61 @@ terminals, which reproduces the net's quadratic star cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..netlist import Netlist
+from ..netlist.library import ROW_HEIGHT
 from .floorplan import Floorplan, Rect
 
 
-@dataclass
-class GlobalPlacementResult:
-    """Target (un-legalised) positions produced by the quadratic placer.
-
-    Attributes:
-        positions: Mapping cell name -> (x, y) target centre in micrometres.
-        objective: Final quadratic wirelength objective value.
-    """
-
-    positions: Dict[str, Tuple[float, float]]
-    objective: float
-
-
-def assign_port_positions(netlist: Netlist, floorplan: Floorplan) -> None:
-    """Spread primary ports evenly around the core boundary.
+def port_positions(netlist: Netlist, floorplan: Floorplan) -> Tuple[np.ndarray, np.ndarray]:
+    """Primary port positions spread evenly around the core boundary.
 
     Ports are ordered by name and distributed clockwise along the core
-    perimeter starting at the lower-left corner.  Positions are stored on
-    the ports themselves (``port.x``, ``port.y``) through
-    :meth:`Netlist.place_port`.
+    perimeter starting at the lower-left corner.
+
+    Returns:
+        Port ``(x, y)`` arrays in ``netlist.ports`` order.
     """
-    ports = sorted(netlist.ports.values(), key=lambda p: p.name)
-    if not ports:
-        return
-    width = floorplan.core_width
-    height = floorplan.core_height
+    names = list(netlist.ports)
+    px, py = np.full((2, len(names)), np.nan)
+    width, height = floorplan.core_width, floorplan.core_height
     perimeter = 2.0 * (width + height)
-    step = perimeter / len(ports)
-    for i, port in enumerate(ports):
+    step = perimeter / max(len(names), 1)
+    for i, port in enumerate(sorted(range(len(names)), key=names.__getitem__)):
         distance = (i + 0.5) * step
         if distance < width:
-            netlist.place_port(port, distance, 0.0)
+            px[port], py[port] = distance, 0.0
         elif distance < width + height:
-            netlist.place_port(port, width, distance - width)
+            px[port], py[port] = width, distance - width
         elif distance < 2.0 * width + height:
-            netlist.place_port(port, 2.0 * width + height - distance, height)
+            px[port], py[port] = 2.0 * width + height - distance, height
         else:
-            netlist.place_port(port, 0.0, perimeter - distance)
+            px[port], py[port] = 0.0, perimeter - distance
+    return px, py
+
+
+def _expand(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """For ``counts[i]`` items per owner ``i``, in owner order: each item's
+    owner and its index among its owner's items."""
+    owner = np.repeat(np.arange(counts.shape[0]), counts)
+    return owner, np.arange(owner.shape[0]) - (np.cumsum(counts) - counts)[owner]
 
 
 class QuadraticPlacer:
     """Analytical global placer based on a sparse quadratic program.
 
     Args:
-        netlist: The design to place.
-        floorplan: Core geometry; ports must already have boundary positions
-            (see :func:`assign_port_positions`).
+        netlist: The design to place (structure only: its compiled
+            terminal arrays).
+        floorplan: Core geometry.
+        port_x: Port x positions in ``netlist.ports`` order (``NaN`` where
+            unplaced; see :func:`port_positions`).
+        port_y: Port y positions, likewise.
         regions: Optional mapping unit name -> :class:`Rect`; each cell is
             anchored to its unit's region centre.
         anchor_weight: Weight of the region-centre anchor (relative to a
@@ -80,127 +77,143 @@ class QuadraticPlacer:
         max_clique_pins: Nets with more terminals than this are modelled by
             connecting each pin to the net's (fixed-point iterated) centroid
             instead of a full clique, to keep the matrix sparse.
+        start: Lower-left ``(x, y)`` of every cell (``NaN`` where
+            unplaced): fixed cells are terminals at these centres, and the
+            solves warm-start from them when every movable cell is placed.
     """
 
     def __init__(
         self,
         netlist: Netlist,
         floorplan: Floorplan,
+        port_x: np.ndarray,
+        port_y: np.ndarray,
         regions: Optional[Dict[str, Rect]] = None,
         anchor_weight: float = 0.25,
         max_clique_pins: int = 16,
+        start: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
-        self.netlist = netlist
         self.floorplan = floorplan
+        self.port_x = np.asarray(port_x, dtype=np.float64)
+        self.port_y = np.asarray(port_y, dtype=np.float64)
         self.regions = regions or {}
         self.anchor_weight = anchor_weight
         self.max_clique_pins = max_clique_pins
 
-        self._movable = [c for c in netlist.cells.values() if not c.is_filler and not c.fixed]
-        self._index = {cell.name: i for i, cell in enumerate(self._movable)}
+        self._compiled = netlist.compiled()
+        fixed = np.array([cell.fixed for cell in netlist.cells.values()], dtype=bool)
+        self._movable = np.flatnonzero(~self._compiled.is_filler & ~fixed)
+        # Cell centres at the start coordinates (NaN where unplaced).
+        x0, y0 = start if start is not None else np.full((2, self._compiled.num_cells), np.nan)
+        self._start_cx = x0 + self._compiled.cell_width_um / 2.0
+        self._start_cy = y0 + ROW_HEIGHT / 2.0
 
     # ------------------------------------------------------------------
 
-    def _net_terminals(self, net) -> Tuple[List[int], List[Tuple[float, float]]]:
-        """Split a net's terminals into movable cell indices and fixed points."""
-        movable: List[int] = []
-        fixed: List[Tuple[float, float]] = []
-        pins = []
-        if net.driver_pin is not None:
-            pins.append(net.driver_pin)
-        pins.extend(net.sink_pins)
-        for pin in pins:
-            idx = self._index.get(pin.cell.name)
-            if idx is None:
-                if pin.cell.is_placed:
-                    fixed.append(pin.cell.center)
-            else:
-                movable.append(idx)
-        ports = []
-        if net.driver_port is not None:
-            ports.append(net.driver_port)
-        ports.extend(net.sink_ports)
-        for port in ports:
-            if port.x is not None and port.y is not None:
-                fixed.append((port.x, port.y))
-        return movable, fixed
+    def _terminals(self):
+        """``(movable, tx, ty, starts, num_movable, num_terms)``: per kept
+        terminal its movable index (``-1`` if fixed) and position; per net
+        its first kept terminal, movable and kept counts.  A net keeps its
+        movable cells' pins, then placed fixed cells', then placed ports,
+        each in terminal order."""
+        terminals = self._compiled.connectivity.terminals(self._compiled.netlist)
+        is_cell, ref = terminals.is_cell, terminals.ref
+        num_nets = terminals.offsets.shape[0] - 1
+        net = np.repeat(np.arange(num_nets), np.diff(terminals.offsets))
+        cells, ports = ref[is_cell], ref[~is_cell]
+        movable_index = np.full(self._compiled.num_cells, -1, dtype=np.int64)
+        movable_index[self._movable] = np.arange(self._movable.shape[0])
+        index = np.full(ref.shape[0], -1, dtype=np.int64)
+        index[is_cell] = movable_index[cells]
+        tx, ty = np.empty(ref.shape[0]), np.empty(ref.shape[0])
+        tx[is_cell], ty[is_cell] = self._start_cx[cells], self._start_cy[cells]
+        tx[~is_cell], ty[~is_cell] = self.port_x[ports], self.port_y[ports]
+        placed = ~(np.isnan(tx) | np.isnan(ty))
+        # 0: movable cell, 1: placed fixed cell, 2: placed port, 3: dropped.
+        kind = np.where(index >= 0, 0, np.where(placed, np.where(is_cell, 1, 2), 3))
+        order = np.lexsort((kind, net))  # stable: terminal order within a kind
+        order = order[kind[order] < 3]
+        kept_net = net[order]
+        num_terms = np.bincount(kept_net, minlength=num_nets)
+        num_movable = np.bincount(kept_net[kind[order] == 0], minlength=num_nets)
+        starts = np.cumsum(num_terms) - num_terms
+        return index[order], tx[order], ty[order], starts, num_movable, num_terms
 
     def _build_system(self):
         """Assemble the Laplacian-like system matrices and RHS vectors.
 
-        Net terminals are gathered per net in Python (the object graph has
-        no other access path) but all numeric accumulation — diagonals,
-        off-diagonal clique edges and fixed-terminal anchors — is buffered
-        into flat index/value lists and applied with ``np.add.at`` /
-        ``coo_matrix`` duplicate summation in one shot.
+        A clique net (2 to ``max_clique_pins`` terminals) joins each pair
+        of movable terminals and each movable to each fixed terminal with
+        weight ``1 / (terminals - 1)``; a larger (star) net joins each
+        movable terminal to the fixed terminals' centroid (or the core
+        centre) with weight ``2 / terminals``.  Entries are laid out net by
+        net and movable pin by movable pin, and ``np.add.at`` / COO
+        duplicate summation add them in that order.
         """
-        n = len(self._movable)
-        bx = np.zeros(n)
-        by = np.zeros(n)
+        movable, tx, ty, starts, num_movable, num_terms = self._terminals()
+        n = self._movable.shape[0]
+        active = num_terms >= 2
+        clique = active & (num_terms <= self.max_clique_pins)
+        star = active & ~clique
+        num_fixed = num_terms - num_movable
+        weight = np.zeros(num_terms.shape[0])
+        weight[clique] = 1.0 / (num_terms[clique] - 1)
+        weight[star] = 2.0 / num_terms[star]
 
-        edge_i: List[int] = []
-        edge_j: List[int] = []
-        edge_w: List[float] = []
-        fixed_i: List[int] = []
-        fixed_x: List[float] = []
-        fixed_y: List[float] = []
-        fixed_w: List[float] = []
-
-        for net in self.netlist.nets.values():
-            movable, fixed = self._net_terminals(net)
-            num_terms = len(movable) + len(fixed)
-            if num_terms < 2:
-                continue
-            if num_terms <= self.max_clique_pins:
-                weight = 1.0 / (num_terms - 1)
-                for a in range(len(movable)):
-                    for b in range(a + 1, len(movable)):
-                        edge_i.append(movable[a])
-                        edge_j.append(movable[b])
-                        edge_w.append(weight)
-                    for fx, fy in fixed:
-                        fixed_i.append(movable[a])
-                        fixed_x.append(fx)
-                        fixed_y.append(fy)
-                        fixed_w.append(weight)
+        # Per kept terminal: its net and its index among the net's terminals.
+        net, a = _expand(num_terms)
+        in_clique = (movable >= 0) & clique[net]
+        # A clique net's movable pin: an edge to each later movable pin ...
+        edge_from, later = _expand(np.where(in_clique, num_movable[net] - a - 1, 0))
+        ei = movable[edge_from]
+        ej = movable[edge_from + 1 + later]
+        ew = weight[net[edge_from]]
+        # ... and an entry per fixed terminal; a star net's: one entry, the
+        # fixed terminals' centroid.
+        entries = np.where(in_clique, num_fixed[net], (movable >= 0) & star[net])
+        entry_from, k = _expand(entries)
+        entry_net = net[entry_from]
+        is_star = star[entry_net]
+        fixed_at = np.where(is_star, 0, starts[entry_net] + num_movable[entry_net] + k)
+        centroid_x = np.zeros(num_terms.shape[0])
+        centroid_y = np.zeros(num_terms.shape[0])
+        core_cx, core_cy = self.floorplan.core_rect.center
+        for star_net in np.flatnonzero(star & (num_movable > 0)).tolist():
+            first = int(starts[star_net] + num_movable[star_net])
+            count = int(num_fixed[star_net])
+            if count:
+                # Left to right, as a per-net loop sums (not pairwise).
+                centroid_x[star_net] = sum(tx[first:first + count].tolist()) / count
+                centroid_y[star_net] = sum(ty[first:first + count].tolist()) / count
             else:
-                # Star model: connect every movable pin to the centroid of
-                # the fixed pins (or the core centre when there are none).
-                weight = 2.0 / num_terms
-                if fixed:
-                    cx = sum(p[0] for p in fixed) / len(fixed)
-                    cy = sum(p[1] for p in fixed) / len(fixed)
-                else:
-                    cx, cy = self.floorplan.core_rect.center
-                for idx in movable:
-                    fixed_i.append(idx)
-                    fixed_x.append(cx)
-                    fixed_y.append(cy)
-                    fixed_w.append(weight)
+                centroid_x[star_net], centroid_y[star_net] = core_cx, core_cy
+        fixed_i = movable[entry_from]
+        fixed_x = np.where(is_star, centroid_x[entry_net], tx[fixed_at])
+        fixed_y = np.where(is_star, centroid_y[entry_net], ty[fixed_at])
+        fixed_w = weight[entry_net]
 
         # Region-centre anchors keep every cell attracted to its unit region
         # and guarantee a non-singular system.
-        core_center = self.floorplan.core_rect.center
-        for i, cell in enumerate(self._movable):
-            region = self.regions.get(cell.unit)
-            cx, cy = region.center if region is not None else core_center
-            fixed_i.append(i)
-            fixed_x.append(cx)
-            fixed_y.append(cy)
-            fixed_w.append(self.anchor_weight)
+        anchors = [
+            self.regions[unit].center if unit in self.regions else (core_cx, core_cy)
+            for unit in self._compiled.unit_names
+        ]
+        anchor_x, anchor_y = (np.array(axis, dtype=np.float64) for axis in zip(*anchors))
+        units = self._compiled.unit_codes[self._movable]
 
-        ei = np.asarray(edge_i, dtype=np.int64)
-        ej = np.asarray(edge_j, dtype=np.int64)
-        ew = np.asarray(edge_w)
-        fi = np.asarray(fixed_i, dtype=np.int64)
-        fw = np.asarray(fixed_w)
+        fi = np.concatenate([fixed_i, np.arange(n)])
+        fw = np.concatenate([fixed_w, np.full(n, self.anchor_weight)])
+        fx = np.concatenate([fixed_x, anchor_x[units]])
+        fy = np.concatenate([fixed_y, anchor_y[units]])
 
+        bx = np.zeros(n)
+        by = np.zeros(n)
         diag = np.zeros(n)
         np.add.at(diag, ei, ew)
         np.add.at(diag, ej, ew)
         np.add.at(diag, fi, fw)
-        np.add.at(bx, fi, fw * np.asarray(fixed_x))
-        np.add.at(by, fi, fw * np.asarray(fixed_y))
+        np.add.at(bx, fi, fw * fx)
+        np.add.at(by, fi, fw * fy)
 
         laplacian = sp.coo_matrix(
             (
@@ -212,53 +225,33 @@ class QuadraticPlacer:
         laplacian = laplacian + sp.diags(diag)
         return laplacian, bx, by
 
-    def _warm_starts(self) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """Current cell centres as CG starting vectors, when all are placed.
+    def run(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Solve the quadratic program for the target cell centres.
 
-        On a re-run (an incremental re-place after the netlist or the
-        anchors changed) the previous solution is an excellent starting
-        guess; on a first placement the cells have no coordinates and the
-        solves start cold.
+        Returns:
+            Target centre ``(x, y)`` of every cell of ``netlist.cells`` in
+            micrometres; ``NaN`` for the cells the placer does not move
+            (fillers and fixed cells).
         """
-        n = len(self._movable)
-        x0 = np.empty(n)
-        y0 = np.empty(n)
-        for i, cell in enumerate(self._movable):
-            if cell.x is None or cell.y is None:
-                return None, None
-            cx, cy = cell.center
-            x0[i] = cx
-            y0[i] = cy
-        return x0, y0
-
-    def run(self) -> GlobalPlacementResult:
-        """Solve the quadratic program and return target cell positions."""
-        if not self._movable:
-            return GlobalPlacementResult({}, 0.0)
+        x_all = np.full(self._compiled.num_cells, np.nan)
+        y_all = np.full(self._compiled.num_cells, np.nan)
+        if not self._movable.shape[0]:
+            return x_all, y_all
         matrix, bx, by = self._build_system()
         # One preconditioned solver serves both coordinate systems: the
         # matrix is identical for x and y, so the Jacobi preconditioner is
         # built once and the LU fallback (if CG ever stalls) factorises
         # once instead of once per axis.
         solver = _SpdSystemSolver(matrix)
-        x0, y0 = self._warm_starts()
-        x = solver.solve(bx, x0=x0)
-        y = solver.solve(by, x0=y0)
-
-        # Clamp to the core.
-        x = np.clip(x, 0.0, self.floorplan.core_width)
-        y = np.clip(y, 0.0, self.floorplan.core_height)
-
-        positions = {
-            cell.name: (float(x[i]), float(y[i])) for i, cell in enumerate(self._movable)
-        }
-        objective = float(x @ (matrix @ x) - 2 * bx @ x + y @ (matrix @ y) - 2 * by @ y)
-        return GlobalPlacementResult(positions, objective)
-
-    @staticmethod
-    def _solve(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-        """Solve one SPD system (kept as the one-shot convenience path)."""
-        return _SpdSystemSolver(matrix).solve(rhs)
+        # A re-place (every movable cell placed) warm-starts from the
+        # start centres; a first placement solves cold.
+        x0, y0 = self._start_cx[self._movable], self._start_cy[self._movable]
+        if np.isnan(x0).any() or np.isnan(y0).any():
+            x0 = y0 = None
+        # Clamped to the core.
+        x_all[self._movable] = np.clip(solver.solve(bx, x0=x0), 0.0, self.floorplan.core_width)
+        y_all[self._movable] = np.clip(solver.solve(by, x0=y0), 0.0, self.floorplan.core_height)
+        return x_all, y_all
 
 
 class _SpdSystemSolver:

@@ -5,9 +5,8 @@ coordinate lists: :meth:`~RowOccupancy.pack` (region-constrained row
 packing: the placer's per-unit regions, the wrapper's hotspot cells),
 :meth:`~RowOccupancy.relocate_outside` (evicted cells into the nearest free
 space outside a rectangle) and :meth:`~RowOccupancy.force_insert`.
-:func:`pack_into_region`, :func:`pack_regions` and
-:meth:`Placement.relocate_outside` run them on a
-:class:`~repro.placement.placement.Placement`'s cell objects and rows.
+:func:`pack_into_region` and :meth:`Placement.relocate_outside` run them
+on a :class:`~repro.placement.placement.Placement`'s cell objects and rows.
 """
 
 from __future__ import annotations
@@ -65,22 +64,12 @@ class RowOccupancy:
         cls, floorplan: Floorplan, x: np.ndarray, y: np.ndarray, row: np.ndarray,
         width: np.ndarray, fillers: FillerBlock = NO_FILLERS,
     ) -> "RowOccupancy":
-        """Occupancy of cells at ``x``/``y``/``row``, rows rebuilt from ``y``.
-
-        As :meth:`~repro.placement.placement.Placement.rebuild_rows` builds
-        rows: a placed cell moves to the row its y lies in, and each row
-        lists its cells by x, ties in cell order.
-        """
-        num_rows = floorplan.num_rows
-        placed = ~(np.isnan(x) | np.isnan(y))
-        with np.errstate(invalid="ignore"):
-            found = np.floor((y + 1e-9) / floorplan.row_height)
-        found = np.clip(np.nan_to_num(found), 0, num_rows - 1).astype(np.int64)
-        row = np.where(placed, found, row)
-        y = np.where(placed, row * floorplan.row_height, y)
-        members = np.flatnonzero(placed)
+        """Occupancy of cells at ``x``/``y``/``row``, rows rebuilt from ``y``
+        (:func:`snap_to_rows`), each row's cells by x, ties in cell order."""
+        y, row = snap_to_rows(floorplan, x, y, row)
+        members = np.flatnonzero(~(np.isnan(x) | np.isnan(y)))
         members = members[np.lexsort((x[members], row[members]))]
-        counts = np.bincount(row[members], minlength=num_rows)
+        counts = np.bincount(row[members], minlength=floorplan.num_rows)
         rows = [part.tolist() for part in np.split(members, np.cumsum(counts)[:-1])]
         return cls(floorplan, x.tolist(), y.tolist(), row.tolist(), width.tolist(), rows, fillers)
 
@@ -127,6 +116,25 @@ class RowOccupancy:
     # ------------------------------------------------------------------
     # Region packing
     # ------------------------------------------------------------------
+
+    def targets(
+        self, cells: Sequence[int], region: Rect,
+        goals: Optional[Tuple[Sequence[float], Sequence[float]]] = None,
+    ) -> List[Tuple[float, float]]:
+        """Target centre of each of ``cells`` for :meth:`pack`: its goal
+        ``(goals[0][i], goals[1][i])`` where given and not ``NaN``, else its
+        current centre, else (unplaced) the centre of ``region``."""
+        x, y, width = self.x, self.y, self.width
+        goal_x, goal_y = goals if goals is not None else (None, None)
+        targets = []
+        for i in cells:
+            if goal_x is not None and goal_x[i] == goal_x[i]:
+                targets.append((goal_x[i], goal_y[i]))
+            elif x[i] == x[i] and y[i] == y[i]:
+                targets.append((x[i] + width[i] / 2.0, y[i] + ROW_HEIGHT / 2.0))
+            else:
+                targets.append(region.center)
+        return targets
 
     def pack(
         self, cells: Sequence[int], region: Rect, targets: Sequence[Tuple[float, float]]
@@ -364,49 +372,27 @@ def _write_back(placement: Placement, occupancy: RowOccupancy, cells: List[CellI
         row.cells[:] = [cells[i] for i in members]
 
 
-def pack_regions(
-    placement: Placement,
-    groups: Iterable[Tuple[Sequence[CellInstance], Rect]],
-    targets: Optional[Dict[str, Tuple[float, float]]] = None,
-) -> None:
-    """:meth:`RowOccupancy.pack` each ``(cells, region)`` group into ``placement``, in order.
-
-    A cell's target is ``targets[cell.name]`` when given, else its current
-    centre, else (unplaced) the region centre.  The rows are converted
-    once for all groups; what was packed is written back even when a later
-    group raises.
-    """
-    groups = [(list(cells), region) for cells, region in groups]
-    occupancy, objects, index = _occupancy_of(
-        placement, chain.from_iterable(cells for cells, _ in groups)
-    )
-    x, y, width = occupancy.x, occupancy.y, occupancy.width
-    try:
-        for cells, region in groups:
-            keys = [index[id(cell)] for cell in cells]
-            goals = []
-            for cell, i in zip(cells, keys):
-                if targets is not None and cell.name in targets:
-                    goals.append(targets[cell.name])
-                elif x[i] == x[i] and y[i] == y[i]:
-                    goals.append((x[i] + width[i] / 2.0, y[i] + ROW_HEIGHT / 2.0))
-                else:
-                    goals.append(region.center)
-            occupancy.pack(keys, region, goals)
-    finally:
-        _write_back(placement, occupancy, objects)
-
-
-def pack_into_region(
-    placement: Placement,
-    cells: Sequence[CellInstance],
-    region: Rect,
-    targets: Optional[Dict[str, Tuple[float, float]]] = None,
-) -> None:
+def pack_into_region(placement: Placement, cells: Sequence[CellInstance], region: Rect) -> None:
     """Legally place ``cells`` inside ``region`` with uniform density: the
-    object form of :meth:`RowOccupancy.pack`, with targets as in
-    :func:`pack_regions` (raises its ``ValueError``)."""
-    pack_regions(placement, [(cells, region)], targets)
+    object form of :meth:`RowOccupancy.pack`, each cell aimed at its
+    :meth:`RowOccupancy.targets` (raises its ``ValueError``, moving nothing)."""
+    occupancy, objects, index = _occupancy_of(placement, cells)
+    keys = [index[id(cell)] for cell in cells]
+    occupancy.pack(keys, region, occupancy.targets(keys, region))
+    _write_back(placement, occupancy, objects)
 
 
-__all__ = ["RowOccupancy", "pack_into_region", "pack_regions"]
+def snap_to_rows(
+    floorplan: Floorplan, x: np.ndarray, y: np.ndarray, row: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(y, row)`` with every placed cell moved onto the row its y lies in
+    (rounding up by 1e-9); an unplaced cell keeps its y and row."""
+    placed = ~(np.isnan(x) | np.isnan(y))
+    with np.errstate(invalid="ignore"):
+        found = np.floor((y + 1e-9) / floorplan.row_height)
+    found = np.clip(np.nan_to_num(found), 0, floorplan.num_rows - 1).astype(np.int64)
+    row = np.where(placed, found, row)
+    return np.where(placed, row * floorplan.row_height, y), row
+
+
+__all__ = ["RowOccupancy", "pack_into_region", "snap_to_rows"]

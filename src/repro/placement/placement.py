@@ -151,6 +151,21 @@ def free_intervals(occupants, x_start: float, x_end: float) -> List[Tuple[float,
     return gaps
 
 
+def coordinate_arrays(netlist: Netlist) -> Tuple[np.ndarray, ...]:
+    """``(x, y, row, port_x, port_y)`` of the netlist's cells and ports, in
+    netlist order: cell lower-left corners and rows, port positions; an
+    unset coordinate is ``NaN`` and an unset row ``-1``."""
+    cells = netlist.cells.values()
+    ports = netlist.ports.values()
+    return (
+        np.array([cell.x for cell in cells], dtype=np.float64),
+        np.array([cell.y for cell in cells], dtype=np.float64),
+        np.array([-1 if cell.row is None else cell.row for cell in cells], dtype=np.int64),
+        np.array([port.x for port in ports], dtype=np.float64),
+        np.array([port.y for port in ports], dtype=np.float64),
+    )
+
+
 class Row:
     """A single placement row: ordered, non-overlapping cells.
 
@@ -331,17 +346,18 @@ class Placement:
         This is the supported entry point after assigning ``cell.x`` /
         ``cell.y`` directly (bypassing :meth:`CellInstance.place`).
         """
-        for row in self.rows:
-            row.cells.clear()
-        for cell in self.netlist.cells.values():
-            if not cell.is_placed:
-                continue
-            index = self.floorplan.row_of_y(cell.y + 1e-9)
-            cell.row = index
-            cell.y = self.rows[index].y
-            self.rows[index].cells.append(cell)
-        for row in self.rows:
-            row.sort()
+        self.place_cells(*coordinate_arrays(self.netlist)[:3])
+
+    def place_cells(self, x: np.ndarray, y: np.ndarray, row: np.ndarray) -> None:
+        """Move the netlist's cells to ``x``/``y``/``row`` (arrays in cell
+        order) and rebuild the rows as
+        :meth:`~repro.placement.legalize.RowOccupancy.of_arrays` does."""
+        from .legalize import RowOccupancy, _write_back
+
+        occupancy = RowOccupancy.of_arrays(
+            self.floorplan, x, y, row, self.netlist.compiled().cell_width_um
+        )
+        _write_back(self, occupancy, list(self.netlist.cells.values()))
 
     def placed_cells(self, include_fillers: bool = True) -> List[CellInstance]:
         """All placed cell instances, optionally excluding filler cells.
@@ -383,24 +399,6 @@ class Placement:
         from .view import PlacementView
 
         return PlacementView.of(self).cell_center_arrays()
-
-    def coordinate_arrays(self) -> Tuple[np.ndarray, ...]:
-        """``(x, y, row, port_x, port_y)`` in netlist cell and port order.
-
-        Cell lower-left corners and rows, port positions; an unset
-        coordinate is ``NaN`` and an unset row ``-1``.  The arrays a
-        :class:`~repro.placement.view.PlacementView` of this placement
-        holds.
-        """
-        cells = self.netlist.cells.values()
-        ports = self.netlist.ports.values()
-        return (
-            np.array([cell.x for cell in cells], dtype=np.float64),
-            np.array([cell.y for cell in cells], dtype=np.float64),
-            np.array([-1 if cell.row is None else cell.row for cell in cells], dtype=np.int64),
-            np.array([port.x for port in ports], dtype=np.float64),
-            np.array([port.y for port in ports], dtype=np.float64),
-        )
 
     def terminal_coordinates(self) -> Tuple:
         """Cell centres and port positions ``((cx, cy, placed), (px, py, placed))``,
@@ -482,17 +480,11 @@ class Placement:
         return [objects[i] for i in failed]
 
     def copy(self) -> "Placement":
-        """Deep-copy the placement (cloned netlist, same floorplan geometry).
+        """Deep-copy the placement (cloned netlist, same floorplan geometry),
+        through :meth:`PlacementView.to_placement`."""
+        from .view import PlacementView
 
-        Post-placement transformations work on the copy so the baseline
-        placement stays available for before/after comparisons.
-        """
-        cloned_netlist = self.netlist.copy()
-        duplicate = Placement(cloned_netlist, self.floorplan)
-        duplicate.regions = dict(self.regions)
-        duplicate.fillers = self.fillers
-        duplicate.rebuild_rows()
-        return duplicate
+        return PlacementView.of(self).to_placement()
 
     def __reduce__(self):
         """Pickle via the netlist's flat state plus geometry.

@@ -39,7 +39,9 @@ from ..netlist.compiled import cell_centers
 from .filler import filler_block
 from .floorplan import Floorplan, Rect
 from .legalize import RowOccupancy
-from .placement import FILLER_PREFIX, NO_FILLERS, FillerBlock, Placement, _read_only
+from .placement import (
+    FILLER_PREFIX, NO_FILLERS, FillerBlock, Placement, _read_only, coordinate_arrays,
+)
 
 #: ``(x, y, row, port_x, port_y)``: cell lower-left corners and rows, port
 #: positions; unset coordinates are ``NaN`` and an unset row is ``-1``.
@@ -110,7 +112,7 @@ class PlacementView:
         if base is not None and base.shares_structure_with(netlist):
             netlist = base
         return cls(
-            netlist, placement.floorplan, *placement.coordinate_arrays(),
+            netlist, placement.floorplan, *coordinate_arrays(placement.netlist),
             regions=placement.regions, fillers=placement.fillers,
         )
 
@@ -127,7 +129,7 @@ class PlacementView:
     # ------------------------------------------------------------------
 
     def coordinate_arrays(self) -> CoordinateArrays:
-        """``(x, y, row, port_x, port_y)``, as :meth:`Placement.coordinate_arrays`."""
+        """``(x, y, row, port_x, port_y)``, as :func:`~repro.placement.placement.coordinate_arrays`."""
         return self.x, self.y, self.row, self.port_x, self.port_y
 
     @cached_property
@@ -178,27 +180,21 @@ class PlacementView:
         return _replace(self, fillers=self.fillers.extended(inserted))
 
     def to_placement(self) -> Placement:
-        """The object form: a :class:`Placement` on one copy of :attr:`netlist`.
+        """The object form: :meth:`write_to` one copy of :attr:`netlist`, so
+        ``placement_digest`` of the result equals the view's."""
+        return self.write_to(self.netlist.copy())
 
-        Cells and ports take the view's coordinates, the rows are rebuilt
-        (:meth:`Placement.rebuild_rows` order) and the filler block is
-        carried over, so ``placement_digest`` of the result equals the
-        view's.
-        """
-        netlist = self.netlist.copy()
-        for cell, x, y, row in zip(
-            netlist.cells.values(), self.x.tolist(), self.y.tolist(), self.row.tolist()
-        ):
-            cell.x = None if x != x else x
-            cell.y = None if y != y else y
-            cell.row = row if row >= 0 else None
+    def write_to(self, netlist: Netlist) -> Placement:
+        """Move the cells and ports of ``netlist`` (:attr:`netlist` or an
+        unedited copy) to this view's coordinates: a :class:`Placement`
+        with the rows rebuilt and the regions and filler block carried over."""
         for port, x, y in zip(netlist.ports.values(), self.port_x.tolist(), self.port_y.tolist()):
             port.x = None if x != x else x
             port.y = None if y != y else y
         placement = Placement(netlist, self.floorplan)
         placement.regions = dict(self.regions)
         placement.fillers = self.fillers
-        placement.rebuild_rows()
+        placement.place_cells(self.x, self.y, self.row)
         return placement
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -33,7 +33,7 @@ from repro.flow import artifacts
 from repro.flow.artifacts import hash_parts, power_digest, thermal_map_digest
 from repro.netlist import Netlist
 from repro.netlist.cell import CellInstance
-from repro.placement import PlacementView, assign_port_positions
+from repro.placement import PlacementView, port_positions
 
 _SETTINGS = dict(max_examples=20, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -260,14 +260,16 @@ class TestPortMoves:
         clone = _clone(small_placement)
         before = placement_digest(clone)
         port = next(iter(clone.netlist.ports.values()))
-        clone.netlist.place_port(port, port.x + 1.0, port.y)
+        port.x += 1.0
         assert placement_digest(clone) != before
 
     def test_reassigning_port_positions_changes_placement_digest(self, small_placement):
         """The global placer's port spreading must not leave a stale key."""
         clone = _clone(small_placement)
         before = placement_digest(clone)
-        assign_port_positions(clone.netlist, clone.floorplan.with_extra_rows(4))
+        moved = port_positions(clone.netlist, clone.floorplan.with_extra_rows(4))
+        for port, x, y in zip(clone.netlist.ports.values(), *moved):
+            port.x, port.y = float(x), float(y)
         assert placement_digest(clone) != before
 
 
@@ -405,10 +407,10 @@ class TestHashCounts:
 
 
 class TestCopyCounts:
-    """A batched sweep relaxes once per overhead and copies the netlist
-    only to re-place it there, never re-levelizing: every copy shares the
-    baseline's compiled connectivity and dies with its relaxation (count
-    gates, not wall-clock floors)."""
+    """A batched sweep relaxes once per overhead and copies no netlist: the
+    relaxation and the wrapper work on coordinate arrays over the
+    baseline's netlist, which is never re-levelized (count gates, not
+    wall-clock floors)."""
 
     STRATEGIES = ("default", "eri", "hw", "hybrid", "gradient")
 
@@ -416,6 +418,10 @@ class TestCopyCounts:
     def test_copies_relaxations_and_no_new_levelization(
         self, sweep_setup, monkeypatch, max_workers
     ):
+        """One relaxation per overhead (shared by ``default`` and ``hw``),
+        no netlist copy, no levelization.  ``place_design`` (the object
+        placer) is not called: the relaxation runs ``place_view`` on the
+        baseline's netlist."""
         from repro.core import builtin_strategies, default_spread
         from repro.netlist.compiled import Connectivity
 
@@ -449,12 +455,62 @@ class TestCopyCounts:
         )
         result = campaign.run(max_workers=max_workers)
         assert len(result.records) == 10
-        # One relaxation per overhead (shared by default and hw) and one
-        # copy per relaxation; the wrapper points (hw, hybrid) copy nothing.
         assert counts == {
-            "copy": 2, "levelize": 0, "place_design": 2, "apply_default_spread": 2,
+            "copy": 0, "levelize": 0, "place_design": 0, "apply_default_spread": 2,
         }
         assert flow.stage_executions["relax"] == 2
+
+    def test_concurrent_relaxations_copy_nothing_and_keep_the_baseline(
+        self, sweep_setup, monkeypatch
+    ):
+        """Relaxations of one baseline on four threads equal the serial ones
+        bitwise, copy no netlist, build no cell object and leave the
+        baseline netlist's cells and ports where they were."""
+        from repro.core.builtin_strategies import default_relaxation
+
+        baseline = sweep_setup.placement
+        netlist = baseline.netlist
+        overheads = (0.0, 0.1, 0.25, 0.4)
+
+        def coordinates():
+            return (
+                [(cell.x, cell.y, cell.row) for cell in netlist.cells.values()],
+                [(port.x, port.y) for port in netlist.ports.values()],
+            )
+
+        before = coordinates()
+        counts = {"copy": 0, "cells": 0}
+        lock = threading.Lock()
+        real_copy, real_init = Netlist.copy, CellInstance.__init__
+
+        def copy(self, *args, **kwargs):
+            with lock:
+                counts["copy"] += 1
+            return real_copy(self, *args, **kwargs)
+
+        def init(self, *args, **kwargs):
+            with lock:
+                counts["cells"] += 1
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Netlist, "copy", copy)
+        monkeypatch.setattr(CellInstance, "__init__", init)
+        serial = [default_relaxation(baseline, overhead) for overhead in overheads]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(lambda o: default_relaxation(baseline, o), overheads))
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == {"copy": 0, "cells": 0}
+        for got, want in zip(threaded, serial):
+            assert got.netlist is netlist
+            for mine, theirs in zip(got.coordinate_arrays(), want.coordinate_arrays()):
+                assert mine.tobytes() == theirs.tobytes()
+            assert placement_digest(got) == placement_digest(want)
+        assert len({placement_digest(view) for view in serial}) == len(overheads)
+        assert coordinates() == before
 
     @pytest.mark.parametrize("strategy", ["hw", "hybrid"])
     def test_wrapper_stage_copies_and_builds_no_cells(self, sweep_setup, monkeypatch, strategy):

@@ -10,6 +10,7 @@ post-mutation cache invalidation.
 """
 
 import math
+import pickle
 import random
 import sys
 import threading
@@ -538,7 +539,7 @@ class TestSharedConnectivity:
         moved = result.placement.to_placement().netlist
         assert result.num_fillers > 0
         port = next(iter(moved.ports.values()))
-        moved.place_port(port, port.x + 3.0, port.y + 7.0)
+        port.x, port.y = port.x + 3.0, port.y + 7.0
         assert self._connectivity(moved) is self._connectivity(placed.netlist)
         assert_matches_fresh(moved)
         assert_matches_fresh(placed.netlist)  # the source's ports did not move
@@ -609,8 +610,11 @@ class TestSharedConnectivity:
 
     def test_concurrent_requests_build_each_section_once(self, monkeypatch):
         """More threads than cores race for one connectivity's sections."""
-        source = random_netlist(75, num_gates=120)
-        place_design(source, utilization=0.8)
+        placed = random_netlist(75, num_gates=120)
+        place_design(placed, utilization=0.8)
+        # Placing compiles some sections; a pickle round trip keeps the
+        # coordinates and starts a connectivity with none built.
+        source = pickle.loads(pickle.dumps(placed))
         copies = [source.copy() for _ in range(8)]
         calls = Counter()
         lock = threading.Lock()

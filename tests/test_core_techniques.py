@@ -87,7 +87,7 @@ class TestDefaultSpread:
         result = apply_default_spread(small_placement, 0.15, use_quadratic=False,
                                       detailed=False, add_fillers=True)
         assert result.num_fillers > 0
-        assert result.placement.check_legal() == []
+        assert as_placement(result.placement).check_legal() == []
 
     def test_zero_overhead_allowed(self, small_placement):
         result = apply_default_spread(small_placement, 0.0, use_quadratic=False,

@@ -150,7 +150,8 @@ def test_default_fills_the_relaxed_view_like_insert_fillers(small_placement):
     from repro.core import apply_default_spread
 
     relaxed = apply_default_spread(small_placement, 0.2, add_fillers=False).placement
-    view = PlacementView.of(relaxed).with_fillers()
+    view = relaxed.with_fillers()
+    relaxed = relaxed.to_placement()
     block = insert_fillers(relaxed)
     assert len(view.fillers) == len(block) > 0
     for name in ("row", "x", "master"):

@@ -5,22 +5,24 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core import apply_default_spread
 from repro.netlist import Netlist
 from repro.placement import (
     Floorplan,
     Placement,
+    PlacementView,
     QuadraticPlacer,
     Rect,
-    assign_port_positions,
+    RowOccupancy,
     cell_density_map,
     density_in_rect,
     filler_area,
-    improve_placement,
+    improve_rows,
     insert_fillers,
     pack_into_region,
     peak_density,
+    port_positions,
     remove_fillers,
-    replace_at_utilization,
     slicing_partition,
 )
 
@@ -28,11 +30,11 @@ from repro.placement import (
 class TestPortAssignment:
     def test_ports_on_core_boundary(self, small_circuit):
         floorplan = Floorplan.from_netlist(small_circuit, utilization=0.85)
-        assign_port_positions(small_circuit, floorplan)
-        for port in small_circuit.ports.values():
-            assert port.x is not None and port.y is not None
-            on_x_edge = port.x in (pytest.approx(0.0), pytest.approx(floorplan.core_width))
-            on_y_edge = port.y in (pytest.approx(0.0), pytest.approx(floorplan.core_height))
+        port_x, port_y = port_positions(small_circuit, floorplan)
+        assert port_x.shape == port_y.shape == (len(small_circuit.ports),)
+        for x, y in zip(port_x.tolist(), port_y.tolist()):
+            on_x_edge = x in (pytest.approx(0.0), pytest.approx(floorplan.core_width))
+            on_y_edge = y in (pytest.approx(0.0), pytest.approx(floorplan.core_height))
             assert on_x_edge or on_y_edge
 
 
@@ -51,28 +53,26 @@ class TestQuadraticPlacer:
         netlist.connect_port(prev, "po")
 
         floorplan = Floorplan(core_width=40.0, core_height=36.0)
-        netlist.ports["pi"].x, netlist.ports["pi"].y = 0.0, 18.0
-        netlist.ports["po"].x, netlist.ports["po"].y = 40.0, 18.0
-        placer = QuadraticPlacer(netlist, floorplan)
-        result = placer.run()
-        xs = [result.positions[f"inv{i}"][0] for i in range(5)]
+        # Ports pi and po, in netlist port order.
+        placer = QuadraticPlacer(netlist, floorplan, [0.0, 40.0], [18.0, 18.0])
+        xs = placer.run()[0].tolist()  # inv0 .. inv4, in cell order
         # The chain should be ordered monotonically between the two ports.
         assert xs == sorted(xs)
         assert 0.0 <= xs[0] and xs[-1] <= 40.0
 
     def test_positions_within_core(self, small_circuit):
         floorplan = Floorplan.from_netlist(small_circuit, utilization=0.85)
-        assign_port_positions(small_circuit, floorplan)
         regions = slicing_partition(
             floorplan.core_rect,
             {u: sum(c.area for c in small_circuit.cells_in_unit(u))
              for u in small_circuit.units()},
         )
-        result = QuadraticPlacer(small_circuit, floorplan, regions=regions).run()
-        assert len(result.positions) == len(small_circuit.logic_cells())
-        for x, y in result.positions.values():
-            assert 0.0 <= x <= floorplan.core_width
-            assert 0.0 <= y <= floorplan.core_height
+        ports = port_positions(small_circuit, floorplan)
+        x, y = QuadraticPlacer(small_circuit, floorplan, *ports, regions=regions).run()
+        assert x.shape == y.shape == (len(small_circuit.cells),)
+        assert not np.isnan(x).any() and not np.isnan(y).any()
+        assert ((0.0 <= x) & (x <= floorplan.core_width)).all()
+        assert ((0.0 <= y) & (y <= floorplan.core_height)).all()
 
 
 class TestLegalization:
@@ -251,10 +251,12 @@ class TestPlaceDesign:
                 assert region.expanded(1.0).contains(cx, cy), (unit, cell.name)
 
     def test_replace_at_lower_utilization_grows_core(self, small_placement):
-        relaxed = replace_at_utilization(small_placement, 0.65, use_quadratic=False,
-                                         detailed=False)
+        overhead = small_placement.utilization() / 0.65 - 1.0
+        relaxed = apply_default_spread(small_placement, overhead, use_quadratic=False,
+                                       detailed=False, add_fillers=False).placement
         assert relaxed.floorplan.core_area > small_placement.floorplan.core_area
-        assert relaxed.check_legal() == []
+        assert relaxed.utilization() <= 0.65 + 1e-9
+        assert relaxed.to_placement().check_legal() == []
 
     def test_density_roughly_uniform(self, small_placement):
         density = cell_density_map(small_placement, nx=8, ny=8, over_die=False)
@@ -269,8 +271,16 @@ class TestPlaceDesign:
         assert overall == pytest.approx(small_placement.utilization(), rel=0.05)
 
     def test_detailed_improvement_does_not_break_legality(self, small_placement):
-        clone = small_placement.copy()
-        swaps = improve_placement(clone, max_passes=1)
+        view = PlacementView.of(small_placement)
+        netlist = view.netlist
+        occupancy = RowOccupancy.of_arrays(
+            view.floorplan, view.x, view.y, view.row, netlist.compiled().cell_width_um
+        )
+        swaps = improve_rows(occupancy, netlist, view.port_x, view.port_y, max_passes=1)
         assert swaps >= 0
-        assert clone.check_legal() == []
-        assert clone.total_hpwl() <= small_placement.total_hpwl() + 1e-6
+        improved = PlacementView(
+            netlist, view.floorplan, occupancy.x, occupancy.y, occupancy.row,
+            view.port_x, view.port_y,
+        ).to_placement()
+        assert improved.check_legal() == []
+        assert improved.total_hpwl() <= small_placement.total_hpwl() + 1e-6

@@ -40,8 +40,8 @@ from repro.placement import (
     Floorplan,
     PlacementView,
     QuadraticPlacer,
-    assign_port_positions,
     place_design,
+    port_positions,
     slicing_partition,
 )
 
@@ -85,16 +85,21 @@ def _edited_design():
 
 
 def _targets_digest(netlist) -> str:
-    """Digest of the quadratic placer's targets at utilization 0.7, in cell order."""
+    """Digest of the quadratic placer's targets at utilization 0.7, in cell
+    order, warm-started from (and with fixed cells at) the cells' centres."""
     floorplan = Floorplan.from_netlist(netlist, utilization=0.7)
-    assign_port_positions(netlist, floorplan)
     unit_areas = {}
     for cell in netlist.logic_cells():
         unit_areas[cell.unit] = unit_areas.get(cell.unit, 0.0) + cell.area
     regions = slicing_partition(floorplan.core_rect, unit_areas)
-    positions = QuadraticPlacer(netlist, floorplan, regions=regions).run().positions
-    targets = [positions[name] for name in netlist.cells if name in positions]
-    return hashlib.sha256(np.asarray(targets, dtype="<f8").tobytes()).hexdigest()
+    cells = netlist.cells.values()
+    start = (np.array([c.x for c in cells], dtype=float), np.array([c.y for c in cells], dtype=float))
+    x, y = QuadraticPlacer(
+        netlist, floorplan, *port_positions(netlist, floorplan), regions=regions, start=start,
+    ).run()
+    moved = ~np.isnan(x)
+    targets = np.column_stack([x[moved], y[moved]])
+    return hashlib.sha256(targets.astype("<f8").tobytes()).hexdigest()
 
 
 def _spread_record(result) -> dict:
