@@ -75,8 +75,8 @@ class QuadraticPlacer:
         anchor_weight: Weight of the region-centre anchor (relative to a
             two-pin net weight of 1.0).
         max_clique_pins: Nets with more terminals than this are modelled by
-            connecting each pin to the net's (fixed-point iterated) centroid
-            instead of a full clique, to keep the matrix sparse.
+            connecting each movable pin to the centroid of the net's fixed
+            terminals instead of a full clique, to keep the matrix sparse.
         start: Lower-left ``(x, y)`` of every cell (``NaN`` where
             unplaced): fixed cells are terminals at these centres, and the
             solves warm-start from them when every movable cell is placed.
