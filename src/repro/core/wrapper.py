@@ -155,8 +155,7 @@ def apply_hotspot_wrapper(
         hot = inside & np.isin(comp.unit_codes, hot_codes)
         hot_cells = np.flatnonzero(hot).tolist()
         bystanders = np.flatnonzero(inside & ~hot).tolist()
-        for cell in bystanders:
-            occupancy.remove(cell)
+        occupancy.remove(bystanders)
 
         # 2. Spread the hot cells uniformly over the *inner* rectangle,
         #    leaving the surrounding ring as whitespace.
@@ -176,8 +175,7 @@ def apply_hotspot_wrapper(
         #    row with enough total slack — the placement always stays legal.
         unmoved = occupancy.relocate_outside(bystanders, outer)
         leftover = occupancy.relocate_outside(unmoved, Rect(0.0, 0.0, 0.0, 0.0))
-        for cell in leftover:
-            occupancy.force_insert(cell, avoid_rect=outer)
+        occupancy.force_insert(leftover, avoid_rect=outer)
 
         wrapped.append(
             WrappedHotspot(
@@ -191,7 +189,7 @@ def apply_hotspot_wrapper(
             )
         )
 
-    fillers = filler_block(view.netlist, occupancy.all_gaps(), NO_FILLERS)
+    fillers = filler_block(view.netlist, occupancy.gap_arrays(), NO_FILLERS)
     result = PlacementView(
         view.netlist, view.floorplan, occupancy.x, occupancy.y, occupancy.row,
         view.port_x, view.port_y, regions=view.regions, fillers=fillers,

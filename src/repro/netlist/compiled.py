@@ -48,6 +48,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ..floatsum import ordered_sum
 from .library import ROW_HEIGHT, VECTOR_OP_CODES, MasterCell
 from .netlist import Netlist
 
@@ -153,6 +154,17 @@ class Connectivity:
             net_names, net_index, pi_ports,
         )
 
+    def next_name_index(self, netlist: Netlist, prefix: str) -> int:
+        """First integer suffix no ``prefix``-named cell uses (filler names)."""
+        return self._section(
+            f"next_name_index:{prefix}", netlist,
+            lambda n: 1 + max(
+                (int(name[len(prefix):]) for name in self.names(n).cell_names
+                 if name.startswith(prefix) and name[len(prefix):].isdigit()),
+                default=-1,
+            ),
+        )
+
     # -- per-cell vectors -------------------------------------------------------
 
     def cell_vectors(self, netlist: Netlist) -> _CellVectors:
@@ -199,7 +211,7 @@ class Connectivity:
         nets = list(netlist.nets.values())
         # Summed in sink-pin order, matching the reference loop exactly.
         sink_pin_cap = [
-            sum(p.cell.master.input_cap_ff for p in net.sink_pins) for net in nets
+            ordered_sum(p.cell.master.input_cap_ff for p in net.sink_pins) for net in nets
         ]
         return (
             _frozen(sink_pin_cap, float),

@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from .cell import CellInstance, Pin
 from .library import CellLibrary, MasterCell
 from .net import Net, Port
@@ -231,10 +233,13 @@ class Netlist:
         return [c for c in self.cells.values() if not c.is_sequential and not c.is_filler]
 
     def total_cell_area(self, include_fillers: bool = False) -> float:
-        """Sum of instance areas in square micrometres."""
-        return sum(
-            c.area for c in self.cells.values() if include_fillers or not c.is_filler
-        )
+        """Sum of instance areas in square micrometres, in cell order."""
+        compiled = self.compiled()
+        areas = compiled.cell_area_um2
+        if not include_fillers:
+            areas = areas[~compiled.is_filler]
+        # A running sum adds left to right, as a loop over the cells does.
+        return np.cumsum(areas)[-1].item() if areas.size else 0
 
     def units(self) -> List[str]:
         """Sorted list of distinct non-empty unit labels."""

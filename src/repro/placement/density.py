@@ -14,6 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
+from ..floatsum import ordered_sum
 from .floorplan import Rect
 from .placement import Placement
 
@@ -74,7 +75,7 @@ def density_in_rect(placement: Placement, rect: Rect, include_fillers: bool = Fa
     """Cell-area density inside ``rect`` (cell area / rect area)."""
     if rect.area <= 0.0:
         return 0.0
-    area = sum(
+    area = ordered_sum(
         c.area for c in placement.cells_in_rect(rect, include_fillers=include_fillers)
     )
     return area / rect.area

@@ -16,8 +16,11 @@ cells when a consumer needs objects.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Tuple
 
+import numpy as np
+
+from ..floatsum import ordered_sum
 from ..netlist import Netlist
 from .placement import FILLER_PREFIX, NO_FILLERS, FillerBlock, Placement
 
@@ -29,8 +32,9 @@ def insert_fillers(placement: Placement, prefix: str = FILLER_PREFIX) -> FillerB
     until the remaining space is narrower than the narrowest filler.  The
     fillers extend the placement's filler block (names continue after the
     block, or after the netlist's own ``prefix``-named cells when the block
-    is empty); the netlist gains no cell.  :meth:`~repro.placement.view.PlacementView.with_fillers` fills a
-    view the same way.
+    is empty); the netlist gains no cell.
+    :meth:`~repro.placement.view.PlacementView.with_fillers` fills a view
+    the same way.
 
     Args:
         placement: Placement whose rows will be filled (modified in place).
@@ -39,8 +43,10 @@ def insert_fillers(placement: Placement, prefix: str = FILLER_PREFIX) -> FillerB
     Returns:
         The inserted fillers as a block of their own.
     """
+    gaps = [(row.index, lo, hi) for row in placement.rows for lo, hi in row.gaps()]
+    row, lo, hi = zip(*gaps) if gaps else ((), (), ())
     inserted = filler_block(
-        placement.netlist, ((row.index, row.gaps()) for row in placement.rows),
+        placement.netlist, (np.array(row, np.int64), np.array(lo), np.array(hi)),
         placement.fillers, prefix,
     )
     placement.fillers = placement.fillers.extended(inserted)
@@ -49,44 +55,43 @@ def insert_fillers(placement: Placement, prefix: str = FILLER_PREFIX) -> FillerB
 
 def filler_block(
     netlist: Netlist,
-    row_gaps: Iterable[Tuple[int, List[Tuple[float, float]]]],
+    gaps: Tuple[np.ndarray, np.ndarray, np.ndarray],
     existing: FillerBlock,
     prefix: str = FILLER_PREFIX,
 ) -> FillerBlock:
-    """The fillers covering ``row_gaps`` (``(row index, gaps)`` pairs), as a block.
+    """The fillers covering ``gaps`` (``(row, lo, hi)`` arrays), as a block.
 
     Each gap is covered greedily from its left edge with the widest of
-    the library's fillers that fits; names continue after ``existing``
-    (or after ``netlist``'s own ``prefix``-named cells when it is empty).
+    the library's fillers that fits, every gap a step at a time, so each
+    x is the loop's running ``+=``; the fillers are taken gap by gap, left
+    to right.  Names continue after ``existing`` (or after ``netlist``'s
+    own ``prefix``-named cells when it is empty).
     """
     fillers = netlist.library.filler_cells()  # widest first
     if not fillers:
         return FillerBlock(prefix, existing.end if existing else 0)
-    choices = [(f.width_um, index) for index, f in enumerate(fillers)]
-    min_width = min(width for width, _ in choices)
-    # Per filler, in creation order: row, x and master index.
-    rows = []
-    xs = []
-    masters = []
-
-    for index, gaps in row_gaps:
-        for gap_start, gap_end in gaps:
-            cursor = gap_start
-            remaining = gap_end - cursor
-            while remaining >= min_width - 1e-9:
-                for width, master in choices:
-                    if width <= remaining + 1e-9:
-                        break
-                else:
-                    break
-                rows.append(index)
-                xs.append(cursor)
-                masters.append(master)
-                cursor += width
-                remaining = gap_end - cursor
-
-    first = existing.end if existing else _next_filler_index(netlist, prefix)
-    return FillerBlock(prefix, first, tuple(fillers), rows, xs, masters)
+    widths = np.array([f.width_um for f in fillers])
+    floor = widths.min() - 1e-9
+    gap_row, cursor, end = gaps
+    gap = np.flatnonzero(end - cursor >= floor)
+    cursor, end = cursor[gap], end[gap]
+    # Per step, the gap, x and master of the filler each live gap takes.
+    taken = [(gap[:0], cursor[:0], gap[:0])]
+    while gap.size:
+        fits = widths <= (end - cursor + 1e-9)[:, None]
+        live = fits.any(axis=1)
+        gap, cursor, end, fits = gap[live], cursor[live], end[live], fits[live]
+        master = fits.argmax(axis=1)
+        taken.append((gap, cursor, master))
+        cursor = cursor + widths[master]
+        live = end - cursor >= floor
+        gap, cursor, end = gap[live], cursor[live], end[live]
+    gap, x, master = (np.concatenate(part) for part in zip(*taken))
+    order = np.argsort(gap, kind="stable")
+    first = existing.end if existing else netlist.compiled().connectivity.next_name_index(
+        netlist, prefix
+    )
+    return FillerBlock(prefix, first, tuple(fillers), gap_row[gap[order]], x[order], master[order])
 
 
 def remove_fillers(placement: Placement, prefix: str = FILLER_PREFIX) -> int:
@@ -117,16 +122,5 @@ def remove_fillers(placement: Placement, prefix: str = FILLER_PREFIX) -> int:
 
 def filler_area(placement: Placement) -> float:
     """Total area of placed fillers (block and cells) in square micrometres."""
-    cells = sum(c.area for c in placement.netlist.filler_cells() if c.is_placed)
-    return cells + sum(m.area_um2 for m in placement.fillers.master_cells())
-
-
-def _next_filler_index(netlist: Netlist, prefix: str) -> int:
-    """First unused integer suffix for filler instance names."""
-    highest = -1
-    for name in netlist.cells:
-        if name.startswith(prefix):
-            suffix = name[len(prefix):]
-            if suffix.isdigit():
-                highest = max(highest, int(suffix))
-    return highest + 1
+    cells = ordered_sum(c.area for c in placement.netlist.filler_cells() if c.is_placed)
+    return cells + ordered_sum(m.area_um2 for m in placement.fillers.master_cells())

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from ..floatsum import ordered_sum
 from ..netlist import ROW_HEIGHT, SITE_WIDTH, Netlist
 
 
@@ -243,7 +244,7 @@ def slicing_partition(
         if len(units) == 1:
             result[units[0][0]] = rect
             return
-        total = sum(area for _, area in units)
+        total = ordered_sum(area for _, area in units)
         # Greedy balanced split of the (sorted) unit list.
         group_a: List[Tuple[str, float]] = []
         group_b: List[Tuple[str, float]] = []

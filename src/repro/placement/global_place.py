@@ -21,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ..floatsum import ordered_sum
 from ..netlist import Netlist
 from ..netlist.library import ROW_HEIGHT
 from .floorplan import Floorplan, Rect
@@ -183,8 +184,8 @@ class QuadraticPlacer:
             count = int(num_fixed[star_net])
             if count:
                 # Left to right, as a per-net loop sums (not pairwise).
-                centroid_x[star_net] = sum(tx[first:first + count].tolist()) / count
-                centroid_y[star_net] = sum(ty[first:first + count].tolist()) / count
+                centroid_x[star_net] = ordered_sum(tx[first:first + count].tolist()) / count
+                centroid_y[star_net] = ordered_sum(ty[first:first + count].tolist()) / count
             else:
                 centroid_x[star_net], centroid_y[star_net] = core_cx, core_cy
         fixed_i = movable[entry_from]

@@ -5,33 +5,88 @@ coordinate lists: :meth:`~RowOccupancy.pack` (region-constrained row
 packing: the placer's per-unit regions, the wrapper's hotspot cells),
 :meth:`~RowOccupancy.relocate_outside` (evicted cells into the nearest free
 space outside a rectangle) and :meth:`~RowOccupancy.force_insert`.
-:func:`pack_into_region` and :meth:`Placement.relocate_outside` run them
-on a :class:`~repro.placement.placement.Placement`'s cell objects and rows.
+:func:`row_gaps` finds the free intervals of every row in one pass of
+array ops; fillers fill them and relocation re-inserts cells into them.
+:func:`pack_into_region` and :meth:`Placement.relocate_outside` run the
+methods on a :class:`~repro.placement.placement.Placement`'s cell objects
+and rows.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import lru_cache
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..floatsum import ordered_sum
 from ..netlist import CellInstance
 from ..netlist.library import ROW_HEIGHT
 from .floorplan import Floorplan, Rect
-from .placement import NO_FILLERS, FillerBlock, Placement, free_intervals
+from .placement import NO_FILLERS, FillerBlock, Placement
+
+#: ``(row, lo, hi)`` of free intervals, by row, then left to right.
+GapArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 @lru_cache(maxsize=4096)
-def _visiting_order(origin: int, num_rows: int) -> Tuple[int, ...]:
+def _visiting_order(origin: int, num_rows: int) -> np.ndarray:
     """Rows by increasing distance from ``origin``; a pair at equal distance
     is taken in the iteration order of its two-element set."""
-    return tuple(
+    order = np.array([
         r
         for offset in range(num_rows)
         for r in {origin - offset, origin + offset}
         if 0 <= r < num_rows
-    )
+    ], dtype=np.int64)
+    order.setflags(write=False)
+    return order
+
+
+def row_gaps(
+    floorplan: Floorplan, row: np.ndarray, x: np.ndarray, width: np.ndarray,
+    fillers: FillerBlock = NO_FILLERS,
+) -> GapArrays:
+    """Free intervals of every row of ``floorplan`` around the occupants
+    ``(row[k], x[k], width[k])`` and ``fillers``, which may overlap.
+
+    Row by row, bitwise what :func:`~repro.placement.placement.free_intervals`
+    gives over ``[0, core_width)``: a gap opens before each occupant that
+    starts right of the running max of the ends before it, and the tail
+    after the last end is a gap too (a whole empty row is one gap).  Ties
+    at equal x change no gap, and a max rounds nothing.
+    """
+    if fillers:
+        row = np.concatenate([row, fillers.row])
+        x = np.concatenate([x, fillers.x])
+        width = np.concatenate([width, fillers.widths])
+    num_rows = floorplan.num_rows
+    order = np.lexsort((x, row))
+    row, x = row[order], x[order]
+    counts = np.bincount(row, minlength=num_rows)
+    starts = np.cumsum(counts) - counts
+    slot = np.arange(row.size) - starts[row]
+    # Row r's cursor before its occupant j is cursor[r, j]; after its last
+    # one, cursor[r, counts[r]].
+    cursor = np.zeros((num_rows, int(counts.max(initial=0)) + 1))
+    cursor[row, slot + 1] = x + width[order]
+    cursor = np.maximum.accumulate(cursor, axis=1)
+    before = cursor[row, slot]
+    rows = np.arange(num_rows)
+    tail = cursor[rows, counts]
+    # Gap k + row[k] is the one before sorted occupant k; row r's tail is
+    # gap starts[r] + counts[r] + r.
+    inner = np.arange(row.size) + row
+    last = starts + counts + rows
+    size = row.size + num_rows
+    gap_row = np.empty(size, np.int64)
+    lo, hi, keep = np.empty(size), np.empty(size), np.empty(size, bool)
+    gap_row[inner], lo[inner], hi[inner], keep[inner] = row, before, x, x > before
+    gap_row[last], lo[last], hi[last] = rows, tail, floorplan.core_width
+    keep[last] = tail < floorplan.core_width
+    return gap_row[keep], lo[keep], hi[keep]
 
 
 class RowOccupancy:
@@ -41,9 +96,10 @@ class RowOccupancy:
     ``(x[i], y[i])`` in row ``row[i]`` (``NaN`` and ``-1`` when unset).
     ``rows[r]`` lists the cells occupying row ``r`` in the order a
     :class:`~repro.placement.placement.Row` keeps its cells, which decides
-    every tie of the stable sorts by x.  A detached cell keeps its
-    coordinates and row as a relocation hint.  ``fillers`` occupy the rows
-    for :meth:`gaps` only; the routines move cells only.
+    every tie of the stable sorts by x; the methods leave every row they
+    touch sorted by x.  A detached cell keeps its coordinates and row as a
+    relocation hint.  ``fillers`` occupy the rows for :meth:`gap_arrays`
+    only; the routines move cells only.
     """
 
     def __init__(
@@ -88,30 +144,26 @@ class RowOccupancy:
         self.place(cell, x, row)
         self.rows[row].append(cell)
 
-    def remove(self, cell: int) -> None:
-        """Detach ``cell`` from the row it is in, if any."""
-        row = self.row[cell]
-        if 0 <= row < len(self.rows) and cell in self.rows[row]:
-            self.rows[row].remove(cell)
+    def remove(self, cells: Iterable[int]) -> None:
+        """Detach ``cells`` from the rows they are in, if any (one pass per row)."""
+        gone: Dict[int, set] = {}
+        for cell in cells:
+            gone.setdefault(self.row[cell], set()).add(cell)
+        for row, members in gone.items():
+            if 0 <= row < len(self.rows):
+                self.rows[row] = [cell for cell in self.rows[row] if cell not in members]
 
     def sort(self, row: int) -> None:
         """Order ``row``'s cells by x (stable)."""
         self.rows[row].sort(key=self.x.__getitem__)
 
-    def gaps(self, row: int) -> List[Tuple[float, float]]:
-        """Free intervals ``(x0, x1)`` of ``row`` between cells and fillers,
-        as :meth:`~repro.placement.placement.Row.gaps` (sorting the row)."""
-        self.sort(row)
-        occupants = [(self.x[i], self.width[i]) for i in self.rows[row]]
-        fillers = self.fillers.in_row(row) if self.fillers else ()
-        if fillers:
-            occupants.extend(fillers)
-            occupants.sort(key=lambda occupant: occupant[0])
-        return free_intervals(occupants, 0.0, self.floorplan.core_width)
-
-    def all_gaps(self) -> List[Tuple[int, List[Tuple[float, float]]]]:
-        """``(row, gaps)`` of every row, bottom to top (what fillers fill)."""
-        return [(row, self.gaps(row)) for row in range(len(self.rows))]
+    def gap_arrays(self) -> GapArrays:
+        """:func:`row_gaps` of the cells in the rows and the fillers (what
+        fillers fill)."""
+        members = np.fromiter(chain.from_iterable(self.rows), np.int64)
+        row = np.repeat(np.arange(len(self.rows)), [len(cells) for cells in self.rows])
+        x = np.array(self.x)[members]
+        return row_gaps(self.floorplan, row, x, np.asarray(self.width)[members], self.fillers)
 
     # ------------------------------------------------------------------
     # Region packing
@@ -166,15 +218,14 @@ class RowOccupancy:
         x1 = min(region.x1, self.floorplan.core_width)
         total_capacity = (x1 - x0) * len(row_indices)
         width = self.width
-        total_width = sum(width[i] for i in cells)
+        total_width = ordered_sum(width[i] for i in cells)
         if total_width > total_capacity + 1e-6:
             raise ValueError(
                 f"cells (width {total_width:.1f}um) do not fit region capacity "
                 f"({total_capacity:.1f}um)"
             )
 
-        for cell in cells:
-            self.remove(cell)
+        self.remove(cells)
 
         # Order by target y then x, and split into per-row groups of roughly
         # equal total width so density is uniform across the region.
@@ -201,37 +252,36 @@ class RowOccupancy:
             self._spread_span(row, members, x0, x1)
 
     def _spread_span(self, row: int, group: Sequence[int], x0: float, x1: float) -> None:
-        """Evenly distribute ``group`` (already in ``row``) over ``[x0, x1]``."""
-        width = self.width
-        slack = (x1 - x0) - sum(width[i] for i in group)
+        """Evenly distribute ``group`` (just added to ``row`` packed from
+        ``x0``, so in x order) over ``[x0, x1]``."""
+        x, width = self.x, self.width
+        slack = (x1 - x0) - ordered_sum(width[i] for i in group)
         if slack < 0 or not group:
+            self.sort(row)
             return
         gap = slack / (len(group) + 1)
         cursor = x0 + gap
-        snap_x = self.floorplan.snap_x
-        for cell in sorted(group, key=self.x.__getitem__):
-            x = min(max(snap_x(cursor), x0), x1 - width[cell])
-            self.place(cell, x, row)
-            cursor = max(cursor + width[cell] + gap, x + width[cell])
-        self.sort(row)
+        site, core_width = self.floorplan.site_width, self.floorplan.core_width
+        for cell in group:
+            snapped = min(max(round(cursor / site) * site, 0.0), core_width)
+            left = x[cell] = min(max(snapped, x0), x1 - width[cell])
+            cursor = max(cursor + width[cell] + gap, left + width[cell])
         self._resolve_row_overlaps(row)
 
     def _resolve_row_overlaps(self, row: int) -> None:
         """Shift ``row``'s cells right (then clamp left) to remove any overlap."""
         self.sort(row)
-        x, width = self.x, self.width
+        x, y, rows, width, row_y = self.x, self.y, self.row, self.width, self.row_y[row]
         cursor = 0.0
         for cell in self.rows[row]:
-            left = max(x[cell], cursor)
-            self.place(cell, left, row)
+            left = x[cell] = max(x[cell], cursor)
+            y[cell], rows[cell] = row_y, row
             cursor = left + width[cell]
         # If the last cell spilled out of the row, push the chain back left.
         if cursor - self.floorplan.core_width > 1e-9:
             cursor = self.floorplan.core_width
             for cell in reversed(self.rows[row]):
-                left = min(x[cell], cursor - width[cell])
-                self.place(cell, left, row)
-                cursor = left
+                cursor = x[cell] = min(x[cell], cursor - width[cell])
 
     # ------------------------------------------------------------------
     # Relocation and forced insertion
@@ -249,88 +299,121 @@ class RowOccupancy:
             The cells that fit nowhere, in processing order.
         """
         half_row = self.floorplan.row_height / 2.0
-        # Per row: its usable intervals (the longest part of each gap left or
-        # right of ``rect``, or the whole gap where the row misses ``rect``)
-        # and their longest length, recomputed only after the row changes.
-        usable: Dict[int, Tuple[float, List[Tuple[float, float]]]] = {}
+        crosses = [rect.y0 <= y + half_row < rect.y1 for y in self.row_y]
 
-        def usable_intervals(row: int) -> Tuple[float, List[Tuple[float, float]]]:
-            entry = usable.get(row)
-            if entry is None:
-                crosses = rect.y0 <= self.row_y[row] + half_row < rect.y1
-                intervals = []
-                for lo, hi in self.gaps(row):
-                    if crosses:
-                        left, right = (lo, min(hi, rect.x0)), (max(lo, rect.x1), hi)
-                        left_size, right_size = left[1] - left[0], right[1] - right[0]
-                        if left_size >= 0.0 and (right_size < 0.0 or left_size >= right_size):
-                            lo, hi = left
-                        elif right_size >= 0.0:
-                            lo, hi = right
-                        else:
-                            continue
-                    if hi > lo:
-                        intervals.append((lo, hi))
-                longest = max((hi - lo for lo, hi in intervals), default=float("-inf"))
-                entry = usable[row] = (longest, intervals)
-            return entry
+        def usable(lo: float, hi: float, row: int) -> Tuple[float, float, float]:
+            """``(size, lo, hi)`` of the usable part of a gap: its longer
+            side of ``rect`` in a row crossing it; size ``-inf`` if none."""
+            if crosses[row]:
+                left, right = (lo, min(hi, rect.x0)), (max(lo, rect.x1), hi)
+                left_size, right_size = left[1] - left[0], right[1] - right[0]
+                if left_size >= 0.0 and (right_size < 0.0 or left_size >= right_size):
+                    lo, hi = left
+                elif right_size >= 0.0:
+                    lo, hi = right
+                else:
+                    return float("-inf"), lo, hi
+            return (hi - lo if hi > lo else float("-inf")), lo, hi
+
+        # Every row's gaps, taken once: per row (as lists, on first use)
+        # each gap and its usable part, and the longest usable part (a gap
+        # of a row that misses ``rect`` is usable whole).
+        gap_row, gap_lo, gap_hi = self.gap_arrays()
+        num_rows = len(self.rows)
+        counts = np.bincount(gap_row, minlength=num_rows)
+        starts = np.cumsum(counts) - counts
+        opened: Dict[int, Tuple[list, list]] = {}
+
+        def row_state(row: int) -> Tuple[list, list]:
+            """``(gaps, usable parts)`` of ``row`` as lists, its cells sorted."""
+            state = opened.get(row)
+            if state is None:
+                span = slice(starts[row], starts[row] + counts[row])
+                gaps = list(zip(gap_lo[span].tolist(), gap_hi[span].tolist()))
+                if crosses[row]:
+                    parts = [usable(lo, hi, row) for lo, hi in gaps]
+                else:
+                    parts = list(zip(size[span].tolist(), *zip(*gaps)))
+                state = opened[row] = (gaps, parts)
+                self.sort(row)
+            return state
+
+        size = gap_hi - gap_lo  # every gap is non-empty
+        for row in np.flatnonzero(crosses).tolist():
+            size[starts[row]:starts[row] + counts[row]] = [part[0] for part in row_state(row)[1]]
+        longest = np.full(num_rows, -np.inf)
+        filled = counts > 0
+        longest[filled] = np.maximum.reduceat(size, starts[filled])
 
         failed: List[int] = []
         x, y, width = self.x, self.y, self.width
         for cell in sorted(cells, key=lambda i: -width[i]):
             origin_x = x[cell] if x[cell] == x[cell] else 0.0
             origin_y = y[cell] if y[cell] == y[cell] else 0.0
-            size = width[cell]
-            for row in _visiting_order(self.floorplan.row_of_y(origin_y), len(self.rows)):
-                longest, intervals = usable_intervals(row)
-                if longest < size:
-                    continue
-                for lo, hi in intervals:
-                    if hi - lo >= size:
-                        self.add(row, cell, min(max(origin_x, lo), hi - size))
-                        self.sort(row)
-                        del usable[row]
-                        break
-                break
-            else:
+            need = width[cell]
+            order = _visiting_order(self.floorplan.row_of_y(origin_y), num_rows)
+            fits = longest[order] >= need
+            first = int(fits.argmax())
+            if not fits[first]:
                 failed.append(cell)
+                continue
+            row = int(order[first])
+            gaps, parts = row_state(row)
+            j = next(j for j, part in enumerate(parts) if part[0] >= need)
+            _, lo, hi = parts[j]
+            left = min(max(origin_x, lo), hi - need)
+            self.place(cell, left, row)
+            insort(self.rows[row], cell, key=x.__getitem__)
+            # Only the gap the cell went into changes: it splits in two.
+            gap_lo_j, gap_hi_j = gaps[j]
+            right = left + need
+            split = [(a, b) for a, b in ((gap_lo_j, left), (right, gap_hi_j)) if b > a]
+            gaps[j:j + 1] = split
+            parts[j:j + 1] = [usable(a, b, row) for a, b in split]
+            longest[row] = max((part[0] for part in parts), default=float("-inf"))
         return failed
 
-    def force_insert(self, cell: int, avoid_rect: Optional[Rect] = None) -> bool:
-        """Insert ``cell`` even when no single free gap is wide enough.
+    def force_insert(self, cells: Sequence[int], avoid_rect: Optional[Rect] = None) -> List[int]:
+        """Insert ``cells`` even where no single free gap is wide enough.
 
         Whitespace in a spread-out placement is fragmented into many small
-        gaps; this picks the closest row with enough *total* free width
-        (preferring rows outside ``avoid_rect``), packs that row to the left
-        to consolidate its whitespace and appends the cell at the packed
-        end.  Fillers are not counted: the occupancy must hold none.
+        gaps; for each cell in turn this picks the closest row with enough
+        *total* free width (preferring rows outside ``avoid_rect``), packs
+        that row to the left to consolidate its whitespace and appends the
+        cell at the packed end.  Fillers are not counted: the occupancy
+        must hold none.
 
         Returns:
-            ``True`` if the cell was inserted, ``False`` if no row has
-            enough free width.
+            The cells no row has enough free width for, in order.
         """
-        y, width = self.y[cell], self.width
-        origin = self.floorplan.row_of_y((y if y == y else 0.0) + 1e-9)
         half_row = self.floorplan.row_height / 2.0
+        mid = np.asarray(self.row_y) + half_row
         avoid = avoid_rect is not None and avoid_rect.area > 0
-
-        def priority(row: int) -> Tuple[int, int]:
-            mid = self.row_y[row] + half_row
-            inside = 1 if avoid and avoid_rect.y0 <= mid < avoid_rect.y1 else 0
-            return (inside, abs(row - origin))
-
-        for row in sorted(range(len(self.rows)), key=priority):
-            members = self.rows[row]
-            if self.floorplan.core_width - sum(width[i] for i in members) >= width[cell] - 1e-9:
-                self.sort(row)
-                cursor = 0.0
-                for member in members:
-                    self.place(member, cursor, row)
-                    cursor += width[member]
-                self.add(row, cell, 0.0 + sum(width[i] for i in members))
-                self.sort(row)
-                return True
-        return False
+        inside = (avoid_rect.y0 <= mid) & (mid < avoid_rect.y1) if avoid else np.zeros(mid.shape, bool)
+        num_rows = len(self.rows)
+        rows = np.arange(num_rows)
+        width = self.width
+        # Row width in use, summed in row-list order.
+        used = np.array([ordered_sum(width[i] for i in members) for members in self.rows])
+        failed: List[int] = []
+        for cell in cells:
+            y = self.y[cell]
+            origin = self.floorplan.row_of_y((y if y == y else 0.0) + 1e-9)
+            room = np.flatnonzero(self.floorplan.core_width - used >= width[cell] - 1e-9)
+            if not room.size:
+                failed.append(cell)
+                continue
+            # Rows outside the rectangle first, then by distance, then by index.
+            priority = inside[room] * (2 * num_rows) + np.abs(rows[room] - origin)
+            row = int(room[priority.argmin()])
+            self.sort(row)
+            cursor = 0.0
+            for member in self.rows[row]:
+                self.place(member, cursor, row)
+                cursor += width[member]
+            self.add(row, cell, 0.0 + used[row].item())
+            used[row] += width[cell]
+        return failed
 
 
 # ----------------------------------------------------------------------
@@ -395,4 +478,4 @@ def snap_to_rows(
     return np.where(placed, row * floorplan.row_height, y), row
 
 
-__all__ = ["RowOccupancy", "pack_into_region", "snap_to_rows"]
+__all__ = ["RowOccupancy", "pack_into_region", "row_gaps", "snap_to_rows"]

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..floatsum import ordered_sum
 from ..netlist import CellInstance, MasterCell, Netlist
 from .floorplan import Floorplan, Rect
 
@@ -217,7 +218,7 @@ class Row:
     @property
     def occupied_width(self) -> float:
         """Sum of widths of cells and block fillers currently in the row."""
-        return sum(cell.width for cell in self.cells) + sum(
+        return ordered_sum(cell.width for cell in self.cells) + ordered_sum(
             width for _, width, _ in self.block_fillers()
         )
 
@@ -277,7 +278,7 @@ class Row:
         self.sort()
         lo = self.x_start if x0 is None else x0
         hi = self.x_end if x1 is None else x1
-        total_width = sum(c.width for c in self.cells)
+        total_width = ordered_sum(c.width for c in self.cells)
         slack = (hi - lo) - total_width
         if not self.cells:
             return

@@ -16,8 +16,9 @@ reads the view's arrays — thermal binning through
 :meth:`PlacementView.terminal_coordinates`, the placement digest through
 :meth:`PlacementView.coordinate_arrays`.  The transforms take and return
 views: the hotspot wrapper edits the arrays as row occupancy
-(:class:`~repro.placement.legalize.RowOccupancy`), which also fills a
-view's gaps in :meth:`PlacementView.with_fillers`.  Consumers that need
+(:class:`~repro.placement.legalize.RowOccupancy`), and
+:meth:`PlacementView.with_fillers` fills the gaps that
+:func:`~repro.placement.legalize.row_gaps` finds in them.  Consumers that need
 objects (the reference engine, DEF export) call
 :meth:`PlacementView.to_placement`, which builds a
 :class:`~repro.placement.placement.Placement` on one
@@ -38,7 +39,7 @@ from ..netlist import Netlist
 from ..netlist.compiled import cell_centers
 from .filler import filler_block
 from .floorplan import Floorplan, Rect
-from .legalize import RowOccupancy
+from .legalize import row_gaps, snap_to_rows
 from .placement import (
     FILLER_PREFIX, NO_FILLERS, FillerBlock, Placement, _read_only, coordinate_arrays,
 )
@@ -167,16 +168,18 @@ class PlacementView:
         """This view with every row gap filled, as :func:`insert_fillers` fills
         :meth:`to_placement`.
 
-        The gaps are :meth:`RowOccupancy.gaps
-        <repro.placement.legalize.RowOccupancy.gaps>` of the rows rebuilt
-        from the arrays; the inserted fillers extend the block, widest
-        filler first per gap, with the same names, masters and positions.
+        The gaps are :func:`~repro.placement.legalize.row_gaps` of the
+        placed cells (on the rows their y lies in) and the block; the
+        inserted fillers extend the block, widest filler first per gap, with
+        the same names, masters and positions.
         """
-        occupancy = RowOccupancy.of_arrays(
-            self.floorplan, self.x, self.y, self.row,
-            self.netlist.compiled().cell_width_um, self.fillers,
+        _, row = snap_to_rows(self.floorplan, self.x, self.y, self.row)
+        placed = self.placed
+        gaps = row_gaps(
+            self.floorplan, row[placed], self.x[placed],
+            self.netlist.compiled().cell_width_um[placed], self.fillers,
         )
-        inserted = filler_block(self.netlist, occupancy.all_gaps(), self.fillers, prefix)
+        inserted = filler_block(self.netlist, gaps, self.fillers, prefix)
         return _replace(self, fillers=self.fillers.extended(inserted))
 
     def to_placement(self) -> Placement:

@@ -15,6 +15,7 @@ from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
+from ..floatsum import ordered_sum
 from ..netlist import Netlist
 from .logicsim import LogicSimulator, SimulationResult
 from .vectors import generate_vectors
@@ -89,7 +90,7 @@ class SwitchingActivity:
         """Mean toggle rate over all annotated nets."""
         if not self.toggle_rates:
             return 0.0
-        return sum(self.toggle_rates.values()) / len(self.toggle_rates)
+        return ordered_sum(self.toggle_rates.values()) / len(self.toggle_rates)
 
     @classmethod
     def from_simulation(cls, netlist: Netlist, result: SimulationResult) -> "SwitchingActivity":

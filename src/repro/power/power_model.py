@@ -32,6 +32,7 @@ from typing import Dict, List, Mapping, Optional, Union
 import numpy as np
 
 from ..engine import resolve_engine
+from ..floatsum import ordered_sum
 from ..netlist import CellInstance, Netlist, VDD, WIRE_CAP_PER_UM
 from .activity import SwitchingActivity
 
@@ -174,19 +175,19 @@ class PowerReport:
         """Total design power in watts."""
         if self._total is not None:
             return float(self._total.sum())
-        return sum(p.total for p in self._cell_powers.values())
+        return ordered_sum(p.total for p in self._cell_powers.values())
 
     def total_dynamic(self) -> float:
         """Total dynamic (switching + internal) power in watts."""
         if self._switching is not None:
             return float(self._switching.sum() + self._internal.sum())
-        return sum(p.dynamic for p in self._cell_powers.values())
+        return ordered_sum(p.dynamic for p in self._cell_powers.values())
 
     def total_leakage(self) -> float:
         """Total leakage power in watts."""
         if self._leakage is not None:
             return float(self._leakage.sum())
-        return sum(p.leakage for p in self._cell_powers.values())
+        return ordered_sum(p.leakage for p in self._cell_powers.values())
 
     def unit_totals(self, netlist: Netlist) -> Dict[str, float]:
         """Total power per logical unit, in watts."""
@@ -241,7 +242,7 @@ class PowerModel:
         net = netlist.nets.get(net_name)
         if net is None:
             return 0.0
-        pin_cap = sum(pin.cell.master.input_cap_ff for pin in net.sink_pins)
+        pin_cap = ordered_sum(pin.cell.master.input_cap_ff for pin in net.sink_pins)
         fanout = max(net.num_sinks, 1)
         wire_cap = WIRE_CAP_PER_UM * self.wireload_um_per_fanout * fanout
         return pin_cap + wire_cap
@@ -399,7 +400,7 @@ class PowerModel:
                 cell_powers[cell.name] = self.cell_power(
                     netlist, cell, activity, temperature=temp
                 )
-            mean_temp = sum(temps) / len(temps) if temps else self.temperature
+            mean_temp = ordered_sum(temps) / len(temps) if temps else self.temperature
             return PowerReport(cell_powers, self.frequency_hz, mean_temp)
 
         comp = netlist.compiled()

@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from ..floatsum import ordered_sum
+
 
 @dataclass(frozen=True)
 class Layer:
@@ -104,7 +106,7 @@ class Package:
     @property
     def total_thickness_um(self) -> float:
         """Total stack thickness in micrometres."""
-        return sum(layer.thickness_um for layer in self.layers)
+        return ordered_sum(layer.thickness_um for layer in self.layers)
 
     def vertical_resistance_per_area(self) -> float:
         """One-dimensional vertical resistance per unit area, K*m^2/W.
@@ -113,7 +115,7 @@ class Package:
         bottom heat-transfer coefficient; useful for sanity checks and for
         the analytical estimates in tests.
         """
-        below = sum(
+        below = ordered_sum(
             layer.vertical_resistivity for layer in self.layers[self.active_layer:]
         )
         return below + 1.0 / self.bottom_htc
@@ -129,10 +131,10 @@ class Package:
         lateral variation.
         """
         below = self.layers[self.active_layer:]
-        thickness = sum(layer.thickness_m for layer in below)
+        thickness = ordered_sum(layer.thickness_m for layer in below)
         if thickness <= 0.0:
             return 0.0
-        k_eff = sum(layer.conductivity * layer.thickness_m for layer in below) / thickness
+        k_eff = ordered_sum(layer.conductivity * layer.thickness_m for layer in below) / thickness
         return (k_eff * thickness * self.vertical_resistance_per_area()) ** 0.5
 
 

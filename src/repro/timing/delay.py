@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..floatsum import ordered_sum
 from ..netlist import (
     CELL_DELAY_TEMP_COEFF,
     NOMINAL_TEMPERATURE,
@@ -72,7 +73,7 @@ class DelayModel:
 
     def net_load_ff(self, net: Net) -> float:
         """Total load capacitance on a net, in femtofarads."""
-        pin_cap = sum(pin.cell.master.input_cap_ff for pin in net.sink_pins)
+        pin_cap = ordered_sum(pin.cell.master.input_cap_ff for pin in net.sink_pins)
         wire_cap = self.wire_cap_per_um * self.net_length_um(net)
         return pin_cap + wire_cap
 
