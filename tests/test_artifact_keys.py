@@ -540,6 +540,41 @@ class TestCopyCounts:
         assert counts == {"copy": 0, "cells": 0}
         assert flow.stage_executions == {"relax": 1, "whitespace": 1}
 
+    def test_whitespace_stage_walks_no_row_gaps(self, sweep_setup, monkeypatch):
+        """A 5 x 2 sweep finds every row gap with array kernels: the fills
+        and the wrapper's relocations call no per-row gap walk, neither
+        ``free_intervals`` nor a per-row ``RowOccupancy.gaps``."""
+        from repro.placement import legalize, placement as placement_module
+        from repro.placement.legalize import RowOccupancy
+
+        counts = {"free_intervals": 0, "RowOccupancy.gaps": 0}
+        lock = threading.Lock()
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                with lock:
+                    counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        walk = placement_module.free_intervals
+        for module in (placement_module, legalize):
+            monkeypatch.setattr(
+                module, "free_intervals", counting("free_intervals", walk), raising=False
+            )
+        per_row = getattr(RowOccupancy, "gaps", None)
+        if per_row is not None:
+            monkeypatch.setattr(RowOccupancy, "gaps", counting("RowOccupancy.gaps", per_row))
+        flow = FlowGraph()
+        result = Campaign(
+            sweep_setup, strategies=self.STRATEGIES, overheads=(0.1, 0.3),
+            cache=flow.solver_cache, flow=flow,
+        ).run(max_workers=2)
+        assert len(result.records) == 10
+        assert all(record.outcome.num_fillers > 0 for record in result.records)
+        assert flow.stage_executions["whitespace"] == 10
+        assert counts == {"free_intervals": 0, "RowOccupancy.gaps": 0}
+
 
 @pytest.fixture(scope="module", params=[1, 2], ids=["workers1", "workers2"])
 def filler_sweep(request, sweep_setup):
