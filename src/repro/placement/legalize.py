@@ -36,9 +36,7 @@ def _visiting_order(origin: int, num_rows: int) -> np.ndarray:
     """Rows by increasing distance from ``origin``; a pair at equal distance
     is taken in the iteration order of its two-element set."""
     order = np.array([
-        r
-        for offset in range(num_rows)
-        for r in {origin - offset, origin + offset}
+        r for offset in range(num_rows) for r in {origin - offset, origin + offset}
         if 0 <= r < num_rows
     ], dtype=np.int64)
     order.setflags(write=False)
@@ -54,39 +52,29 @@ def row_gaps(
 
     Row by row, bitwise what :func:`~repro.placement.placement.free_intervals`
     gives over ``[0, core_width)``: a gap opens before each occupant that
-    starts right of the running max of the ends before it, and the tail
-    after the last end is a gap too (a whole empty row is one gap).  Ties
-    at equal x change no gap, and a max rounds nothing.
+    starts right of the running max of the ends before it (a max rounds
+    nothing, and ties at equal x change no gap), and one ends the row.
     """
     if fillers:
         row = np.concatenate([row, fillers.row])
         x = np.concatenate([x, fillers.x])
         width = np.concatenate([width, fillers.widths])
-    num_rows = floorplan.num_rows
     order = np.lexsort((x, row))
     row, x = row[order], x[order]
-    counts = np.bincount(row, minlength=num_rows)
-    starts = np.cumsum(counts) - counts
-    slot = np.arange(row.size) - starts[row]
-    # Row r's cursor before its occupant j is cursor[r, j]; after its last
-    # one, cursor[r, counts[r]].
-    cursor = np.zeros((num_rows, int(counts.max(initial=0)) + 1))
+    rows = np.arange(floorplan.num_rows)
+    counts = np.bincount(row, minlength=rows.size)
+    slot = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
+    # cursor[r, j]: the running max of row r's ends before its occupant j.
+    cursor = np.zeros((rows.size, int(counts.max(initial=0)) + 1))
     cursor[row, slot + 1] = x + width[order]
     cursor = np.maximum.accumulate(cursor, axis=1)
-    before = cursor[row, slot]
-    rows = np.arange(num_rows)
-    tail = cursor[rows, counts]
-    # Gap k + row[k] is the one before sorted occupant k; row r's tail is
-    # gap starts[r] + counts[r] + r.
-    inner = np.arange(row.size) + row
-    last = starts + counts + rows
-    size = row.size + num_rows
-    gap_row = np.empty(size, np.int64)
-    lo, hi, keep = np.empty(size), np.empty(size), np.empty(size, bool)
-    gap_row[inner], lo[inner], hi[inner], keep[inner] = row, before, x, x > before
-    gap_row[last], lo[last], hi[last] = rows, tail, floorplan.core_width
-    keep[last] = tail < floorplan.core_width
-    return gap_row[keep], lo[keep], hi[keep]
+    # Each row's gaps before its occupants, then its tail, kept where non-empty.
+    gap_row = np.concatenate([row, rows])
+    lo = np.concatenate([cursor[row, slot], cursor[rows, counts]])
+    hi = np.concatenate([x, np.full(rows.size, floorplan.core_width)])
+    order = np.argsort(gap_row, kind="stable")
+    order = order[hi[order] > lo[order]]
+    return gap_row[order], lo[order], hi[order]
 
 
 class RowOccupancy:
@@ -96,10 +84,9 @@ class RowOccupancy:
     ``(x[i], y[i])`` in row ``row[i]`` (``NaN`` and ``-1`` when unset).
     ``rows[r]`` lists the cells occupying row ``r`` in the order a
     :class:`~repro.placement.placement.Row` keeps its cells, which decides
-    every tie of the stable sorts by x; the methods leave every row they
-    touch sorted by x.  A detached cell keeps its coordinates and row as a
-    relocation hint.  ``fillers`` occupy the rows for :meth:`gap_arrays`
-    only; the routines move cells only.
+    every tie of the stable sorts by x.  A detached cell keeps its
+    coordinates and row as a relocation hint.  ``fillers`` occupy the rows
+    for :meth:`gap_arrays` only; the routines move cells only.
     """
 
     def __init__(
@@ -146,24 +133,20 @@ class RowOccupancy:
 
     def remove(self, cells: Iterable[int]) -> None:
         """Detach ``cells`` from the rows they are in, if any (one pass per row)."""
-        gone: Dict[int, set] = {}
-        for cell in cells:
-            gone.setdefault(self.row[cell], set()).add(cell)
-        for row, members in gone.items():
-            if 0 <= row < len(self.rows):
-                self.rows[row] = [cell for cell in self.rows[row] if cell not in members]
+        cells = set(cells)
+        for row in {self.row[cell] for cell in cells} & set(range(len(self.rows))):
+            self.rows[row] = [cell for cell in self.rows[row] if cell not in cells]
 
     def sort(self, row: int) -> None:
         """Order ``row``'s cells by x (stable)."""
         self.rows[row].sort(key=self.x.__getitem__)
 
     def gap_arrays(self) -> GapArrays:
-        """:func:`row_gaps` of the cells in the rows and the fillers (what
-        fillers fill)."""
+        """:func:`row_gaps` of the cells in the rows and the fillers (what fillers fill)."""
         members = np.fromiter(chain.from_iterable(self.rows), np.int64)
         row = np.repeat(np.arange(len(self.rows)), [len(cells) for cells in self.rows])
-        x = np.array(self.x)[members]
-        return row_gaps(self.floorplan, row, x, np.asarray(self.width)[members], self.fillers)
+        x, width = np.array(self.x)[members], np.asarray(self.width)[members]
+        return row_gaps(self.floorplan, row, x, width, self.fillers)
 
     # ------------------------------------------------------------------
     # Region packing
@@ -257,7 +240,6 @@ class RowOccupancy:
         x, width = self.x, self.width
         slack = (x1 - x0) - ordered_sum(width[i] for i in group)
         if slack < 0 or not group:
-            self.sort(row)
             return
         gap = slack / (len(group) + 1)
         cursor = x0 + gap
@@ -293,57 +275,55 @@ class RowOccupancy:
         Widest cell first, each cell goes to the first row, by distance from
         the row of its kept y, holding a free interval it fits whose centre
         stays outside ``rect``: the first such interval left to right, at
-        the position closest to the cell's kept x.
+        the position closest to the cell's kept x.  Every row is sorted by
+        x first.
 
         Returns:
             The cells that fit nowhere, in processing order.
         """
         half_row = self.floorplan.row_height / 2.0
         crosses = [rect.y0 <= y + half_row < rect.y1 for y in self.row_y]
+        inf = float("inf")
 
-        def usable(lo: float, hi: float, row: int) -> Tuple[float, float, float]:
-            """``(size, lo, hi)`` of the usable part of a gap: its longer
-            side of ``rect`` in a row crossing it; size ``-inf`` if none."""
+        def usable(row: int, lo: float, hi: float) -> Tuple[float, float, float, float, float]:
+            """``(size, lo', hi', lo, hi)``: gap ``(lo, hi)`` and its usable
+            part ``(lo', hi')``, the longer side of ``rect`` where ``row``
+            crosses it, ``size`` its length (``-inf`` if it is empty)."""
+            part = lo, hi
             if crosses[row]:
                 left, right = (lo, min(hi, rect.x0)), (max(lo, rect.x1), hi)
                 left_size, right_size = left[1] - left[0], right[1] - right[0]
                 if left_size >= 0.0 and (right_size < 0.0 or left_size >= right_size):
-                    lo, hi = left
+                    part = left
                 elif right_size >= 0.0:
-                    lo, hi = right
+                    part = right
                 else:
-                    return float("-inf"), lo, hi
-            return (hi - lo if hi > lo else float("-inf")), lo, hi
+                    return -inf, lo, hi, lo, hi
+            size = part[1] - part[0] if part[1] > part[0] else -inf
+            return size, part[0], part[1], lo, hi
 
-        # Every row's gaps, taken once: per row (as lists, on first use)
-        # each gap and its usable part, and the longest usable part (a gap
-        # of a row that misses ``rect`` is usable whole).
+        # Every row's gaps, taken once, and each row's longest usable part; a
+        # row's gaps become a list of usable() entries where it is first used.
+        for row in range(len(self.rows)):
+            self.sort(row)
         gap_row, gap_lo, gap_hi = self.gap_arrays()
         num_rows = len(self.rows)
-        counts = np.bincount(gap_row, minlength=num_rows)
-        starts = np.cumsum(counts) - counts
-        opened: Dict[int, Tuple[list, list]] = {}
+        bounds = np.searchsorted(gap_row, np.arange(num_rows + 1)).tolist()
+        gap_lo, gap_hi = gap_lo.tolist(), gap_hi.tolist()
+        opened: Dict[int, list] = {}
 
-        def row_state(row: int) -> Tuple[list, list]:
-            """``(gaps, usable parts)`` of ``row`` as lists, its cells sorted."""
-            state = opened.get(row)
-            if state is None:
-                span = slice(starts[row], starts[row] + counts[row])
-                gaps = list(zip(gap_lo[span].tolist(), gap_hi[span].tolist()))
-                if crosses[row]:
-                    parts = [usable(lo, hi, row) for lo, hi in gaps]
-                else:
-                    parts = list(zip(size[span].tolist(), *zip(*gaps)))
-                state = opened[row] = (gaps, parts)
-                self.sort(row)
-            return state
+        def entries(row: int) -> list:
+            if row not in opened:
+                span = slice(bounds[row], bounds[row + 1])
+                opened[row] = [usable(row, lo, hi) for lo, hi in zip(gap_lo[span], gap_hi[span])]
+            return opened[row]
 
-        size = gap_hi - gap_lo  # every gap is non-empty
+        size = np.subtract(gap_hi, gap_lo)  # a row missing ``rect`` uses its gaps whole
         for row in np.flatnonzero(crosses).tolist():
-            size[starts[row]:starts[row] + counts[row]] = [part[0] for part in row_state(row)[1]]
-        longest = np.full(num_rows, -np.inf)
-        filled = counts > 0
-        longest[filled] = np.maximum.reduceat(size, starts[filled])
+            size[bounds[row]:bounds[row + 1]] = [entry[0] for entry in entries(row)]
+        longest = np.full(num_rows, -inf)
+        filled = np.diff(bounds) > 0
+        longest[filled] = np.maximum.reduceat(size, np.asarray(bounds[:-1])[filled])
 
         failed: List[int] = []
         x, y, width = self.x, self.y, self.width
@@ -358,19 +338,17 @@ class RowOccupancy:
                 failed.append(cell)
                 continue
             row = int(order[first])
-            gaps, parts = row_state(row)
-            j = next(j for j, part in enumerate(parts) if part[0] >= need)
-            _, lo, hi = parts[j]
+            gaps = entries(row)
+            j = next(j for j, entry in enumerate(gaps) if entry[0] >= need)
+            _, lo, hi, gap_start, gap_end = gaps[j]
             left = min(max(origin_x, lo), hi - need)
             self.place(cell, left, row)
             insort(self.rows[row], cell, key=x.__getitem__)
             # Only the gap the cell went into changes: it splits in two.
-            gap_lo_j, gap_hi_j = gaps[j]
-            right = left + need
-            split = [(a, b) for a, b in ((gap_lo_j, left), (right, gap_hi_j)) if b > a]
-            gaps[j:j + 1] = split
-            parts[j:j + 1] = [usable(a, b, row) for a, b in split]
-            longest[row] = max((part[0] for part in parts), default=float("-inf"))
+            gaps[j:j + 1] = [
+                usable(row, a, b) for a, b in ((gap_start, left), (left + need, gap_end)) if b > a
+            ]
+            longest[row] = max((entry[0] for entry in gaps), default=-inf)
         return failed
 
     def force_insert(self, cells: Sequence[int], avoid_rect: Optional[Rect] = None) -> List[int]:
@@ -386,14 +364,13 @@ class RowOccupancy:
         Returns:
             The cells no row has enough free width for, in order.
         """
-        half_row = self.floorplan.row_height / 2.0
-        mid = np.asarray(self.row_y) + half_row
-        avoid = avoid_rect is not None and avoid_rect.area > 0
-        inside = (avoid_rect.y0 <= mid) & (mid < avoid_rect.y1) if avoid else np.zeros(mid.shape, bool)
-        num_rows = len(self.rows)
-        rows = np.arange(num_rows)
-        width = self.width
-        # Row width in use, summed in row-list order.
+        mid = np.asarray(self.row_y) + self.floorplan.row_height / 2.0
+        inside = np.zeros(mid.shape, bool)
+        if avoid_rect is not None and avoid_rect.area > 0:
+            inside = (avoid_rect.y0 <= mid) & (mid < avoid_rect.y1)
+        rows, width = np.arange(len(self.rows)), self.width
+        # Row width in use, summed in row-list order (a filled row's list is
+        # its sorted members, then the cell).
         used = np.array([ordered_sum(width[i] for i in members) for members in self.rows])
         failed: List[int] = []
         for cell in cells:
@@ -404,15 +381,15 @@ class RowOccupancy:
                 failed.append(cell)
                 continue
             # Rows outside the rectangle first, then by distance, then by index.
-            priority = inside[room] * (2 * num_rows) + np.abs(rows[room] - origin)
+            priority = inside[room] * (2 * rows.size) + np.abs(rows[room] - origin)
             row = int(room[priority.argmin()])
             self.sort(row)
             cursor = 0.0
             for member in self.rows[row]:
                 self.place(member, cursor, row)
                 cursor += width[member]
-            self.add(row, cell, 0.0 + used[row].item())
-            used[row] += width[cell]
+            self.add(row, cell, cursor)
+            used[row] = cursor + width[cell]
         return failed
 
 

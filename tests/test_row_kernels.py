@@ -13,6 +13,8 @@ be empty or full.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -67,7 +69,11 @@ def reference_fill(gaps):
 
 def reference_relocate_outside(occupancy: RowOccupancy, cells, rect):
     """Widest first, into the first row by distance (ties in set order)
-    with a usable interval it fits; every visited row's gaps recomputed."""
+    with a usable interval it fits; every visited row's gaps recomputed.
+    Every row is sorted first (the list walk sorted a row when it visited
+    it, and no x in a row moves before that row is visited)."""
+    for row in range(len(occupancy.rows)):
+        occupancy.sort(row)
     half_row = occupancy.floorplan.row_height / 2.0
     usable = {}
 
@@ -133,18 +139,21 @@ def reference_force_insert(occupancy: RowOccupancy, cell, avoid_rect):
         inside = 1 if avoid and avoid_rect.y0 <= mid < avoid_rect.y1 else 0
         return (inside, abs(row - origin))
 
+    def used(members):
+        total = 0
+        for i in members:
+            total += width[i]
+        return total
+
     for row in sorted(range(len(occupancy.rows)), key=priority):
         members = occupancy.rows[row]
-        used = 0
-        for i in members:
-            used += width[i]
-        if occupancy.floorplan.core_width - used >= width[cell] - 1e-9:
+        if occupancy.floorplan.core_width - used(members) >= width[cell] - 1e-9:
             occupancy.sort(row)
             cursor = 0.0
             for member in members:
                 occupancy.place(member, cursor, row)
                 cursor += width[member]
-            occupancy.add(row, cell, 0.0 + used)
+            occupancy.add(row, cell, 0.0 + used(members))
             occupancy.sort(row)
             return True
     return False
@@ -255,11 +264,15 @@ def test_fill_matches_greedy_loop(gaps):
     occupancy=occupancies(with_fillers=False),
     evicted=st.lists(st.integers(0, 40), max_size=20, unique=True),
     rect=st.tuples(*[st.floats(-2.0, 18.0)] * 4),
+    shuffle=st.one_of(st.none(), st.integers(0, 2**32)),
 )
 @settings(max_examples=300, deadline=None)
-def test_relocation_matches_list_walks(occupancy, evicted, rect):
+def test_relocation_matches_list_walks(occupancy, evicted, rect, shuffle):
     evicted = [cell for cell in evicted if cell < len(occupancy.x)]
     occupancy.remove(evicted)
+    if shuffle is not None:  # row lists out of x order, as a Row may keep them
+        for cells in occupancy.rows:
+            random.Random(shuffle).shuffle(cells)
     rect = Rect(min(rect[0], rect[2]), min(rect[1], rect[3]),
                 max(rect[0], rect[2]), max(rect[1], rect[3]))
     reference = _copy(occupancy)
@@ -312,4 +325,25 @@ def test_forced_insertion_prefers_rows_outside_the_rectangle():
     assert reference_force_insert(reference, 3, rect)
     assert (occupancy.x, occupancy.row) == (reference.x, reference.row)
     assert (occupancy.row[3], occupancy.x[3]) == (0, 2.0)
+    assert occupancy.rows == reference.rows
+
+
+@given(
+    occupancy=occupancies(with_fillers=False),
+    evicted=st.lists(st.integers(0, 40), max_size=12, unique=True),
+    rect=st.tuples(*[st.floats(-2.0, 18.0)] * 4),
+    shuffle=st.integers(0, 2**32),
+)
+@settings(max_examples=200, deadline=None)
+def test_forced_insertion_matches_list_walk(occupancy, evicted, rect, shuffle):
+    evicted = [cell for cell in evicted if cell < len(occupancy.x)]
+    occupancy.remove(evicted)
+    for cells in occupancy.rows:  # row lists out of x order, as a Row may keep them
+        random.Random(shuffle).shuffle(cells)
+    rect = Rect(min(rect[0], rect[2]), min(rect[1], rect[3]),
+                max(rect[0], rect[2]), max(rect[1], rect[3]))
+    reference = _copy(occupancy)
+    failed = occupancy.force_insert(evicted, avoid_rect=rect)
+    assert failed == [cell for cell in evicted if not reference_force_insert(reference, cell, rect)]
+    assert (occupancy.x, occupancy.y, occupancy.row) == (reference.x, reference.y, reference.row)
     assert occupancy.rows == reference.rows
