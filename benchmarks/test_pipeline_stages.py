@@ -321,7 +321,7 @@ class TestPipelineStages:
             lambda: warm_solver.solve(re_solves[0], x0=warm_map.grid_rises)
         )
 
-        speedup = _record(
+        _record(
             "thermal_solve", lu_s, mg_s,
             floor=MIN_THERMAL_SOLVE_SPEEDUP,
             grid=f"{THERMAL_GRID}x{THERMAL_GRID}x{grid.nz}",

@@ -15,9 +15,9 @@ from operator import add
 from typing import Iterable
 
 
-def ordered_sum(values: Iterable[float], start=0):
-    """``start + v0 + v1 + ...`` added left to right, as Python 3.11's ``sum``."""
-    return reduce(add, values, start)
+def ordered_sum(values: Iterable[float]):
+    """``0 + v0 + v1 + ...`` added left to right, as Python 3.11's ``sum``."""
+    return reduce(add, values, 0)
 
 
 __all__ = ["ordered_sum"]

@@ -275,12 +275,14 @@ class RowOccupancy:
         Widest cell first, each cell goes to the first row, by distance from
         the row of its kept y, holding a free interval it fits whose centre
         stays outside ``rect``: the first such interval left to right, at
-        the position closest to the cell's kept x.  Every row is sorted by
-        x first.
+        the position closest to the cell's kept x.  Every row looked at on
+        the way is sorted by x.
 
         Returns:
             The cells that fit nowhere, in processing order.
         """
+        if not cells:
+            return []
         half_row = self.floorplan.row_height / 2.0
         crosses = [rect.y0 <= y + half_row < rect.y1 for y in self.row_y]
         inf = float("inf")
@@ -302,28 +304,19 @@ class RowOccupancy:
             size = part[1] - part[0] if part[1] > part[0] else -inf
             return size, part[0], part[1], lo, hi
 
-        # Every row's gaps, taken once, and each row's longest usable part; a
-        # row's gaps become a list of usable() entries where it is first used.
-        for row in range(len(self.rows)):
-            self.sort(row)
-        gap_row, gap_lo, gap_hi = self.gap_arrays()
+        # Every row's gaps, taken once, as usable() entries (a row missing
+        # ``rect`` uses its gaps whole), and each row's longest usable part.
         num_rows = len(self.rows)
+        gap_row, gap_lo, gap_hi = self.gap_arrays()
         bounds = np.searchsorted(gap_row, np.arange(num_rows + 1)).tolist()
         gap_lo, gap_hi = gap_lo.tolist(), gap_hi.tolist()
-        opened: Dict[int, list] = {}
-
-        def entries(row: int) -> list:
-            if row not in opened:
-                span = slice(bounds[row], bounds[row + 1])
-                opened[row] = [usable(row, lo, hi) for lo, hi in zip(gap_lo[span], gap_hi[span])]
-            return opened[row]
-
-        size = np.subtract(gap_hi, gap_lo)  # a row missing ``rect`` uses its gaps whole
-        for row in np.flatnonzero(crosses).tolist():
-            size[bounds[row]:bounds[row + 1]] = [entry[0] for entry in entries(row)]
-        longest = np.full(num_rows, -inf)
-        filled = np.diff(bounds) > 0
-        longest[filled] = np.maximum.reduceat(size, np.asarray(bounds[:-1])[filled])
+        entries = []
+        for row, (start, end) in enumerate(zip(bounds, bounds[1:])):
+            spans = zip(gap_lo[start:end], gap_hi[start:end])
+            entries.append([usable(row, lo, hi) for lo, hi in spans] if crosses[row]
+                           else [(hi - lo, lo, hi, lo, hi) for lo, hi in spans])
+        longest = np.array([max(gaps)[0] if gaps else -inf for gaps in entries])
+        seen = np.zeros(num_rows, bool)  # rows sorted, as looking at a row sorts it
 
         failed: List[int] = []
         x, y, width = self.x, self.y, self.width
@@ -334,11 +327,15 @@ class RowOccupancy:
             order = _visiting_order(self.floorplan.row_of_y(origin_y), num_rows)
             fits = longest[order] >= need
             first = int(fits.argmax())
+            looked = order[:first + 1] if fits[first] else order
+            for row in looked[~seen[looked]].tolist():
+                self.sort(row)
+            seen[looked] = True
             if not fits[first]:
                 failed.append(cell)
                 continue
             row = int(order[first])
-            gaps = entries(row)
+            gaps = entries[row]
             j = next(j for j, entry in enumerate(gaps) if entry[0] >= need)
             _, lo, hi, gap_start, gap_end = gaps[j]
             left = min(max(origin_x, lo), hi - need)
@@ -348,7 +345,7 @@ class RowOccupancy:
             gaps[j:j + 1] = [
                 usable(row, a, b) for a, b in ((gap_start, left), (left + need, gap_end)) if b > a
             ]
-            longest[row] = max((entry[0] for entry in gaps), default=-inf)
+            longest[row] = max(gaps)[0] if gaps else -inf
         return failed
 
     def force_insert(self, cells: Sequence[int], avoid_rect: Optional[Rect] = None) -> List[int]:

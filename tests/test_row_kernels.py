@@ -69,11 +69,8 @@ def reference_fill(gaps):
 
 def reference_relocate_outside(occupancy: RowOccupancy, cells, rect):
     """Widest first, into the first row by distance (ties in set order)
-    with a usable interval it fits; every visited row's gaps recomputed.
-    Every row is sorted first (the list walk sorted a row when it visited
-    it, and no x in a row moves before that row is visited)."""
-    for row in range(len(occupancy.rows)):
-        occupancy.sort(row)
+    with a usable interval it fits; every visited row sorted and its gaps
+    recomputed."""
     half_row = occupancy.floorplan.row_height / 2.0
     usable = {}
 
@@ -311,6 +308,20 @@ def test_relocation_reuses_the_far_side_of_a_split_straddling_gap():
     assert reference_relocate_outside(reference, [2, 3], rect) == []
     assert occupancy.x[2:] == reference.x[2:] == [6.0, 1.0]
     assert occupancy.rows == reference.rows == [[0, 3, 2, 1]]
+
+
+def test_relocation_leaves_rows_it_does_not_look_at_unsorted():
+    # The cell fits in its own row 0, so row 2 (out of x order) is never
+    # looked at and keeps its list order, as in the list walk.
+    floorplan = Floorplan(core_width=10.0, core_height=3 * 1.8)
+    occupancy = _one_row_each(floorplan, [(0, 0.0, 1.0), (0, 2.0, 1.0), (2, 0.0, 1.0), (2, 5.0, 1.0)])
+    occupancy.rows[2].reverse()
+    occupancy.remove([1])
+    reference = _copy(occupancy)
+    rect = Rect(0.0, 1.8, 10.0, 3.6)
+    assert occupancy.relocate_outside([1], rect) == reference_relocate_outside(reference, [1], rect) == []
+    assert occupancy.rows == reference.rows == [[0, 1], [], [3, 2]]
+    assert occupancy.x == reference.x
 
 
 def test_forced_insertion_prefers_rows_outside_the_rectangle():
