@@ -21,7 +21,7 @@ store it shares its tiered core and on-disk format with.
   while a mutable :class:`~repro.placement.Placement` is never memoised.
   A placement digest also covers the placement's filler block (its
   row/x/master arrays).
-  :data:`FLOW_KEY_VERSION` 3 marks this encoding: artifact and result
+  :data:`FLOW_KEY_VERSION` 4 marks this encoding: artifact and result
   stores written with older keys simply miss.
 
 * **Artifact dataclasses** — the frozen, typed value each stage produces
@@ -54,7 +54,9 @@ from .cache import package_fingerprint
 #: Version 2: netlist and placement digests switched to array encoding.
 #: Version 3: fillers are a placement's filler block, not netlist cells;
 #: the placement digest covers the block.
-FLOW_KEY_VERSION = 3
+#: Version 4: thermal dot products run without BLAS (their last bits no
+#: longer depend on the BLAS thread count).
+FLOW_KEY_VERSION = 4
 
 
 # ---------------------------------------------------------------------------

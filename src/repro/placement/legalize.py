@@ -31,16 +31,18 @@ from .placement import NO_FILLERS, FillerBlock, Placement
 GapArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-@lru_cache(maxsize=4096)
-def _visiting_order(origin: int, num_rows: int) -> np.ndarray:
-    """Rows by increasing distance from ``origin``; a pair at equal distance
-    is taken in the iteration order of its two-element set."""
-    order = np.array([
-        r for offset in range(num_rows) for r in {origin - offset, origin + offset}
-        if 0 <= r < num_rows
-    ], dtype=np.int64)
-    order.setflags(write=False)
-    return order
+@lru_cache(maxsize=16)
+def _visiting_orders(num_rows: int) -> np.ndarray:
+    """Row ``origin`` of the table: every row by increasing distance from
+    ``origin``; a pair at equal distance is taken in the iteration order of
+    its two-element set."""
+    table = np.array([
+        [r for offset in range(num_rows) for r in {origin - offset, origin + offset}
+         if 0 <= r < num_rows]
+        for origin in range(num_rows)
+    ], dtype=np.int64).reshape(num_rows, num_rows)
+    table.setflags(write=False)
+    return table
 
 
 def row_gaps(
@@ -317,6 +319,7 @@ class RowOccupancy:
                            else [(hi - lo, lo, hi, lo, hi) for lo, hi in spans])
         longest = np.array([max(gaps)[0] if gaps else -inf for gaps in entries])
         seen = np.zeros(num_rows, bool)  # rows sorted, as looking at a row sorts it
+        orders = _visiting_orders(num_rows)
 
         failed: List[int] = []
         x, y, width = self.x, self.y, self.width
@@ -324,7 +327,7 @@ class RowOccupancy:
             origin_x = x[cell] if x[cell] == x[cell] else 0.0
             origin_y = y[cell] if y[cell] == y[cell] else 0.0
             need = width[cell]
-            order = _visiting_order(self.floorplan.row_of_y(origin_y), num_rows)
+            order = orders[self.floorplan.row_of_y(origin_y)]
             fits = longest[order] >= need
             first = int(fits.argmax())
             looked = order[:first + 1] if fits[first] else order

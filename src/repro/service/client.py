@@ -15,8 +15,9 @@ import json
 import logging
 import os
 import socket
+import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..faults import InjectedFault, RetryPolicy, inject
 from ..flow.runner import CampaignRecord, CampaignResult
@@ -51,52 +52,52 @@ class ThrottledError(ServiceError):
         self.retry_after_s = retry_after_s
 
 
-def _request_raw(
-    host: str, port: int, payload: Dict[str, object], timeout: float
-) -> Dict[str, object]:
-    with socket.create_connection((host, port), timeout=timeout) as conn:
+class _NoResponse(ConnectionError):
+    """The connection failed before a single response byte arrived."""
+
+
+def _exchange(conn: socket.socket, payload: Dict[str, object]) -> Dict[str, object]:
+    """Send one request line on ``conn`` and read one response line.
+
+    Raises :class:`_NoResponse` when the peer closed or reset the
+    connection before answering anything (a timeout is not that: the
+    server may still answer late), and ``ConnectionError`` when it closed
+    mid-response.
+    """
+    received = bytearray()
+    try:
         conn.sendall(json.dumps(payload).encode() + b"\n")
-        chunks: List[bytes] = []
-        while True:
+        while not received.endswith(b"\n"):
             chunk = conn.recv(65536)
             if not chunk:
                 break
-            chunks.append(chunk)
-            if chunk.endswith(b"\n"):
-                break
-    raw = b"".join(chunks)
-    if not raw:
-        raise ConnectionError("server closed the connection without a response")
-    return json.loads(raw)
+            received += chunk
+    except socket.timeout:
+        raise
+    except OSError as error:
+        if not received:
+            raise _NoResponse(str(error)) from error
+        raise
+    if not received:
+        raise _NoResponse("server closed the connection without a response")
+    if not received.endswith(b"\n"):
+        raise ConnectionError("server closed the connection mid-response")
+    return json.loads(received)
 
 
-def request_once(
-    host: str,
-    port: int,
-    payload: Dict[str, object],
-    timeout: float = 600.0,
-    retry_policy: Optional[RetryPolicy] = None,
+def _with_retries(
+    host: str, port: int, op: object, policy: RetryPolicy,
+    attempt_once: Callable[[], Dict[str, object]],
 ) -> Dict[str, object]:
-    """Send one request object and return the parsed response.
-
-    Opens a fresh connection per call; :class:`SweepClient` wraps this
-    with response checking and record decoding.  When ``retry_policy``
-    allows more than one attempt, connect/read failures (``OSError`` —
-    which covers ``ConnectionError`` and ``socket.timeout``) are retried
-    with deterministic backoff before giving up.
-
-    Raises:
-        ConnectionError: The server closed without responding (after any
-            retries the policy allows).
-        OSError: Connect or socket failure after exhausting retries.
-    """
-    policy = retry_policy if retry_policy is not None else RetryPolicy()
-    op = payload.get("op")
+    """Run ``attempt_once()`` until it returns, retrying connect/read
+    failures (``OSError``, which covers ``ConnectionError`` and
+    ``socket.timeout``) with the policy's deterministic backoff.  Each
+    attempt passes the ``client.request`` fault seam."""
     attempt = 0
     while True:
         try:
             inject("client.request", {"op": op, "attempt": attempt})
-            return _request_raw(host, port, payload, timeout)
+            return attempt_once()
         except (OSError, InjectedFault) as error:
             attempt += 1
             if not policy.classify(error) or attempt >= policy.max_attempts:
@@ -109,8 +110,47 @@ def request_once(
             time.sleep(delay)
 
 
+def request_once(
+    host: str,
+    port: int,
+    payload: Dict[str, object],
+    timeout: float = 600.0,
+    retry_policy: Optional[RetryPolicy] = None,
+) -> Dict[str, object]:
+    """Send one request object on a fresh connection and return the parsed
+    response.
+
+    :class:`SweepClient` sends over reused connections and adds response
+    checking and record decoding.  When ``retry_policy`` allows more than
+    one attempt, connect/read failures are retried with deterministic
+    backoff before giving up.
+
+    Raises:
+        ConnectionError: The server closed without responding (after any
+            retries the policy allows).
+        OSError: Connect or socket failure after exhausting retries.
+    """
+
+    def attempt_once() -> Dict[str, object]:
+        with socket.create_connection((host, port), timeout=timeout) as conn:
+            return _exchange(conn, payload)
+
+    policy = retry_policy if retry_policy is not None else RetryPolicy()
+    return _with_retries(host, port, payload.get("op"), policy, attempt_once)
+
+
 class SweepClient:
     """Submit sweep requests to a running :class:`SweepServer`.
+
+    Connections are opened lazily and reused: a request takes an idle
+    connection (or opens one) and hands it back once it has read the whole
+    response line, so sequential calls share one connection and concurrent
+    callers each hold their own.  A connection that times out or fails is
+    closed, never reused.  When a reused connection turns out to have been
+    closed by the server (idle close, restart) before any response byte
+    arrived, the request is resent once on a fresh connection at once;
+    fresh connects that fail follow ``retry_policy``.  :meth:`close` (or
+    ``with SweepClient(...) as client:``) closes the idle connections.
 
     Args:
         host: Server host.
@@ -156,6 +196,52 @@ class SweepClient:
             if client_id is not None
             else f"{socket.gethostname()}:{os.getpid()}"
         )
+        self._idle: List[socket.socket] = []
+        self._idle_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the idle connections; a later request opens a new one."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def __enter__(self) -> "SweepClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _connect(self) -> socket.socket:
+        return socket.create_connection((self.host, self.port), timeout=self.timeout)
+
+    def _send(self, payload: Dict[str, object]) -> Dict[str, object]:
+        """One attempt: on an idle connection if there is one, else a new one."""
+        with self._idle_lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is not None:
+            conn.settimeout(self.timeout)
+            try:
+                return self._exchange_on(conn, payload)
+            except _NoResponse:
+                pass  # closed while idle: reconnect once, without backoff
+        return self._exchange_on(self._connect(), payload)
+
+    def _exchange_on(
+        self, conn: socket.socket, payload: Dict[str, object]
+    ) -> Dict[str, object]:
+        """Exchange on ``conn``; pool it only after a complete response."""
+        try:
+            response = _exchange(conn, payload)
+        except BaseException:
+            conn.close()  # a late answer must never reach the next request
+            raise
+        if response.get("closing"):
+            conn.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(conn)
+        return response
 
     def _request(self, payload: Dict[str, object]) -> Dict[str, object]:
         payload = dict(payload)
@@ -165,12 +251,9 @@ class SweepClient:
         op = payload.get("op")
         attempt = 0
         while True:
-            response = request_once(
-                self.host,
-                self.port,
-                payload,
-                timeout=self.timeout,
-                retry_policy=self.retry_policy,
+            response = _with_retries(
+                self.host, self.port, op, self.retry_policy,
+                lambda: self._send(payload),
             )
             if response.get("ok"):
                 return response

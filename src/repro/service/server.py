@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import json
 import logging
+import socket
 import socketserver
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future, TimeoutError as FuturesTimeoutError
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..core import check_area_overhead, resolve_strategy
 from ..deadlines import Deadline, deadline_scope
@@ -89,6 +90,15 @@ class _Task:
         self.created_at = time.monotonic()
         self.client = client
         self.deadline = deadline if deadline is not None else float("inf")
+
+
+def _stop_reading(conn: socket.socket) -> None:
+    """End a connection's input: a handler blocked reading it sees EOF,
+    while a response it is about to write still goes out."""
+    try:
+        conn.shutdown(socket.SHUT_RD)
+    except OSError:
+        pass  # already closed by the peer or the handler
 
 
 class SweepServer:
@@ -217,6 +227,10 @@ class SweepServer:
         self._draining = threading.Event()
         self._closed = threading.Event()
         self._active_requests = 0
+        # Accepted connections, closed for reading at shutdown so handler
+        # threads idle between a client's requests wake on EOF and exit.
+        self._connections: Set[socket.socket] = set()
+        self._connections_closed = False
         self._counters = {
             "requests": 0,
             "points_requested": 0,
@@ -232,6 +246,14 @@ class SweepServer:
         server = self
 
         class _Handler(socketserver.StreamRequestHandler):
+            def setup(self) -> None:
+                super().setup()
+                server._track_connection(self.connection)
+
+            def finish(self) -> None:
+                server._untrack_connection(self.connection)
+                super().finish()
+
             def handle(self) -> None:  # one JSON line per request
                 limit = server.max_request_bytes
                 while True:
@@ -340,7 +362,9 @@ class SweepServer:
         refused and new sweeps rejected), then in-flight batches are given up
         to ``drain_timeout_s`` to finish before the scheduler is stopped.
         Without draining, outstanding points fail immediately with
-        ``RuntimeError("server shut down")``.
+        ``RuntimeError("server shut down")``.  Either way the accepted
+        connections are then closed for reading, so no handler thread
+        outlives the shutdown waiting for a client's next request.
         """
         self._draining.set()
         # Refuse new connections before anything else; handler threads
@@ -368,6 +392,11 @@ class SweepServer:
         for task in pending:
             if not task.future.done():
                 task.future.set_exception(RuntimeError("server shut down"))
+        with self._lock:
+            self._connections_closed = True
+            connections = list(self._connections)
+        for conn in connections:
+            _stop_reading(conn)
         self._closed.set()
 
     def wait_closed(self, timeout: Optional[float] = None) -> bool:
@@ -385,6 +414,17 @@ class SweepServer:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
+
+    def _track_connection(self, conn: socket.socket) -> None:
+        with self._lock:
+            if not self._connections_closed:
+                self._connections.add(conn)
+                return
+        _stop_reading(conn)  # accepted while shutting down
+
+    def _untrack_connection(self, conn: socket.socket) -> None:
+        with self._lock:
+            self._connections.discard(conn)
 
     # -- request dispatch ----------------------------------------------------
 

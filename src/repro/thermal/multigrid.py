@@ -58,6 +58,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..deadlines import check_active
+from ..floatsum import ordered_dot
 from .grid import ThermalGrid
 from .network import ThermalNetwork
 
@@ -460,12 +461,10 @@ class MultigridSolver:
         # a lane's summation order then never depends on how many lanes
         # share the block, so a batched solve reproduces one-lane solves
         # bitwise (a single einsum/BLAS call over the whole block orders
-        # the sums differently for one lane than for several).
+        # the sums differently for one lane than for several), and no BLAS
+        # call, so the BLAS thread count does not change it either.
         return np.array([
-            np.dot(
-                np.ascontiguousarray(a[:, lane]), np.ascontiguousarray(b[:, lane])
-            )
-            for lane in range(a.shape[1])
+            ordered_dot(a[:, lane], b[:, lane]) for lane in range(a.shape[1])
         ])
 
     def solve(

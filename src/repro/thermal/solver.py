@@ -23,6 +23,7 @@ import scipy.sparse.linalg as spla
 
 from ..deadlines import check_active
 from ..faults import InjectedFault, inject
+from ..floatsum import ordered_dot
 from ..placement import Placement, PlacementView, as_placement
 from ..power import PowerReport, build_power_map, iter_cell_bins
 from ..power.power_map import PowerMap
@@ -168,7 +169,8 @@ class ThermalSolver:
             else:
                 self._package_solve = self._factorized.solve(coupling)
             self._package_denominator = float(
-                self.network.package_diagonal - coupling @ self._package_solve
+                self.network.package_diagonal
+                - ordered_dot(coupling, self._package_solve)
             )
 
     # -- backend dispatch ----------------------------------------------------
@@ -212,7 +214,7 @@ class ThermalSolver:
                 )
             return base
         coupling = self.network.package_coupling
-        gamma = (coupling @ x0) / self.network.package_diagonal
+        gamma = ordered_dot(coupling, x0) / self.network.package_diagonal
         return x0 - gamma * self._package_solve
 
     def _solve_grid(
@@ -305,9 +307,11 @@ class ThermalSolver:
             solution = base
         else:
             coupling = self.network.package_coupling
-            correction = (coupling @ base) / self._package_denominator
+            correction = ordered_dot(coupling, base) / self._package_denominator
             grid_temps = base + correction * self._package_solve
-            package_temp = (coupling @ grid_temps) / self.network.package_diagonal
+            package_temp = (
+                ordered_dot(coupling, grid_temps) / self.network.package_diagonal
+            )
             solution = np.concatenate([grid_temps, [package_temp]])
         return map_from_solution(
             self.grid,
